@@ -9,6 +9,7 @@ values. Rejected preconditions exit nonzero with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,6 +46,10 @@ def _load_config(path):
 
 def _section(cfg_file: dict, name: str, overrides: dict, cls):
     merged = dict(cfg_file.get(name, {}))
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for key in merged:
+        if key not in fields:
+            raise ValueError(f"unknown key {key!r} in config section {name!r}")
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return cls(**merged)
 

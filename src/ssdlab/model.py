@@ -50,10 +50,6 @@ class ModelConfig:
                 raise ValueError(f"{f} must be >= 1")
 
     @classmethod
-    def desk(cls, **overrides):
-        return cls(**overrides)
-
-    @classmethod
     def base_scale(cls):
         """Base-size preset: 12 layers, 768 hidden, 12 heads, 6144 intermediate."""
         return cls(n_layers=12, d_model=768, n_heads=12, d_ff=6144,

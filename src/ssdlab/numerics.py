@@ -4,101 +4,38 @@ warmup/decay learning-rate schedule.
 Every reduction in this module has a pinned summation order: matrix products
 accumulate left-to-right over the contraction index, exactly like a naive
 triple loop, so replays are bit-identical and independently computed partial
-products can be compared at 0 ULP. The kernels are jitted with numba when it
-is importable (strict IEEE mode, no fastmath) and fall back to a pure-numpy
-loop with the same per-element operation sequence.
-
-Set SSDLAB_PURE_NUMPY=1 to force the fallback kernels.
+products can be compared at 0 ULP.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    if os.environ.get("SSDLAB_PURE_NUMPY"):
-        raise ImportError("pure numpy mode forced via env var")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# Read by the benchmark's environment stamp; the kernels are pure numpy.
+HAS_NUMBA = False
 
 
 # -----------------------------------------------------------------------------
 # Matrix products with pinned left-to-right accumulation
 # -----------------------------------------------------------------------------
 
-if HAS_NUMBA:
 
-    @njit(cache=True)
-    def _mm_nn_kernel(a, b, out):
-        m, n = a.shape
-        p = b.shape[1]
-        for i in range(m):
-            for j in range(p):
-                s = 0.0
-                for k in range(n):
-                    s += a[i, k] * b[k, j]
-                out[i, j] = s
+def _pinned_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., m, n) @ (..., n, p), accumulating over n in ascending order.
 
-    @njit(cache=True)
-    def _mm_nt_kernel(a, b, out):
-        m, n = a.shape
-        p = b.shape[0]
-        for i in range(m):
-            for j in range(p):
-                s = 0.0
-                for k in range(n):
-                    s += a[i, k] * b[j, k]
-                out[i, j] = s
-
-    @njit(cache=True)
-    def _mm_tn_kernel(a, b, out):
-        n, m = a.shape
-        p = b.shape[1]
-        for i in range(m):
-            for j in range(p):
-                s = 0.0
-                for k in range(n):
-                    s += a[k, i] * b[k, j]
-                out[i, j] = s
-
-else:
-
-    def _mm_nn_kernel(a, b, out):
-        # rank-1 updates preserve the per-element left-to-right order:
-        # each k contributes one rounded multiply then one rounded add
-        n = a.shape[1]
-        out[:] = 0.0
-        tmp = np.empty_like(out)
-        for k in range(n):
-            np.multiply(a[:, k, None], b[k, None, :], out=tmp)
-            out += tmp
-
-    def _mm_nt_kernel(a, b, out):
-        n = a.shape[1]
-        out[:] = 0.0
-        tmp = np.empty_like(out)
-        for k in range(n):
-            np.multiply(a[:, k, None], b[None, :, k], out=tmp)
-            out += tmp
-
-    def _mm_tn_kernel(a, b, out):
-        n = a.shape[0]
-        out[:] = 0.0
-        tmp = np.empty_like(out)
-        for k in range(n):
-            np.multiply(a[k, :, None], b[k, None, :], out=tmp)
-            out += tmp
+    Rank-1 updates preserve the per-element left-to-right order of a naive
+    triple loop: each k contributes one rounded multiply then one rounded add.
+    """
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+    out = np.zeros(a.shape[:-1] + b.shape[-1:])
+    tmp = np.empty_like(out)
+    for k in range(a.shape[-1]):
+        np.multiply(a[..., :, k, None], b[..., None, k, :], out=tmp)
+        out += tmp
+    return out
 
 
 def _check_2d_f64(name, x):
@@ -114,126 +51,41 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     _check_2d_f64("a", a)
     _check_2d_f64("b", b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    out = np.empty((a.shape[0], b.shape[1]))
-    _mm_nn_kernel(np.ascontiguousarray(a), np.ascontiguousarray(b), out)
-    return out
+    return _pinned_matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b.T, reducing over the shared trailing axis in ascending order."""
     _check_2d_f64("a", a)
     _check_2d_f64("b", b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}.T")
-    out = np.empty((a.shape[0], b.shape[0]))
-    _mm_nt_kernel(np.ascontiguousarray(a), np.ascontiguousarray(b), out)
-    return out
+    return _pinned_matmul(np.ascontiguousarray(a), np.ascontiguousarray(b).T)
 
 
 def matmul_tn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a.T @ b, reducing over the shared leading axis in ascending order."""
     _check_2d_f64("a", a)
     _check_2d_f64("b", b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape}.T @ {b.shape}")
-    out = np.empty((a.shape[1], b.shape[1]))
-    _mm_tn_kernel(np.ascontiguousarray(a), np.ascontiguousarray(b), out)
-    return out
+    return _pinned_matmul(np.ascontiguousarray(a).T, np.ascontiguousarray(b))
 
 
 # -----------------------------------------------------------------------------
 # Batched (batch, head, ...) products for attention; same order guarantees
 # -----------------------------------------------------------------------------
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _bmm_nt_kernel(a, b, out):
-        B, H, m, r = a.shape
-        p = b.shape[2]
-        for bi in range(B):
-            for h in range(H):
-                for i in range(m):
-                    for j in range(p):
-                        s = 0.0
-                        for k in range(r):
-                            s += a[bi, h, i, k] * b[bi, h, j, k]
-                        out[bi, h, i, j] = s
-
-    @njit(cache=True)
-    def _bmm_nn_kernel(a, b, out):
-        B, H, m, r = a.shape
-        p = b.shape[3]
-        for bi in range(B):
-            for h in range(H):
-                for i in range(m):
-                    for j in range(p):
-                        s = 0.0
-                        for k in range(r):
-                            s += a[bi, h, i, k] * b[bi, h, k, j]
-                        out[bi, h, i, j] = s
-
-    @njit(cache=True)
-    def _bmm_tn_kernel(a, b, out):
-        B, H, r, m = a.shape
-        p = b.shape[3]
-        for bi in range(B):
-            for h in range(H):
-                for i in range(m):
-                    for j in range(p):
-                        s = 0.0
-                        for k in range(r):
-                            s += a[bi, h, k, i] * b[bi, h, k, j]
-                        out[bi, h, i, j] = s
-
-else:
-
-    def _bmm_nt_kernel(a, b, out):
-        r = a.shape[3]
-        out[:] = 0.0
-        tmp = np.empty_like(out)
-        for k in range(r):
-            np.multiply(a[:, :, :, k, None], b[:, :, None, :, k], out=tmp)
-            out += tmp
-
-    def _bmm_nn_kernel(a, b, out):
-        r = a.shape[3]
-        out[:] = 0.0
-        tmp = np.empty_like(out)
-        for k in range(r):
-            np.multiply(a[:, :, :, k, None], b[:, :, None, k, :], out=tmp)
-            out += tmp
-
-    def _bmm_tn_kernel(a, b, out):
-        r = a.shape[2]
-        out[:] = 0.0
-        tmp = np.empty_like(out)
-        for k in range(r):
-            np.multiply(a[:, :, k, :, None], b[:, :, k, None, :], out=tmp)
-            out += tmp
-
 
 def bmm_nt(a, b):
     """Per (batch, head): a @ b.T over the last axis."""
-    out = np.empty(a.shape[:3] + (b.shape[2],))
-    _bmm_nt_kernel(np.ascontiguousarray(a), np.ascontiguousarray(b), out)
-    return out
+    return _pinned_matmul(np.ascontiguousarray(a), np.ascontiguousarray(b).swapaxes(-1, -2))
 
 
 def bmm_nn(a, b):
     """Per (batch, head): a @ b."""
-    out = np.empty(a.shape[:3] + (b.shape[3],))
-    _bmm_nn_kernel(np.ascontiguousarray(a), np.ascontiguousarray(b), out)
-    return out
+    return _pinned_matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def bmm_tn(a, b):
     """Per (batch, head): a.T @ b."""
-    out = np.empty(a.shape[:2] + (a.shape[3], b.shape[3]))
-    _bmm_tn_kernel(np.ascontiguousarray(a), np.ascontiguousarray(b), out)
-    return out
+    return _pinned_matmul(np.ascontiguousarray(a).swapaxes(-1, -2), np.ascontiguousarray(b))
 
 
 # -----------------------------------------------------------------------------

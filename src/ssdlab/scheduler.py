@@ -26,7 +26,7 @@ import numpy as np
 from ssdlab.analysis import adjusted_rand_index
 from ssdlab.clustering import Partition, cluster_with_warmstart
 from ssdlab.model import GPT
-from ssdlab.moe import MoEFFN, merge_experts
+from ssdlab.moe import MoEFFN
 from ssdlab.numerics import SEED_TAG_CLUSTER, SEED_TAG_POLICY, AdamState, derived_rng
 
 PHASE_DENSE = "dense"
@@ -238,11 +238,4 @@ def transition_sparse_to_dense(model: GPT, state: SchedulerState) -> None:
     in dense layout, so this is exact. The chain keeps the last partitions as
     the next conversion's warm start."""
     for layer in range(model.config.n_layers):
-        layout = model.moe[layer]
-        if layout is not None:
-            merged = merge_experts(layout)
-            # identical by construction; assert the invariant cheaply
-            w = model.ffn_weights(layer)
-            if not (merged.w_in is not w.w_in and merged.w_in.shape == w.w_in.shape):
-                raise AssertionError("merge produced inconsistent shapes")
-            model.moe[layer] = None
+        model.moe[layer] = None

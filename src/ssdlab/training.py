@@ -115,6 +115,17 @@ class RunConfig:
     continuity_probes: bool = True
     out_dir: "str | None" = None
 
+    def __post_init__(self):
+        # zero steps is allowed: the final checkpoint is then the initialisation
+        if self.total_steps < 0:
+            raise ValueError("total_steps must be >= 0")
+        for f in ("batch_size", "val_interval", "val_sequences", "val_batch_size",
+                  "checkpoint_interval"):
+            if getattr(self, f) < 1:
+                raise ValueError(f"{f} must be >= 1")
+        if self.sparsity_interval < 0:
+            raise ValueError("sparsity_interval must be >= 0")
+
     def to_dict(self):
         return {f: getattr(self, f) for f in (
             "total_steps", "batch_size", "val_interval", "val_sequences",

@@ -63,6 +63,24 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _train_with_run_keys(workspace, tmp_path, **run_keys):
+        cfg = json.loads(workspace["config"].read_text())
+        cfg["run"].update(run_keys)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return main(["train", "--config", str(path), "--steps", "2"])
+
+    def test_zero_val_interval_exits_nonzero(self, workspace, tmp_path, capsys):
+        rc = self._train_with_run_keys(workspace, tmp_path, val_interval=0)
+        assert rc == 2
+        assert "error: val_interval" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_nonzero(self, workspace, tmp_path, capsys):
+        rc = self._train_with_run_keys(workspace, tmp_path, bogus=1)
+        assert rc == 2
+        assert "error: unknown key 'bogus' in config section 'run'" in capsys.readouterr().err
+
     def test_bad_mode_rejected_by_parser(self, workspace):
         with pytest.raises(SystemExit):
             main(["train", "--config", str(workspace["config"]),
