@@ -13,12 +13,14 @@ The header carries the model config, step counter, RNG state, optimizer
 scalars, the active expert layout (per-layer partitions), the scheduler
 snapshot, and run metadata; the payload carries model parameters in canonical
 order followed by Adam first/second moments in the same order. Loading a
-truncated file, a wrong magic, or a different version is rejected.
+truncated file, a wrong magic, or a different version is rejected; a
+non-finite tensor is rejected on save and load. Saves are atomic.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -107,6 +109,11 @@ def _tensor_by_entry(ckpt: Checkpoint, kind: str, name: str) -> np.ndarray:
     raise CheckpointError(f"unknown tensor kind {kind!r}")
 
 
+def _check_finite(arr: np.ndarray, kind: str, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointError(f"non-finite values in tensor {kind}:{name}")
+
+
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     header = {
         "config": ckpt.config.to_dict(),
@@ -131,6 +138,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         if arr.shape != expected:
             raise CheckpointError(f"tensor {kind}:{name} has shape {arr.shape}, "
                                   f"expected {expected}")
+        _check_finite(arr, kind, name)
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return b"".join(parts)
 
@@ -152,13 +160,12 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     tensors = {}
     for kind, name in header["tensors"]:
         shape = param_shape(name, config)
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64))
-        chunk = blob[offset:offset + nbytes]
-        if len(chunk) != nbytes:
+        count = int(np.prod(shape, dtype=np.int64))
+        nbytes = 8 * count
+        if offset + nbytes > len(blob):
             raise CheckpointError(f"truncated checkpoint: tensor {kind}:{name}")
-        arr = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"non-finite values in tensor {kind}:{name}")
+        arr = np.frombuffer(blob, "<f8", count, offset).reshape(shape).copy()
+        _check_finite(arr, kind, name)
         tensors[(kind, name)] = arr
         offset += nbytes
     if offset != len(blob):
@@ -182,8 +189,16 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    with open(path, "wb") as f:
-        f.write(checkpoint_to_bytes(ckpt))
+    """Write atomically: a failed save leaves any file at path as it was."""
+    blob = checkpoint_to_bytes(ckpt)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: train, moefy, eval, analyze, export. Configuration comes from an
-optional JSON file (--config) whose keys mirror the dataclass fields
-(model/corpus/optimizer/run/ssd, see README); command-line flags override file
-values. Rejected preconditions exit nonzero with a diagnostic on stderr.
+optional JSON file (--config) whose sections model/corpus/optimizer/run/ssd/moe
+take their dataclass's fields as keys (moe: SmoeTrain or SsdTrain; see README);
+command-line flags override file values. Rejected preconditions and bad config
+input exit nonzero with a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from ssdlab.training import (
     train,
 )
 
-SMOE_PRESET = {"num_experts": 3, "active_experts": 2}
-SSD_PRESET = {"num_experts": 32, "active_experts": 6}
-
 
 def _load_config(path):
     if path is None:
@@ -51,7 +49,10 @@ def _section(cfg_file: dict, name: str, overrides: dict, cls):
         if key not in fields:
             raise ValueError(f"unknown key {key!r} in config section {name!r}")
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**merged)
+    try:
+        return cls(**merged)
+    except TypeError as e:
+        raise ValueError(f"bad value in config section {name!r}: {e}") from e
 
 
 def cmd_train(args) -> int:
@@ -66,18 +67,14 @@ def cmd_train(args) -> int:
     run = _section(cfg_file, "run",
                    {"total_steps": args.steps, "out_dir": args.out}, RunConfig)
     mode_name = args.mode or cfg_file.get("mode", "dense")
-    moe_keys = dict(cfg_file.get("moe", {}))
-    if args.experts is not None:
-        moe_keys["num_experts"] = args.experts
-    if args.k is not None:
-        moe_keys["active_experts"] = args.k
+    moe_over = {"num_experts": args.experts, "active_experts": args.k}
     if mode_name == "dense":
         mode = DenseTrain()
     elif mode_name == "smoe":
-        mode = SmoeTrain(**{**SMOE_PRESET, **moe_keys})
+        mode = _section(cfg_file, "moe", moe_over, SmoeTrain)
     elif mode_name == "ssd":
         ssd = _section(cfg_file, "ssd", {"total_steps": run.total_steps}, SSDConfig)
-        mode = SsdTrain(ssd=ssd, **{**SSD_PRESET, **moe_keys})
+        mode = _section(cfg_file, "moe", {**moe_over, "ssd": ssd}, SsdTrain)
     else:
         raise ValueError(f"unknown mode {mode_name!r}")
     resume = load_checkpoint(args.resume) if args.resume else None

@@ -8,7 +8,7 @@ parsing it back yields the original records.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -23,15 +23,11 @@ class MetricsRecord:
     lr: float
 
     def to_dict(self):
-        return {"step": self.step, "phase": self.phase, "loss": self.loss,
-                "ppl": self.ppl, "sparsity": self.sparsity,
-                "similarity": self.similarity, "flops": self.flops, "lr": self.lr}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(step=d["step"], phase=d["phase"], loss=d["loss"], ppl=d["ppl"],
-                   sparsity=d["sparsity"], similarity=d["similarity"],
-                   flops=d["flops"], lr=d["lr"])
+        return cls(**d)
 
 
 def csv_header(n_layers: int) -> list:

@@ -11,7 +11,7 @@ sublayers dispatch to a sparse expert layout when one is attached to the model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,11 +43,11 @@ class ModelConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        for f in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
-            if getattr(self, f) < 1:
-                raise ValueError(f"{f} must be >= 1")
 
     @classmethod
     def base_scale(cls):
@@ -56,8 +56,7 @@ class ModelConfig:
                    vocab_size=257, max_seq_len=512)
 
     def to_dict(self):
-        return {f: getattr(self, f) for f in
-                ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len")}
+        return asdict(self)
 
 
 @dataclass

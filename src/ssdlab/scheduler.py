@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,9 +58,7 @@ class SSDConfig:
             raise ValueError("policy must be 'threshold' or 'random'")
 
     def to_dict(self):
-        return {f: getattr(self, f) for f in (
-            "similarity_threshold", "sparse_ratio", "final_dense_ratio",
-            "monitor_interval", "total_steps", "policy")}
+        return asdict(self)
 
 
 def _ceil_with_tol(x: float, tol: float = 1e-6) -> int:

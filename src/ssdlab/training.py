@@ -9,9 +9,11 @@ step), so checkpoint-resume replays and thread counts cannot perturb it.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,15 +63,15 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def to_dict(self):
-        return {f: getattr(self, f) for f in ("base_lr", "warmup", "beta1", "beta2", "eps")}
+        return asdict(self)
 
 
 @dataclass
 class DenseTrain:
-    kind: str = "dense"
+    kind: ClassVar[str] = "dense"
 
     def to_dict(self):
-        return {"mode": "dense"}
+        return {"mode": self.kind, **asdict(self)}
 
 
 @dataclass
@@ -81,26 +83,22 @@ class SmoeTrain:
 
     num_experts: int = 3
     active_experts: int = 2
-    kind: str = "smoe"
+    kind: ClassVar[str] = "smoe"
 
     def to_dict(self):
-        return {"mode": "smoe", "num_experts": self.num_experts,
-                "active_experts": self.active_experts}
+        return {"mode": self.kind, **asdict(self)}
 
 
 @dataclass
 class SsdTrain:
-    ssd: SSDConfig = field(default_factory=SSDConfig)
     num_experts: int = 32
     active_experts: int = 6
     reset_adam_on_transition: bool = False
-    kind: str = "ssd"
+    ssd: SSDConfig = field(default_factory=SSDConfig)
+    kind: ClassVar[str] = "ssd"
 
     def to_dict(self):
-        return {"mode": "ssd", "num_experts": self.num_experts,
-                "active_experts": self.active_experts,
-                "reset_adam_on_transition": self.reset_adam_on_transition,
-                "ssd": self.ssd.to_dict()}
+        return {"mode": self.kind, **asdict(self)}
 
 
 @dataclass
@@ -112,25 +110,19 @@ class RunConfig:
     val_batch_size: int = 8
     checkpoint_interval: int = 4000
     sparsity_interval: int = 1
-    continuity_probes: bool = True
     out_dir: "str | None" = None
 
     def __post_init__(self):
-        # zero steps is allowed: the final checkpoint is then the initialisation
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be >= 0")
-        for f in ("batch_size", "val_interval", "val_sequences", "val_batch_size",
-                  "checkpoint_interval"):
-            if getattr(self, f) < 1:
-                raise ValueError(f"{f} must be >= 1")
-        if self.sparsity_interval < 0:
-            raise ValueError("sparsity_interval must be >= 0")
+        # zero steps saves the initialisation; zero sparsity_interval samples nothing
+        for name, value in self.to_dict().items():
+            least = 0 if name in ("total_steps", "sparsity_interval") else 1
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
-    def to_dict(self):
-        return {f: getattr(self, f) for f in (
-            "total_steps", "batch_size", "val_interval", "val_sequences",
-            "val_batch_size", "checkpoint_interval", "sparsity_interval",
-            "continuity_probes")}
+    def to_dict(self):  # out_dir says where a run writes, not what the run is
+        d = asdict(self)
+        del d["out_dir"]
+        return d
 
 
 def _mean_nll(model: GPT, batches: list) -> float:
@@ -155,6 +147,15 @@ def _probe_loss(model: GPT, batch: np.ndarray) -> float:
     return loss
 
 
+def _probed(convert, model: GPT, state: SchedulerState, batch: np.ndarray,
+            *args, **kwargs) -> None:
+    """Run one conversion between two continuity probes and record both
+    losses on the event the conversion logs."""
+    before = _probe_loss(model, batch)
+    convert(model, state, *args, **kwargs)
+    state.events[-1].update(loss_before=before, loss_after=_probe_loss(model, batch))
+
+
 def _random_balanced_partition(d_ff: int, num_experts: int,
                                rng: np.random.Generator) -> Partition:
     assignment = np.repeat(np.arange(num_experts, dtype=np.int64), d_ff // num_experts)
@@ -175,15 +176,14 @@ def _active_moe_layout(model: GPT) -> "dict | None":
 
 def _make_checkpoint(model, adam, rng, step, scheduler_state, ssd_cfg,
                      run_info) -> Checkpoint:
+    """Checkpoint sharing the live params and Adam moments: periodic saves
+    serialise it at once, and the final one outlives the model it shares."""
     return Checkpoint(
         config=model.config,
-        params={k: v.copy() for k, v in model.params.items()},
+        params=model.params,
         step=step,
         rng=rng_state(rng),
-        adam=AdamState(m={k: v.copy() for k, v in adam.m.items()},
-                       v={k: v.copy() for k, v in adam.v.items()},
-                       step_count=adam.step_count, beta1=adam.beta1,
-                       beta2=adam.beta2, eps=adam.eps),
+        adam=adam,
         moe_layout=_active_moe_layout(model),
         scheduler=None if scheduler_state is None else serialize_scheduler(scheduler_state),
         ssd_config=None if ssd_cfg is None else ssd_cfg.to_dict(),
@@ -247,7 +247,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         if ckpt.run_info.get("optimizer") != opt.to_dict():
             raise ValueError("checkpoint was trained with a different optimizer config")
         model = ckpt.build_model()
-        adam = ckpt.adam
+        adam = copy.deepcopy(ckpt.adam)  # the checkpoint stays resumable
         rng = restore_rng(ckpt.rng)
         start_step = ckpt.step
         cumulative_flops = ckpt.run_info["cumulative_flops"]
@@ -262,25 +262,14 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         if is_ssd:
             action = advance(state, ssd_cfg, step)
             if action == "merge":
-                before = _probe_loss(model, probe_batch) if run.continuity_probes else None
-                transition_sparse_to_dense(model, state)
-                if run.continuity_probes:
-                    after = _probe_loss(model, probe_batch)
-                    state.events[-1]["loss_before"] = before
-                    state.events[-1]["loss_after"] = after
+                _probed(transition_sparse_to_dense, model, state, probe_batch)
             if monitor_due(state, ssd_cfg):
                 similarity = monitor_similarity(model, state, mode.num_experts,
                                                 seed, step)
                 if on_monitor(state, ssd_cfg, similarity, step, seed):
-                    before = _probe_loss(model, probe_batch) if run.continuity_probes else None
-                    transition_dense_to_sparse(
-                        model, state, mode.num_experts, mode.active_experts,
-                        seed, step, adam=adam,
-                        reset_adam=mode.reset_adam_on_transition)
-                    if run.continuity_probes:
-                        after = _probe_loss(model, probe_batch)
-                        state.events[-1]["loss_before"] = before
-                        state.events[-1]["loss_after"] = after
+                    _probed(transition_dense_to_sparse, model, state, probe_batch,
+                            mode.num_experts, mode.active_experts, seed, step,
+                            adam=adam, reset_adam=mode.reset_adam_on_transition)
             phase = state.phase
         else:
             phase = PHASE_SPARSE if mode.kind == "smoe" else PHASE_DENSE
@@ -364,7 +353,7 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
     checkpoint is MoEfied on the fly (cluster + split), which needs
     num_experts. dynamic_ratio > 0 truncates low-score candidates per batch.
     """
-    model = GPT(ckpt.config, {k: v.copy() for k, v in ckpt.params.items()})
+    model = GPT(ckpt.config, ckpt.params)  # read only
     if sparse_k is not None:
         partitions = _stored_partitions(ckpt)
         if partitions is None:
@@ -389,7 +378,7 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
 def moefy_checkpoint(ckpt: Checkpoint, num_experts: int,
                      seed: int = 0) -> Checkpoint:
     """Cluster + split a dense checkpoint so it carries an expert structure."""
-    model = GPT(ckpt.config, {k: v.copy() for k, v in ckpt.params.items()})
+    model = GPT(ckpt.config, ckpt.params)  # read only
     if ckpt.config.d_ff % num_experts != 0:
         raise ValueError("d_ff must be divisible by num_experts")
     outcomes = cluster_all_layers(model, [None] * ckpt.config.n_layers,
@@ -399,7 +388,5 @@ def moefy_checkpoint(ckpt: Checkpoint, num_experts: int,
         "active_experts": num_experts,
         "partitions": [o.partition.assignment.tolist() for o in outcomes],
     }
-    return Checkpoint(config=ckpt.config, params=ckpt.params, step=ckpt.step,
-                      rng=ckpt.rng, adam=ckpt.adam, moe_layout=layout,
-                      scheduler=ckpt.scheduler, ssd_config=ckpt.ssd_config,
-                      run_info={**ckpt.run_info, "moefied": num_experts})
+    return replace(ckpt, moe_layout=layout,
+                   run_info={**ckpt.run_info, "moefied": num_experts})

@@ -126,8 +126,23 @@ class TestRejection:
             checkpoint_from_bytes(blob + b"x")
 
     def test_non_finite_tensor_rejected(self):
-        ckpt = make_checkpoint()
-        ckpt.params["head"][0, 0] = np.nan
-        blob = checkpoint_to_bytes(ckpt)
+        # the serialiser refuses NaN, so patch one into a finite blob: the
+        # last 8 bytes are the final Adam second moment of head
+        blob = checkpoint_to_bytes(make_checkpoint())
+        blob = blob[:-8] + np.array([np.nan], dtype="<f8").tobytes()
         with pytest.raises(CheckpointError, match="finite"):
             checkpoint_from_bytes(blob)
+
+    def test_non_finite_tensor_never_saved(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(make_checkpoint(), path)
+        before = path.read_bytes()
+        ckpt = make_checkpoint()
+        ckpt.params["head"][0, 0] = np.nan
+        with pytest.raises(CheckpointError,
+                           match="non-finite values in tensor param:head"):
+            save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match="param:head"):
+            save_checkpoint(ckpt, tmp_path / "new.bin")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]

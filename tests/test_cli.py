@@ -64,22 +64,39 @@ class TestTrain:
         assert "error:" in capsys.readouterr().err
 
     @staticmethod
-    def _train_with_run_keys(workspace, tmp_path, **run_keys):
+    def _train_with_keys(workspace, tmp_path, section="run", mode="dense",
+                         **keys):
         cfg = json.loads(workspace["config"].read_text())
-        cfg["run"].update(run_keys)
+        cfg[section].update(keys)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        return main(["train", "--config", str(path), "--steps", "2"])
+        return main(["train", "--config", str(path), "--mode", mode,
+                     "--steps", "2"])
 
     def test_zero_val_interval_exits_nonzero(self, workspace, tmp_path, capsys):
-        rc = self._train_with_run_keys(workspace, tmp_path, val_interval=0)
+        rc = self._train_with_keys(workspace, tmp_path, val_interval=0)
         assert rc == 2
         assert "error: val_interval" in capsys.readouterr().err
 
-    def test_unknown_config_key_exits_nonzero(self, workspace, tmp_path, capsys):
-        rc = self._train_with_run_keys(workspace, tmp_path, bogus=1)
+    @pytest.mark.parametrize("section, key, mode", [
+        ("run", "bogus", "dense"),
+        ("moe", "bogus", "smoe"),
+        ("moe", "kind", "ssd"),
+    ], ids=["run-bogus", "moe-bogus-smoe", "moe-kind-ssd"])
+    def test_unknown_config_key_exits_nonzero(self, workspace, tmp_path, capsys,
+                                              section, key, mode):
+        rc = self._train_with_keys(workspace, tmp_path, section, mode, **{key: "dense"})
         assert rc == 2
-        assert "error: unknown key 'bogus' in config section 'run'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: unknown key {key!r} in config section {section!r}" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_wrongly_typed_value_exits_nonzero(self, workspace, tmp_path, capsys):
+        rc = self._train_with_keys(workspace, tmp_path, batch_size="x")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: bad value in config section 'run'" in err
+        assert err.count("\n") == 1
 
     def test_bad_mode_rejected_by_parser(self, workspace):
         with pytest.raises(SystemExit):

@@ -99,6 +99,18 @@ class TestDeterminism:
         assert checkpoint_to_bytes(final_res) == checkpoint_to_bytes(final_full)
         assert rec_res == rec_full[16:]
 
+    def test_resume_leaves_checkpoint_unchanged(self, toy_corpus):
+        # two resumes from one in-memory checkpoint replay each other, and
+        # the checkpoint still holds the step it was taken at
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        mid, _ = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
+                       run=short_run(30))
+        runs = [train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
+                      run=short_run(), resume_from=mid) for _ in range(2)]
+        assert mid.adam.step_count == 30
+        assert runs[0][1] == runs[1][1]
+        assert checkpoint_to_bytes(runs[0][0]) == checkpoint_to_bytes(runs[1][0])
+
     def test_resume_rejects_other_mode_or_config(self, toy_corpus, tmp_path):
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
         out = tmp_path / "r"
@@ -108,6 +120,27 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="different mode"):
             train(cfg, toy_corpus, short_ssd_mode(40), OPT, seed=1,
                   run=short_run(40), resume_from=mid)
+
+
+class TestConfigForms:
+    # resume compares these saved forms with the requested configs
+    def test_saved_forms(self):
+        assert DenseTrain().to_dict() == {"mode": "dense"}
+        assert SmoeTrain().to_dict() == {"mode": "smoe", "num_experts": 3,
+                                         "active_experts": 2}
+        assert SsdTrain().to_dict() == {
+            "mode": "ssd", "num_experts": 32, "active_experts": 6,
+            "reset_adam_on_transition": False,
+            "ssd": {"similarity_threshold": 0.9, "sparse_ratio": 0.5,
+                    "final_dense_ratio": 0.1, "monitor_interval": 3000,
+                    "total_steps": 200_000, "policy": "threshold"}}
+        assert OptimizerConfig().to_dict() == {"base_lr": 0.5, "warmup": 2000,
+                                               "beta1": 0.9, "beta2": 0.999,
+                                               "eps": 1e-8}
+
+    def test_mode_kind_is_not_settable(self):
+        with pytest.raises(TypeError):
+            SsdTrain(kind="dense")
 
 
 class TestSsdScheduleBehavior:
