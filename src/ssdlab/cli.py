@@ -39,15 +39,34 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path) as f:
-        return json.load(f)
+        cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    return cfg
 
 
-def _section(cfg_file: dict, name: str, overrides: dict, cls):
-    merged = dict(cfg_file.get(name, {}))
+SECTIONS = ("model", "corpus", "optimizer", "run", "moe", "ssd")
+# the sections a mode reads besides model/corpus/optimizer/run
+MODE_SECTIONS = {"dense": (), "smoe": ("moe",), "ssd": ("moe", "ssd")}
+
+
+def _section(cfg_file: dict, name: str, overrides: dict, cls, derived=None):
+    """Build section `name` from the file, with `overrides` applied.
+
+    `derived` maps the keys whose value always comes from elsewhere to where
+    it comes from; the file may not set them.
+    """
+    merged = cfg_file.get(name, {})
+    if not isinstance(merged, dict):
+        raise ValueError(f"config section {name!r} must be a JSON object")
+    merged = dict(merged)
     fields = {f.name for f in dataclasses.fields(cls)}
     for key in merged:
         if key not in fields:
             raise ValueError(f"unknown key {key!r} in config section {name!r}")
+        if derived and key in derived:
+            raise ValueError(f"key {key!r} in config section {name!r} cannot be "
+                             f"set: it comes from {derived[key]}")
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**merged)
@@ -57,26 +76,36 @@ def _section(cfg_file: dict, name: str, overrides: dict, cls):
 
 def cmd_train(args) -> int:
     cfg_file = _load_config(args.config)
+    mode_name = args.mode or cfg_file.get("mode", "dense")
+    if not isinstance(mode_name, str) or mode_name not in MODE_SECTIONS:
+        raise ValueError(f"unknown mode {mode_name!r}")
+    for name in cfg_file:
+        if name != "mode" and name not in SECTIONS:
+            raise ValueError(f"unknown config section {name!r}")
+        if name in ("moe", "ssd") and name not in MODE_SECTIONS[mode_name]:
+            raise ValueError(f"config section {name!r} is not read in {mode_name} mode")
+    if mode_name == "dense" and (args.experts is not None or args.k is not None):
+        raise ValueError("--experts and --k are not read in dense mode")
     corpus_cfg = _section(cfg_file, "corpus",
                           {"path": args.corpus, "seq_len": args.seq_len},
                           CorpusConfig)
     corpus = tokenize_corpus(corpus_cfg)
     model_over = {"vocab_size": corpus.manifest["vocab_size"]}
-    model_cfg = _section(cfg_file, "model", model_over, ModelConfig)
+    model_cfg = _section(cfg_file, "model", model_over, ModelConfig,
+                         {"vocab_size": "the corpus"})
     opt = _section(cfg_file, "optimizer", {}, OptimizerConfig)
     run = _section(cfg_file, "run",
                    {"total_steps": args.steps, "out_dir": args.out}, RunConfig)
-    mode_name = args.mode or cfg_file.get("mode", "dense")
     moe_over = {"num_experts": args.experts, "active_experts": args.k}
     if mode_name == "dense":
         mode = DenseTrain()
     elif mode_name == "smoe":
         mode = _section(cfg_file, "moe", moe_over, SmoeTrain)
-    elif mode_name == "ssd":
-        ssd = _section(cfg_file, "ssd", {"total_steps": run.total_steps}, SSDConfig)
-        mode = _section(cfg_file, "moe", {**moe_over, "ssd": ssd}, SsdTrain)
     else:
-        raise ValueError(f"unknown mode {mode_name!r}")
+        ssd = _section(cfg_file, "ssd", {"total_steps": run.total_steps}, SSDConfig,
+                       {"total_steps": "run.total_steps (--steps)"})
+        mode = _section(cfg_file, "moe", {**moe_over, "ssd": ssd}, SsdTrain,
+                        {"ssd": "the 'ssd' section"})
     resume = load_checkpoint(args.resume) if args.resume else None
     final, records = train(model_cfg, corpus, mode, opt, seed=args.seed,
                            run=run, resume_from=resume)

@@ -80,9 +80,16 @@ def wcss(points: np.ndarray, p: Partition) -> float:
 
 
 def _sq_dists(points, centroids):
-    # (n_points, n_clusters) squared euclidean distances
-    d = points[:, None, :] - centroids[None, :, :]
-    return (d * d).sum(axis=2)
+    """(n_points, n_clusters) squared euclidean distances.
+
+    One cluster at a time, so no (n_points, n_clusters, dim) temporary is
+    built; each row still sums its own contiguous squared differences.
+    """
+    out = np.empty((points.shape[0], centroids.shape[0]))
+    for c in range(centroids.shape[0]):
+        d = points - centroids[c]
+        out[:, c] = (d * d).sum(axis=1)
+    return out
 
 
 def _lloyd(points, centroids, max_iters=MAX_LLOYD_ITERS):

@@ -164,16 +164,16 @@ def ffn_forward(w: FFNWeights, x: np.ndarray):
     pre = matmul_nt(x, w.w_in) + w.b_in
     hidden = relu(pre)
     y = matmul_nt(hidden, w.w_out) + w.b_out
-    return y, hidden, (x, pre, hidden)
+    return y, hidden, (x, hidden)
 
 
 def ffn_backward(w: FFNWeights, cache, d_y: np.ndarray):
     """Returns (d_x, grads) with grads keyed w_in/b_in/w_out/b_out."""
-    x, pre, hidden = cache
+    x, hidden = cache
     d_w_out = matmul_tn(d_y, hidden)
     d_b_out = d_y.sum(axis=0)
     d_hidden = matmul(d_y, w.w_out)
-    d_pre = relu_backward(d_hidden, pre)
+    d_pre = relu_backward(d_hidden, hidden)  # hidden > 0 exactly where pre > 0
     d_w_in = matmul_tn(d_pre, x)
     d_b_in = d_pre.sum(axis=0)
     d_x = matmul(d_pre, w.w_in)

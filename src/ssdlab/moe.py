@@ -154,12 +154,11 @@ def smoe_forward(m: MoEFFN, x: np.ndarray, decision: "GateDecision | None" = Non
     # exactly 0 (no derivative path) on unselected ones
     coeff = np.where(selected, 1.0 + (scores - frozen_scores), 0.0)
     w = m.weights
-    pre = matmul_nt(x, w.w_in) + w.b_in
-    hidden_full = relu(pre)
+    hidden_full = relu(matmul_nt(x, w.w_in) + w.b_in)
     neuron_coeff = coeff[:, m.partition.assignment]
     hidden = hidden_full * neuron_coeff
     y = matmul_nt(hidden, w.w_out) + w.b_out
-    cache = (x, pre, hidden_full, hidden, coeff, selected, centroids)
+    cache = (x, hidden_full, hidden, coeff, selected, centroids)
     return y, decision, hidden, cache
 
 
@@ -167,7 +166,7 @@ def smoe_backward(m: MoEFFN, cache, d_y: np.ndarray):
     """Returns (d_x, grads). Gradients of experts selected by no token are
     exactly zero; selected experts' raw scores propagate into x and, through
     the live centroids, into their input-weight rows."""
-    x, pre, hidden_full, hidden, coeff, selected, centroids = cache
+    x, hidden_full, hidden, coeff, selected, centroids = cache
     w = m.weights
     assignment = m.partition.assignment
     d_w_out = matmul_tn(d_y, hidden)
@@ -182,7 +181,7 @@ def smoe_backward(m: MoEFFN, cache, d_y: np.ndarray):
     d_scores = np.where(selected, d_coeff, 0.0)
     # hidden path, masked by the exactly-0/1 coefficients
     d_hidden_full = d_hidden * coeff[:, assignment]
-    d_pre = relu_backward(d_hidden_full, pre)
+    d_pre = relu_backward(d_hidden_full, hidden_full)
     d_w_in = matmul_tn(d_pre, x)
     d_b_in = d_pre.sum(axis=0)
     d_x = matmul(d_pre, w.w_in)

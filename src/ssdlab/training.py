@@ -62,8 +62,26 @@ class OptimizerConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if not self.base_lr > 0.0:
+            raise ValueError("base_lr must be > 0")
+        if self.warmup < 1:
+            raise ValueError("warmup must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.eps > 0.0:
+            raise ValueError("eps must be > 0")
+
     def to_dict(self):
         return asdict(self)
+
+
+def _check_expert_counts(mode):
+    if mode.num_experts < 1:
+        raise ValueError("num_experts must be >= 1")
+    if not 1 <= mode.active_experts <= mode.num_experts:
+        raise ValueError("active_experts must be in [1, num_experts]")
 
 
 @dataclass
@@ -85,6 +103,9 @@ class SmoeTrain:
     active_experts: int = 2
     kind: ClassVar[str] = "smoe"
 
+    def __post_init__(self):
+        _check_expert_counts(self)
+
     def to_dict(self):
         return {"mode": self.kind, **asdict(self)}
 
@@ -96,6 +117,9 @@ class SsdTrain:
     reset_adam_on_transition: bool = False
     ssd: SSDConfig = field(default_factory=SSDConfig)
     kind: ClassVar[str] = "ssd"
+
+    def __post_init__(self):
+        _check_expert_counts(self)
 
     def to_dict(self):
         return {"mode": self.kind, **asdict(self)}

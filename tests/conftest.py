@@ -11,7 +11,7 @@ from ssdlab.data import (
     toy_vocab_chars,
 )
 from ssdlab.model import GPT, ModelConfig, forward_with_cache
-from ssdlab.numerics import make_rng
+from ssdlab.numerics import make_rng, matmul_nt
 from ssdlab.scheduler import SSDConfig
 from ssdlab.training import OptimizerConfig, RunConfig, SsdTrain, train
 
@@ -54,7 +54,10 @@ def min_relu_margin(model, token_ids):
     """Distance of the closest pre-activation to the ReLU kink; gradient
     checks need this comfortably above the FD perturbation."""
     _, _, (_, _, _, block_caches, _, _) = forward_with_cache(model, token_ids)
-    return min(np.abs(c[3][1]).min() for c in block_caches)
+    p = model.params
+    return min(np.abs(matmul_nt(c[3][0], p[f"block{i}.ffn_w_in"])
+                      + p[f"block{i}.ffn_b_in"]).min()
+               for i, c in enumerate(block_caches))
 
 
 # ---------------------------------------------------------------------------

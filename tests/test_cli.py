@@ -13,8 +13,7 @@ def workspace(tmp_path_factory):
     corpus.write_text(make_toy_corpus(n_docs=60, seed=2))
     vocab = root / "vocab.json"
     vocab.write_text(json.dumps(toy_vocab_chars()))
-    config = root / "config.json"
-    config.write_text(json.dumps({
+    dense = {
         "model": {"n_layers": 2, "d_model": 32, "n_heads": 2, "d_ff": 64,
                   "max_seq_len": 32},
         "corpus": {"path": str(corpus), "tokenizer": str(vocab),
@@ -23,16 +22,24 @@ def workspace(tmp_path_factory):
         "run": {"batch_size": 4, "val_interval": 40, "val_sequences": 8,
                 "val_batch_size": 4, "checkpoint_interval": 40,
                 "sparsity_interval": 10},
+    }
+    config = root / "config.json"
+    config.write_text(json.dumps(dense))
+    # a mode may not be given a section it does not read
+    ssd_config = root / "ssd_config.json"
+    ssd_config.write_text(json.dumps({
+        **dense,
         "ssd": {"similarity_threshold": 0.5, "monitor_interval": 10},
         "moe": {"num_experts": 8, "active_experts": 2},
     }))
-    return {"root": root, "corpus": corpus, "vocab": vocab, "config": config}
+    return {"root": root, "corpus": corpus, "vocab": vocab, "config": config,
+            "ssd_config": ssd_config}
 
 
 @pytest.fixture(scope="module")
 def trained_run(workspace):
     out = workspace["root"] / "run_ssd"
-    rc = main(["train", "--config", str(workspace["config"]), "--mode", "ssd",
+    rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
                "--seed", "3", "--steps", "80", "--out", str(out)])
     assert rc == 0
     return out
@@ -53,7 +60,7 @@ class TestTrain:
         assert rc == 0
 
     def test_resume_flag(self, workspace, trained_run, tmp_path):
-        rc = main(["train", "--config", str(workspace["config"]), "--mode", "ssd",
+        rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
                    "--seed", "3", "--steps", "80", "--out", str(tmp_path / "r"),
                    "--resume", str(trained_run / "ckpt_00000040.bin")])
         assert rc == 0
@@ -67,7 +74,7 @@ class TestTrain:
     def _train_with_keys(workspace, tmp_path, section="run", mode="dense",
                          **keys):
         cfg = json.loads(workspace["config"].read_text())
-        cfg[section].update(keys)
+        cfg.setdefault(section, {}).update(keys)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         return main(["train", "--config", str(path), "--mode", mode,
@@ -92,10 +99,43 @@ class TestTrain:
         assert "Traceback" not in err and err.count("\n") == 1
 
     def test_wrongly_typed_value_exits_nonzero(self, workspace, tmp_path, capsys):
-        rc = self._train_with_keys(workspace, tmp_path, batch_size="x")
+        for section, key, value, mode in (("run", "batch_size", "x", "dense"),
+                                          ("moe", "num_experts", "8", "smoe"),
+                                          ("optimizer", "base_lr", "x", "dense")):
+            rc = self._train_with_keys(workspace, tmp_path, section, mode,
+                                       **{key: value})
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"error: bad value in config section {section!r}" in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, keys, mode, message", [
+        ("ssd", {"bogus": 1}, "dense", "config section 'ssd' is not read in dense mode"),
+        ("moe", {"bogus": 1}, "dense", "config section 'moe' is not read in dense mode"),
+        ("ssd", {"monitor_interval": 10}, "smoe",
+         "config section 'ssd' is not read in smoe mode"),
+        ("ssd", {"total_steps": 5}, "ssd", "key 'total_steps' in config section 'ssd' "
+         "cannot be set: it comes from run.total_steps (--steps)"),
+        ("moe", {"ssd": {}}, "ssd", "key 'ssd' in config section 'moe' cannot be set"),
+        ("model", {"vocab_size": 300}, "dense",
+         "key 'vocab_size' in config section 'model' cannot be set"),
+        ("modle", {"d_ff": 64}, "dense", "unknown config section 'modle'"),
+    ], ids=["ssd-dense", "moe-dense", "ssd-smoe", "ssd-total_steps", "moe-ssd",
+            "model-vocab_size", "unknown-section"])
+    def test_unread_config_input_exits_nonzero(self, workspace, tmp_path, capsys,
+                                               section, keys, mode, message):
+        rc = self._train_with_keys(workspace, tmp_path, section, mode, **keys)
         assert rc == 2
         err = capsys.readouterr().err
-        assert "error: bad value in config section 'run'" in err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_expert_flags_in_dense_mode_exit_nonzero(self, workspace, capsys):
+        rc = main(["train", "--config", str(workspace["config"]), "--mode", "dense",
+                   "--steps", "1", "--experts", "8", "--k", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: --experts and --k are not read in dense mode" in err
         assert err.count("\n") == 1
 
     def test_bad_mode_rejected_by_parser(self, workspace):

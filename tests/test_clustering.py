@@ -5,6 +5,7 @@ import pytest
 
 from ssdlab.clustering import (
     Partition,
+    _sq_dists,
     balanced_kmeans,
     cluster_with_warmstart,
     wcss,
@@ -66,6 +67,19 @@ class TestWcss:
     def test_partition_must_cover_rows(self):
         with pytest.raises(ValueError):
             wcss(np.zeros((4, 2)), Partition([0, 1], 2))
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("n, k, dim", [(512, 32, 128), (64, 8, 32), (1, 4, 5),
+                                           (7, 1, 3), (1, 1, 1)])
+    def test_equals_broadcast_formula_bit_for_bit(self, n, k, dim):
+        rng = np.random.default_rng(n * 1000 + k)
+        points = rng.standard_normal((n, dim))
+        centroids = rng.standard_normal((k, dim))
+        d = points[:, None, :] - centroids[None, :, :]
+        broadcast = (d * d).sum(axis=2)
+        assert np.array_equal(_sq_dists(points, centroids).view(np.int64),
+                              broadcast.view(np.int64))
 
 
 class TestBalancedKmeans:

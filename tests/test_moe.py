@@ -22,11 +22,20 @@ from ssdlab.numerics import make_rng
 from conftest import max_grad_error
 
 D_MODEL, D_FF, N = 16, 32, 4
+DESK_D_MODEL, DESK_D_FF, DESK_N = 128, 512, 32  # ModelConfig() with 32 experts
 
 
 def random_ffn(rng):
     return FFNWeights(rng.standard_normal((D_FF, D_MODEL)), rng.standard_normal(D_FF),
                       rng.standard_normal((D_MODEL, D_FF)), rng.standard_normal(D_MODEL))
+
+
+def desk_ffn(rng):
+    """Desk-shape block at the model's init scale."""
+    return FFNWeights(0.02 * rng.standard_normal((DESK_D_FF, DESK_D_MODEL)),
+                      np.zeros(DESK_D_FF),
+                      0.02 * rng.standard_normal((DESK_D_MODEL, DESK_D_FF)),
+                      np.zeros(DESK_D_MODEL))
 
 
 def random_partition(rng, d_ff=D_FF, n=N):
@@ -165,6 +174,35 @@ class TestSparseForwardBackward:
             y_dense, hidden_dense, _ = ffn_forward(merge_experts(m), x)
             assert np.array_equal(y_sparse, y_dense)
             assert np.array_equal(hidden, hidden_dense)
+
+    @pytest.mark.parametrize("tokens", [512, 1])
+    def test_k_equals_n_matches_dense_bitwise_at_desk_shape(self, tokens):
+        # BLAS takes different code paths at these sizes than at toy ones
+        rng = make_rng(4000 + tokens)
+        w = desk_ffn(rng)
+        m = split_ffn(w, random_partition(rng, DESK_D_FF, DESK_N),
+                      active_experts=DESK_N)
+        x = rng.standard_normal((tokens, DESK_D_MODEL))
+        y_sparse, _, hidden, _ = smoe_forward(m, x)
+        y_dense, hidden_dense, _ = ffn_forward(w, x)
+        assert np.array_equal(y_sparse.view(np.int64), y_dense.view(np.int64))
+        assert np.array_equal(hidden.view(np.int64), hidden_dense.view(np.int64))
+
+    @pytest.mark.parametrize("tokens", [1, 3, 16])
+    def test_unselected_expert_gets_exactly_zero_gradients_at_desk_shape(self, tokens):
+        rng = make_rng(5000 + tokens)
+        w = desk_ffn(rng)
+        m = split_ffn(w, random_partition(rng, DESK_D_FF, DESK_N),
+                      active_experts=6)
+        x = rng.standard_normal((tokens, DESK_D_MODEL))
+        y, decision, _, cache = smoe_forward(m, x)
+        never_selected = np.flatnonzero(~decision.selected.any(axis=0))
+        assert never_selected.size > 0
+        _, grads = smoe_backward(m, cache, rng.standard_normal(y.shape))
+        rows = np.isin(m.partition.assignment, never_selected)
+        assert np.all(grads["w_in"][rows] == 0.0)
+        assert np.all(grads["b_in"][rows] == 0.0)
+        assert np.all(grads["w_out"][:, rows] == 0.0)
 
     def test_unselected_expert_gets_exactly_zero_gradients(self):
         checked = 0

@@ -32,6 +32,31 @@ def bit_equal(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
+def integer_valued(rng, shape):
+    """Small integers and signed zeros: every partial sum of a product of these
+    is exact, so any summation order must give the oracle's bits."""
+    return signed_zeros(rng.integers(-8, 9, size=shape).astype(np.float64))
+
+
+def normal_valued(rng, shape):
+    return signed_zeros(rng.standard_normal(shape))
+
+
+# (draw, exact): exact inputs are compared bit for bit, others within the bound
+INPUTS = ((integer_valued, True), (normal_valued, False))
+
+
+def matches_oracle(out, a, b, exact):
+    """out equals the triple loop's a @ b bit for bit, or, when not exact,
+    within n * eps * (|a| @ |b|), which bounds any summation order's error
+    (the oracle's own included)."""
+    expected = triple_loop_matmul(a, b)
+    if exact:
+        return bit_equal(out, expected)
+    bound = a.shape[1] * np.finfo(np.float64).eps * triple_loop_matmul(abs(a), abs(b))
+    return out.shape == expected.shape and bool(np.all(abs(out - expected) <= bound))
+
+
 class TestMatmul:
     def test_hand_example(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -45,39 +70,31 @@ class TestMatmul:
 
     def test_matches_triple_loop_oracle_exactly(self):
         rng = np.random.default_rng(1)
-        for (m, n, p) in ((5, 7, 3), (1, 7, 1), (5, 1, 3)):
-            a = signed_zeros(rng.standard_normal((m, n)))
-            b = signed_zeros(rng.standard_normal((n, p)))
-            assert bit_equal(nx.matmul(a, b), triple_loop_matmul(a, b))
+        for (m, n, p) in ((5, 7, 3), (1, 7, 1), (5, 1, 3), (48, 128, 40)):
+            for draw, exact in INPUTS:
+                a, b = draw(rng, (m, n)), draw(rng, (n, p))
+                assert matches_oracle(nx.matmul(a, b), a, b, exact)
 
     def test_nt_tn_variants_match_oracle(self):
         rng = np.random.default_rng(2)
-        for (m, n, p) in ((6, 5, 4), (1, 5, 1), (6, 1, 3)):
-            a = signed_zeros(rng.standard_normal((m, n)))
-            b = signed_zeros(rng.standard_normal((p, n)))
-            assert bit_equal(nx.matmul_nt(a, b), triple_loop_matmul(a, b.T.copy()))
-            c = signed_zeros(rng.standard_normal((m, p)))
-            assert bit_equal(nx.matmul_tn(a, c), triple_loop_matmul(a.T.copy(), c))
+        for (m, n, p) in ((6, 5, 4), (1, 5, 1), (6, 1, 3), (40, 128, 48)):
+            for draw, exact in INPUTS:
+                a, b, c = draw(rng, (m, n)), draw(rng, (p, n)), draw(rng, (m, p))
+                assert matches_oracle(nx.matmul_nt(a, b), a, b.T.copy(), exact)
+                assert matches_oracle(nx.matmul_tn(a, c), a.T.copy(), c, exact)
 
     def test_batched_kernels_match_oracle(self):
         rng = np.random.default_rng(3)
-        for (m, r, p) in ((4, 5, 6), (1, 1, 1), (4, 1, 6)):
-            q = signed_zeros(rng.standard_normal((2, 3, m, r)))
-            k = signed_zeros(rng.standard_normal((2, 3, p, r)))
-            out = nx.bmm_nt(q, k)
-            for b in range(2):
-                for h in range(3):
-                    assert bit_equal(out[b, h], triple_loop_matmul(q[b, h], k[b, h].T.copy()))
-            v = signed_zeros(rng.standard_normal((2, 3, r, p)))
-            out = nx.bmm_nn(q, v)
-            for b in range(2):
-                for h in range(3):
-                    assert bit_equal(out[b, h], triple_loop_matmul(q[b, h], v[b, h]))
-            w = signed_zeros(rng.standard_normal((2, 3, m, p)))
-            out = nx.bmm_tn(q, w)
-            for b in range(2):
-                for h in range(3):
-                    assert bit_equal(out[b, h], triple_loop_matmul(q[b, h].T.copy(), w[b, h]))
+        for (m, r, p) in ((4, 5, 6), (1, 1, 1), (4, 1, 6), (32, 32, 32)):
+            for draw, exact in INPUTS:
+                q, k = draw(rng, (2, 3, m, r)), draw(rng, (2, 3, p, r))
+                v, w = draw(rng, (2, 3, r, p)), draw(rng, (2, 3, m, p))
+                nt, nn, tn = nx.bmm_nt(q, k), nx.bmm_nn(q, v), nx.bmm_tn(q, w)
+                for b in range(2):
+                    for h in range(3):
+                        assert matches_oracle(nt[b, h], q[b, h], k[b, h].T.copy(), exact)
+                        assert matches_oracle(nn[b, h], q[b, h], v[b, h], exact)
+                        assert matches_oracle(tn[b, h], q[b, h].T.copy(), w[b, h], exact)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
