@@ -46,8 +46,6 @@ for step in range(cfg.total_steps):
             segments.append((current[0], step - current[1]))
             current = [state.phase, step]
     state.steps_in_phase += 1
-    if state.phase == "dense":
-        state.last_dense_len += 1
 segments.append((current[0], cfg.total_steps - current[1]))
 for kind, length in segments:
     print(f"  {kind:12s} {length:7d} steps")

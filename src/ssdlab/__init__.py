@@ -22,7 +22,7 @@ from ssdlab.clustering import (
     wcss,
 )
 from ssdlab.data import CorpusConfig, TokenizedCorpus, make_toy_corpus, tokenize_corpus
-from ssdlab.flops import DenseMode, SmoeMode, SsdMode, flops_estimate, ssd_speedup
+from ssdlab.flops import DenseMode, SmoeMode, flops_estimate, ssd_speedup
 from ssdlab.metrics import MetricsRecord, export_metrics
 from ssdlab.model import (
     GPT,
@@ -36,13 +36,11 @@ from ssdlab.model import (
 from ssdlab.moe import (
     GateDecision,
     MoEFFN,
+    attach_experts,
     compute_centroids,
     dynamic_topk,
-    gate,
-    merge_experts,
     smoe_backward,
     smoe_forward,
-    split_ffn,
 )
 from ssdlab.numerics import (
     AdamState,

@@ -28,12 +28,18 @@ import numpy as np
 
 from ssdlab.clustering import Partition
 from ssdlab.model import GPT, ModelConfig, param_names, param_shape
-from ssdlab.moe import MoEFFN
+from ssdlab.moe import attach_experts
 from ssdlab.numerics import AdamState
 from ssdlab.scheduler import SchedulerState
 
 MAGIC = b"SSD1"
 VERSION = 1
+_OPTIONAL = (dict, type(None))
+# the header's keys and the JSON types their values may take
+_HEADER_TYPES = {"config": dict, "step": int, "rng": _OPTIONAL, "adam": _OPTIONAL,
+                "moe_layout": _OPTIONAL, "scheduler": _OPTIONAL,
+                "ssd_config": _OPTIONAL, "run_info": dict, "tensors": list}
+_ADAM_SCALARS = ("step_count", "beta1", "beta2", "eps")
 
 
 class CheckpointError(ValueError):
@@ -57,10 +63,9 @@ class Checkpoint:
         model = GPT(self.config, {k: v.copy() for k, v in self.params.items()})
         if self.moe_layout is not None:
             n = self.moe_layout["num_experts"]
-            k = self.moe_layout["active_experts"]
-            for layer, assignment in enumerate(self.moe_layout["partitions"]):
-                model.moe[layer] = MoEFFN(model.ffn_weights(layer),
-                                          Partition(np.array(assignment), n), k)
+            attach_experts(model, [Partition(np.array(a), n)
+                                   for a in self.moe_layout["partitions"]],
+                           self.moe_layout["active_experts"])
         return model
 
 
@@ -68,7 +73,6 @@ def serialize_scheduler(state: SchedulerState) -> dict:
     return {
         "phase": state.phase,
         "steps_in_phase": state.steps_in_phase,
-        "last_dense_len": state.last_dense_len,
         "sparse_budget": state.sparse_budget,
         "partitions": [None if p is None else
                        {"assignment": p.assignment.tolist(), "num_clusters": p.num_clusters}
@@ -78,10 +82,12 @@ def serialize_scheduler(state: SchedulerState) -> dict:
 
 
 def deserialize_scheduler(data: dict) -> SchedulerState:
+    """Inverse of serialize_scheduler. Other keys are ignored: older versions
+    also stored the dense-segment length, which equals steps_in_phase
+    wherever the scheduler reads it."""
     return SchedulerState(
         phase=data["phase"],
         steps_in_phase=data["steps_in_phase"],
-        last_dense_len=data["last_dense_len"],
         sparse_budget=data["sparse_budget"],
         partitions=[None if p is None else
                     Partition(np.array(p["assignment"]), p["num_clusters"])
@@ -90,10 +96,10 @@ def deserialize_scheduler(data: dict) -> SchedulerState:
     )
 
 
-def _tensor_manifest(ckpt: Checkpoint) -> list:
-    names = param_names(ckpt.config)
+def _tensor_manifest(config: ModelConfig, with_adam: bool) -> list:
+    names = param_names(config)
     manifest = [["param", n] for n in names]
-    if ckpt.adam is not None:
+    if with_adam:
         manifest += [["adam_m", n] for n in names]
         manifest += [["adam_v", n] for n in names]
     return manifest
@@ -120,14 +126,12 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         "step": ckpt.step,
         "rng": ckpt.rng,
         "adam": None if ckpt.adam is None else {
-            "step_count": ckpt.adam.step_count,
-            "beta1": ckpt.adam.beta1, "beta2": ckpt.adam.beta2, "eps": ckpt.adam.eps,
-        },
+            k: getattr(ckpt.adam, k) for k in _ADAM_SCALARS},
         "moe_layout": ckpt.moe_layout,
         "scheduler": ckpt.scheduler,
         "ssd_config": ckpt.ssd_config,
         "run_info": ckpt.run_info,
-        "tensors": _tensor_manifest(ckpt),
+        "tensors": _tensor_manifest(ckpt.config, ckpt.adam is not None),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     parts = [MAGIC, struct.pack("<I", VERSION),
@@ -143,6 +147,32 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     return b"".join(parts)
 
 
+def _parse_header(raw: bytes):
+    """(header dict, ModelConfig); a header this version could not have
+    written is a CheckpointError, not a KeyError or TypeError later on."""
+    try:
+        header = json.loads(raw.decode())
+        if not isinstance(header, dict):
+            raise TypeError("not a JSON object")
+        for key, kinds in _HEADER_TYPES.items():
+            if not isinstance(header[key], kinds):
+                raise TypeError(f"{key!r} has type {type(header[key]).__name__}")
+        config = ModelConfig(**header["config"])
+        if not all(isinstance(v, int) for v in config.to_dict().values()):
+            raise TypeError("config values must be integers")
+        if header["adam"] is not None:
+            for key in _ADAM_SCALARS:
+                if not isinstance(header["adam"][key], (int, float)):
+                    raise TypeError(f"adam {key!r} must be a number")
+        if header["tensors"] != _tensor_manifest(config, header["adam"] is not None):
+            raise ValueError("tensor list does not match the config")
+    except KeyError as e:
+        raise CheckpointError(f"malformed checkpoint header: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed checkpoint header: {e}") from e
+    return header, config
+
+
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     if len(blob) < 16:
         raise CheckpointError("truncated checkpoint: missing header")
@@ -154,8 +184,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     (header_len,) = struct.unpack("<Q", blob[8:16])
     if len(blob) < 16 + header_len:
         raise CheckpointError("truncated checkpoint: incomplete header")
-    header = json.loads(blob[16:16 + header_len].decode())
-    config = ModelConfig(**header["config"])
+    header, config = _parse_header(blob[16:16 + header_len])
     offset = 16 + header_len
     tensors = {}
     for kind, name in header["tensors"]:
@@ -176,10 +205,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         adam = AdamState(
             m={n: tensors[("adam_m", n)] for n in param_names(config)},
             v={n: tensors[("adam_v", n)] for n in param_names(config)},
-            step_count=header["adam"]["step_count"],
-            beta1=header["adam"]["beta1"],
-            beta2=header["adam"]["beta2"],
-            eps=header["adam"]["eps"],
+            **{k: header["adam"][k] for k in _ADAM_SCALARS},
         )
     return Checkpoint(
         config=config, params=params, step=header["step"], rng=header["rng"],

@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--resume", help="checkpoint to resume from")
     t.set_defaults(fn=cmd_train)
 
-    m = sub.add_parser("moefy", help="cluster + split a dense checkpoint")
+    m = sub.add_parser("moefy", help="cluster a dense checkpoint into experts")
     m.add_argument("--checkpoint", required=True)
     m.add_argument("--experts", type=int, required=True)
     m.add_argument("--out", required=True)

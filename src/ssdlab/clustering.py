@@ -46,9 +46,6 @@ class Partition:
         """Member rows of cluster c in ascending original index order."""
         return np.flatnonzero(self.assignment == c)
 
-    def copy(self) -> "Partition":
-        return Partition(self.assignment.copy(), self.num_clusters)
-
 
 @dataclass
 class ClusteringOutcome:
@@ -221,6 +218,8 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    if num_clusters < 1:
+        raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
     if num_clusters > n:
         raise ValueError(f"num_clusters {num_clusters} > rows {n}")
     if n % num_clusters != 0:

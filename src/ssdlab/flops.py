@@ -28,17 +28,6 @@ class SmoeMode:
     kind: str = "smoe"
 
 
-@dataclass(frozen=True)
-class SsdMode:
-    """Step-weighted dense/sparse mix; sparse_fraction defaults to the sparse
-    step ratio r of the schedule."""
-
-    num_experts: int
-    active_experts: int
-    sparse_fraction: float
-    kind: str = "ssd"
-
-
 @dataclass
 class FlopsReport:
     per_token_forward: float
@@ -84,34 +73,22 @@ def flops_estimate(cfg: ModelConfig, mode, seq_len: "int | None" = None,
                    batch_size: int = 1) -> FlopsReport:
     """Forward cost per token/sequence and training cost per step for a mode.
 
-    For SsdMode the per-step figure is the sparse_fraction-weighted average of
-    the dense and sparse step costs (a float cast to int only when exact);
-    exact totals over a realized schedule come from ssd_total_train_flops.
+    A dense/sparse mix is priced by ssd_speedup (per-step ratio) and
+    ssd_total_train_flops (exact totals over a realized schedule).
     """
     seq_len = cfg.max_seq_len if seq_len is None else seq_len
-    if mode.kind == "ssd":
-        dense = _forward_per_sequence(cfg, DenseMode(), seq_len)
-        sparse = _forward_per_sequence(
-            cfg, SmoeMode(mode.num_experts, mode.active_experts), seq_len)
-        per_seq = (1.0 - mode.sparse_fraction) * dense + mode.sparse_fraction * sparse
-        ffn_tok = ((1.0 - mode.sparse_fraction) * dense_ffn_flops_per_token(cfg)
-                   + mode.sparse_fraction * (smoe_ffn_flops_per_token(
-                       cfg, mode.num_experts, mode.active_experts)
-                       - 2 * mode.num_experts * cfg.d_model))
-        gate_tok = mode.sparse_fraction * 2 * mode.num_experts * cfg.d_model
+    per_seq = _forward_per_sequence(cfg, mode, seq_len)
+    if mode.kind == "dense":
+        ffn_tok = float(dense_ffn_flops_per_token(cfg))
+        gate_tok = 0.0
     else:
-        per_seq = _forward_per_sequence(cfg, mode, seq_len)
-        if mode.kind == "dense":
-            ffn_tok = float(dense_ffn_flops_per_token(cfg))
-            gate_tok = 0.0
-        else:
-            gate_tok = float(2 * mode.num_experts * cfg.d_model)
-            ffn_tok = smoe_ffn_flops_per_token(
-                cfg, mode.num_experts, mode.active_experts) - gate_tok
+        gate_tok = float(2 * mode.num_experts * cfg.d_model)
+        ffn_tok = smoe_ffn_flops_per_token(
+            cfg, mode.num_experts, mode.active_experts) - gate_tok
     return FlopsReport(
         per_token_forward=per_seq / seq_len,
-        per_sequence_forward=int(per_seq) if per_seq == int(per_seq) else per_seq,
-        per_step_train=3 * batch_size * (int(per_seq) if per_seq == int(per_seq) else per_seq),
+        per_sequence_forward=per_seq,
+        per_step_train=3 * batch_size * per_seq,
         ffn_per_token_forward=ffn_tok,
         gate_per_token_forward=gate_tok,
     )
@@ -119,8 +96,6 @@ def flops_estimate(cfg: ModelConfig, mode, seq_len: "int | None" = None,
 
 def train_step_flops(cfg: ModelConfig, mode, seq_len: int, batch_size: int) -> int:
     """Exact integer training cost of one step in a fixed mode."""
-    if mode.kind == "ssd":
-        raise ValueError("a single step is either dense or sparse")
     return 3 * batch_size * _forward_per_sequence(cfg, mode, seq_len)
 
 

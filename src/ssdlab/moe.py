@@ -1,12 +1,13 @@
-"""Dense-to-sparse feed-forward conversion and back, centroid gating with
+"""Dense-to-sparse feed-forward conversion, centroid gating with
 straight-through score post-processing, the sparse forward/backward pass, and
 batch-level dynamic top-k truncation.
 
-An expert layout keeps the feed-forward weights in their original neuron
-order and records the neuron-to-expert map beside them; expert sub-matrices
-are gathered views. Because the dense and sparse paths therefore run the same
+A layer becomes sparse in one way only: attach_experts puts a MoEFFN view over
+the model's own feed-forward arrays, which stay in their original neuron order
+with the neuron-to-expert map recorded beside them; setting the layer back to
+None makes it dense again. Because the dense and sparse paths run the same
 kernels over the same memory, the K=N forward is bit-identical to the dense
-forward and split/merge round trips recover parameters exactly.
+forward and a dense->sparse->dense round trip leaves every parameter as it was.
 
 Selected experts contribute with coefficient exactly 1 while keeping a
 derivative path through the raw gate score (forward value 1 + s - stop_grad(s));
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssdlab.clustering import Partition
-from ssdlab.model import FFNWeights
+from ssdlab.model import GPT, FFNWeights
 from ssdlab.numerics import matmul, matmul_nt, matmul_tn, relu, relu_backward
 
 
@@ -31,7 +32,6 @@ class GateDecision:
 
     scores: np.ndarray    # (tokens, num_experts) raw x . centroid
     selected: np.ndarray  # (tokens, num_experts) bool
-    k: int                # experts requested per token (pre-truncation)
 
 
 class MoEFFN:
@@ -58,22 +58,6 @@ class MoEFFN:
         self.active_experts = active_experts
         self.dynamic_ratio = 0.0  # batch-level candidate truncation, eval-time
 
-    # --- expert views -------------------------------------------------------
-
-    def expert_rows(self, n: int) -> np.ndarray:
-        return self.partition.cluster_members(n)
-
-    def expert_w_in(self, n: int) -> np.ndarray:
-        return self.weights.w_in[self.expert_rows(n)]
-
-    def expert_b_in(self, n: int) -> np.ndarray:
-        return self.weights.b_in[self.expert_rows(n)]
-
-    def expert_w_out(self, n: int) -> np.ndarray:
-        return self.weights.w_out[:, self.expert_rows(n)]
-
-    # --- forward/backward (see module functions) ----------------------------
-
     def forward(self, x):
         """Sublayer interface used by the model: (y, hidden, cache)."""
         y, _, hidden, cache = smoe_forward(self, x)
@@ -83,29 +67,25 @@ class MoEFFN:
         return smoe_backward(self, cache, d_y)
 
 
-def split_ffn(w: FFNWeights, p: Partition, active_experts: "int | None" = None) -> MoEFFN:
-    """Route neurons to experts per p; weights are copied so the source block
-    stays independent."""
-    copied = FFNWeights(w.w_in.copy(), w.b_in.copy(), w.w_out.copy(), w.b_out.copy())
-    return MoEFFN(copied, p.copy(),
-                  p.num_clusters if active_experts is None else active_experts)
+def attach_experts(model: GPT, partitions: list, active_experts: int) -> None:
+    """Make every layer sparse: layer i views model.ffn_weights(i), grouped by
+    partitions[i], with active_experts selected per token."""
+    for layer, p in enumerate(partitions):
+        model.moe[layer] = MoEFFN(model.ffn_weights(layer), p, active_experts)
 
 
-def merge_experts(m: MoEFFN) -> FFNWeights:
-    """Concatenate the experts back into one dense block; gating is discarded.
-
-    The stored neuron order makes this the exact inverse of split_ffn.
-    """
-    return FFNWeights(m.weights.w_in.copy(), m.weights.b_in.copy(),
-                      m.weights.w_out.copy(), m.weights.b_out.copy())
+def _expert_indicator(m: MoEFFN) -> np.ndarray:
+    """(d_ff, num_experts) 0/1 matrix: entry [j, n] is 1 iff expert n owns neuron j."""
+    d_ff = m.partition.assignment.size
+    indicator = np.zeros((d_ff, m.num_experts))
+    indicator[np.arange(d_ff), m.partition.assignment] = 1.0
+    return indicator
 
 
 def compute_centroids(m: MoEFFN) -> np.ndarray:
     """Expert gate keys: c_n = (N / d_ff) * sum of expert n's input-weight rows."""
     d_ff = m.weights.w_in.shape[0]
-    indicator = np.zeros((d_ff, m.num_experts))
-    indicator[np.arange(d_ff), m.partition.assignment] = 1.0
-    sums = matmul_tn(indicator, m.weights.w_in)
+    sums = matmul_tn(_expert_indicator(m), m.weights.w_in)
     return (m.num_experts / d_ff) * sums
 
 
@@ -116,15 +96,6 @@ def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
     mask = np.zeros(scores.shape, dtype=bool)
     np.put_along_axis(mask, order[:, :k], True, axis=1)
     return mask
-
-
-def gate(m: MoEFFN, x: np.ndarray) -> GateDecision:
-    """Score experts by x . centroid and select the top active_experts."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != m.weights.w_in.shape[1]:
-        raise ValueError("gate input width != d_model")
-    scores = matmul_nt(x, compute_centroids(m))
-    return GateDecision(scores, topk_mask(scores, m.active_experts), m.active_experts)
 
 
 def smoe_forward(m: MoEFFN, x: np.ndarray, decision: "GateDecision | None" = None,
@@ -143,8 +114,7 @@ def smoe_forward(m: MoEFFN, x: np.ndarray, decision: "GateDecision | None" = Non
     centroids = compute_centroids(m)
     scores = matmul_nt(x, centroids)
     if decision is None:
-        decision = GateDecision(scores, topk_mask(scores, m.active_experts),
-                                m.active_experts)
+        decision = GateDecision(scores, topk_mask(scores, m.active_experts))
         if m.dynamic_ratio > 0.0:
             decision = dynamic_topk(decision, m.dynamic_ratio)
     selected = decision.selected
@@ -174,10 +144,7 @@ def smoe_backward(m: MoEFFN, cache, d_y: np.ndarray):
     d_hidden = matmul(d_y, w.w_out)
     # expert-coefficient path: d_coeff[t, n] = sum over n's neurons of
     # d_hidden * hidden_full; only selected (t, n) pairs carry a derivative
-    d_ff = assignment.size
-    indicator = np.zeros((d_ff, m.num_experts))
-    indicator[np.arange(d_ff), assignment] = 1.0
-    d_coeff = matmul(d_hidden * hidden_full, indicator)
+    d_coeff = matmul(d_hidden * hidden_full, _expert_indicator(m))
     d_scores = np.where(selected, d_coeff, 0.0)
     # hidden path, masked by the exactly-0/1 coefficients
     d_hidden_full = d_hidden * coeff[:, assignment]
@@ -188,7 +155,7 @@ def smoe_backward(m: MoEFFN, cache, d_y: np.ndarray):
     # straight-through score path: scores = x @ centroids.T
     d_x += matmul(d_scores, centroids)
     d_centroids = matmul_tn(d_scores, x)
-    d_w_in += (m.num_experts / d_ff) * d_centroids[assignment]
+    d_w_in += (m.num_experts / assignment.size) * d_centroids[assignment]
     return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}
 
 
@@ -202,7 +169,7 @@ def dynamic_topk(decision: GateDecision, truncation_ratio: float) -> GateDecisio
     if not 0.0 <= truncation_ratio < 1.0:
         raise ValueError("truncation ratio must be in [0, 1)")
     if truncation_ratio == 0.0:
-        return GateDecision(decision.scores, decision.selected.copy(), decision.k)
+        return GateDecision(decision.scores, decision.selected.copy())
     tokens, experts = np.nonzero(decision.selected)
     total = tokens.size
     keep = int(np.ceil((1.0 - truncation_ratio) * total))
@@ -215,4 +182,4 @@ def dynamic_topk(decision: GateDecision, truncation_ratio: float) -> GateDecisio
     best = masked.argmax(axis=1)
     has_any = decision.selected.any(axis=1)
     kept[np.flatnonzero(has_any), best[has_any]] = True
-    return GateDecision(decision.scores, kept, decision.k)
+    return GateDecision(decision.scores, kept)

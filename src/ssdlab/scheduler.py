@@ -26,7 +26,7 @@ import numpy as np
 from ssdlab.analysis import adjusted_rand_index
 from ssdlab.clustering import Partition, cluster_with_warmstart
 from ssdlab.model import GPT
-from ssdlab.moe import MoEFFN
+from ssdlab.moe import attach_experts
 from ssdlab.numerics import SEED_TAG_CLUSTER, SEED_TAG_POLICY, AdamState, derived_rng
 
 PHASE_DENSE = "dense"
@@ -84,8 +84,7 @@ def sparse_budget_for(cfg: SSDConfig, dense_len: int) -> int:
 @dataclass
 class SchedulerState:
     phase: str = PHASE_DENSE
-    steps_in_phase: int = 0
-    last_dense_len: int = 0
+    steps_in_phase: int = 0  # in a dense phase: the length of the segment so far
     sparse_budget: int = 0
     partitions: list = field(default_factory=list)  # per-layer Partition | None
     events: list = field(default_factory=list)
@@ -118,7 +117,6 @@ def advance(state: SchedulerState, cfg: SSDConfig, step: int) -> "str | None":
     if state.phase == PHASE_SPARSE and state.steps_in_phase >= state.sparse_budget:
         state.phase = PHASE_DENSE
         state.steps_in_phase = 0
-        state.last_dense_len = 0
         state.log_event(step, "sparse_to_dense")
         return "merge"
     return None
@@ -126,8 +124,8 @@ def advance(state: SchedulerState, cfg: SSDConfig, step: int) -> "str | None":
 
 def monitor_due(state: SchedulerState, cfg: SSDConfig) -> bool:
     return (state.phase == PHASE_DENSE
-            and state.last_dense_len > 0
-            and state.last_dense_len % cfg.monitor_interval == 0)
+            and state.steps_in_phase > 0
+            and state.steps_in_phase % cfg.monitor_interval == 0)
 
 
 def on_monitor(state: SchedulerState, cfg: SSDConfig, similarity,
@@ -146,7 +144,7 @@ def on_monitor(state: SchedulerState, cfg: SSDConfig, similarity,
         fire = similarity is not None and similarity > cfg.similarity_threshold
     if not fire:
         return False
-    budget = sparse_budget_for(cfg, state.last_dense_len)
+    budget = sparse_budget_for(cfg, state.steps_in_phase)
     budget = min(budget, final_dense_start(cfg) - step)
     if budget <= 0:
         return False
@@ -220,10 +218,8 @@ def transition_dense_to_sparse(model: GPT, state: SchedulerState,
     layouts. Weights stay in place, so optimizer moments already sit next to
     their parameters; reset_adam instead zeroes them for the ablation."""
     outcomes = cluster_all_layers(model, state.partitions, num_experts, seed, step)
-    for layer, outcome in enumerate(outcomes):
-        state.partitions[layer] = outcome.partition
-        model.moe[layer] = MoEFFN(model.ffn_weights(layer), outcome.partition,
-                                  active_experts)
+    state.partitions[:] = [o.partition for o in outcomes]
+    attach_experts(model, state.partitions, active_experts)
     if reset_adam and adam is not None:
         for k in adam.m:
             adam.m[k][:] = 0.0

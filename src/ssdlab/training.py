@@ -28,7 +28,7 @@ from ssdlab.data import TokenizedCorpus, sample_batch, validation_batches
 from ssdlab.flops import DenseMode, SmoeMode, train_step_flops
 from ssdlab.metrics import MetricsRecord, export_metrics
 from ssdlab.model import GPT, ModelConfig, lm_loss
-from ssdlab.moe import MoEFFN
+from ssdlab.moe import attach_experts
 from ssdlab.numerics import (
     SEED_TAG_SMOE_INIT,
     AdamState,
@@ -94,10 +94,10 @@ class DenseTrain:
 
 @dataclass
 class SmoeTrain:
-    """Fixed sparse-MoE baseline: split at step 0 on a random balanced
-    partition, sparse expert computation throughout. The (3, 2) default mirrors
-    the compute-matched baseline; the gate is the same centroid gate the
-    switchable mode uses rather than a learned router."""
+    """Fixed sparse-MoE baseline: experts attached at step 0 over a random
+    balanced partition, sparse expert computation throughout. The (3, 2)
+    default mirrors the compute-matched baseline; the gate is the same
+    centroid gate the switchable mode uses rather than a learned router."""
 
     num_experts: int = 3
     active_experts: int = 2
@@ -256,12 +256,11 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
             # seed the per-layer partition chain on the initial weights
             monitor_similarity(model, state, mode.num_experts, seed, step=0)
         if mode.kind == "smoe":
-            for layer in range(model_cfg.n_layers):
-                p = _random_balanced_partition(
-                    model_cfg.d_ff, mode.num_experts,
-                    derived_rng(seed, SEED_TAG_SMOE_INIT, layer))
-                model.moe[layer] = MoEFFN(model.ffn_weights(layer), p,
-                                          mode.active_experts)
+            partitions = [_random_balanced_partition(
+                model_cfg.d_ff, mode.num_experts,
+                derived_rng(seed, SEED_TAG_SMOE_INIT, layer))
+                for layer in range(model_cfg.n_layers)]
+            attach_experts(model, partitions, mode.active_experts)
     else:
         ckpt = resume_from
         if ckpt.config.to_dict() != model_cfg.to_dict():
@@ -270,6 +269,9 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
             raise ValueError("checkpoint was trained in a different mode")
         if ckpt.run_info.get("optimizer") != opt.to_dict():
             raise ValueError("checkpoint was trained with a different optimizer config")
+        if "cumulative_flops" not in ckpt.run_info:
+            raise ValueError("checkpoint run_info has no cumulative_flops, "
+                             "so it cannot be resumed")
         model = ckpt.build_model()
         adam = copy.deepcopy(ckpt.adam)  # the checkpoint stays resumable
         rng = restore_rng(ckpt.rng)
@@ -323,8 +325,6 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
         if is_ssd:
             state.steps_in_phase += 1
-            if state.phase == PHASE_DENSE:
-                state.last_dense_len += 1
 
         if run.out_dir and (step + 1) % run.checkpoint_interval == 0 \
                 and step + 1 < run.total_steps:
@@ -374,7 +374,7 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
 
     Without sparse_k the model computes densely. With sparse_k the stored
     expert structure is reused when the checkpoint carries one; a plain dense
-    checkpoint is MoEfied on the fly (cluster + split), which needs
+    checkpoint is MoEfied on the fly (cluster + attach), which needs
     num_experts. dynamic_ratio > 0 truncates low-score candidates per batch.
     """
     model = GPT(ckpt.config, ckpt.params)  # read only
@@ -390,10 +390,9 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
         n = partitions[0].num_clusters
         if not 1 <= sparse_k <= n:
             raise ValueError(f"sparse_k must be in [1, {n}]")
-        for layer, p in enumerate(partitions):
-            lay = MoEFFN(model.ffn_weights(layer), p, sparse_k)
+        attach_experts(model, partitions, sparse_k)
+        for lay in model.moe:
             lay.dynamic_ratio = dynamic_ratio
-            model.moe[layer] = lay
     val_set = validation_batches(corpus.val_tokens, corpus.seq_len,
                                  val_sequences, val_batch_size)
     return float(np.exp(_mean_nll(model, val_set)))
@@ -401,10 +400,8 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
 
 def moefy_checkpoint(ckpt: Checkpoint, num_experts: int,
                      seed: int = 0) -> Checkpoint:
-    """Cluster + split a dense checkpoint so it carries an expert structure."""
+    """Cluster a dense checkpoint's layers so it carries an expert structure."""
     model = GPT(ckpt.config, ckpt.params)  # read only
-    if ckpt.config.d_ff % num_experts != 0:
-        raise ValueError("d_ff must be divisible by num_experts")
     outcomes = cluster_all_layers(model, [None] * ckpt.config.n_layers,
                                   num_experts, seed, step=0)
     layout = {

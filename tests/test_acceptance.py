@@ -22,15 +22,21 @@ from ssdlab.flops import dense_ffn_flops_per_token, smoe_ffn_flops_per_token, ss
 from ssdlab.model import GPT, FFNWeights, ModelConfig, ffn_backward, ffn_forward, lm_loss
 from ssdlab.moe import (
     GateDecision,
+    MoEFFN,
     dynamic_topk,
-    merge_experts,
     smoe_backward,
     smoe_forward,
-    split_ffn,
     topk_mask,
 )
 from ssdlab.numerics import make_rng
-from ssdlab.scheduler import SchedulerState, SSDConfig, final_dense_start, on_monitor
+from ssdlab.scheduler import (
+    SchedulerState,
+    SSDConfig,
+    final_dense_start,
+    on_monitor,
+    transition_dense_to_sparse,
+    transition_sparse_to_dense,
+)
 from ssdlab.training import OptimizerConfig, RunConfig, SsdTrain, train
 
 from conftest import max_grad_error, min_relu_margin, toy_model_config
@@ -66,29 +72,35 @@ def test_criterion_01_k_equals_n_equivalence():
             rng = make_rng(trial)
             w = random_ffn(rng)
             p = random_partition(rng)
-            m = split_ffn(w, p, active_experts=p.num_clusters)
+            m = MoEFFN(w, p, p.num_clusters)
             x = rng.standard_normal((5, 16))
             y_sparse, _, _, _ = smoe_forward(m, x)
-            y_dense, _, _ = ffn_forward(merge_experts(m), x)
+            y_dense, _, _ = ffn_forward(w, x)
             assert np.array_equal(y_sparse, y_dense)
         assert time.time() - start < 10.0
 
 
 def test_criterion_02_split_merge_round_trip():
-    with criterion(2, "split/merge round trip: 0 ULP outputs, bitwise params"):
+    with criterion(2, "dense->sparse->dense round trip: 0 ULP loss, bitwise params"):
         start = time.time()
+        cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
+                          vocab_size=11, max_seq_len=8)
         for trial in range(100):
             rng = make_rng(1000 + trial)
-            w = random_ffn(rng)
-            p = random_partition(rng)
-            m = split_ffn(w, p)
-            back = merge_experts(m)
-            for f in ("w_in", "b_in", "w_out", "b_out"):
-                assert np.array_equal(getattr(back, f), getattr(w, f))
-            x = rng.standard_normal((4, 16))
-            y_orig, _, _ = ffn_forward(w, x)
-            y_back, _, _ = ffn_forward(back, x)
-            assert np.array_equal(y_orig, y_back)
+            model = GPT.init(cfg, rng)
+            snapshot = {k: v.copy() for k, v in model.params.items()}
+            ids = rng.integers(0, cfg.vocab_size, size=(2, 8))
+            loss_before, _, _ = lm_loss(model, ids, want_grads=False)
+            state = SchedulerState.fresh(cfg.n_layers)
+            transition_dense_to_sparse(model, state, 4, 4, seed=trial, step=0)
+            for layer, m in enumerate(model.moe):
+                assert m.weights.w_in is model.params[f"block{layer}.ffn_w_in"]
+            loss_k_equals_n, _, _ = lm_loss(model, ids, want_grads=False)
+            transition_sparse_to_dense(model, state)
+            assert all(m is None for m in model.moe)
+            loss_after, _, _ = lm_loss(model, ids, want_grads=False)
+            assert loss_before == loss_k_equals_n == loss_after
+            assert all(np.array_equal(model.params[k], snapshot[k]) for k in snapshot)
         assert time.time() - start < 10.0
 
 
@@ -99,8 +111,7 @@ def test_criterion_03_zero_gradient_for_unselected_experts():
         while checked < 50:
             rng = make_rng(2000 + trial)
             trial += 1
-            m = split_ffn(random_ffn(rng), random_partition(rng, n=8),
-                          active_experts=2)
+            m = MoEFFN(random_ffn(rng), random_partition(rng, n=8), 2)
             x = rng.standard_normal((4, 16))
             y, decision, _, cache = smoe_forward(m, x)
             never_selected = np.flatnonzero(~decision.selected.any(axis=0))
@@ -109,7 +120,7 @@ def test_criterion_03_zero_gradient_for_unselected_experts():
             checked += 1
             _, grads = smoe_backward(m, cache, rng.standard_normal(y.shape))
             for e in never_selected:
-                rows = m.expert_rows(e)
+                rows = m.partition.cluster_members(e)
                 assert np.all(grads["w_in"][rows] == 0.0)
                 assert np.all(grads["b_in"][rows] == 0.0)
                 assert np.all(grads["w_out"][:, rows] == 0.0)
@@ -136,7 +147,7 @@ def test_criterion_04_gradient_fidelity():
         # sparse layer in a locally stable top-K region (frozen-score
         # surrogate keeps the straight-through path differentiable)
         rng = make_rng(7)
-        m = split_ffn(random_ffn(rng), random_partition(rng), active_experts=2)
+        m = MoEFFN(random_ffn(rng), random_partition(rng), 2)
         x = rng.standard_normal((4, 16))
         y0, decision, _, cache = smoe_forward(m, x)
         frozen = decision.scores.copy()
@@ -175,11 +186,11 @@ def test_criterion_05_scheduler_arithmetic():
     with criterion(5, "transition arithmetic: 18000->22500, 6000->7500, last 10% dense"):
         cfg = SSDConfig(sparse_ratio=0.5, final_dense_ratio=0.1, total_steps=200_000)
         st = SchedulerState.fresh(1)
-        st.last_dense_len = 18_000
+        st.steps_in_phase = 18_000
         assert on_monitor(st, cfg, 0.95, step=18_000, seed=0)
         assert st.sparse_budget == 22_500
         st2 = SchedulerState.fresh(1)
-        st2.last_dense_len = 6_000
+        st2.steps_in_phase = 6_000
         assert on_monitor(st2, cfg, 0.95, step=60_000, seed=0)
         assert st2.sparse_budget == 7_500
         assert final_dense_start(cfg) == 180_000
@@ -297,7 +308,7 @@ def test_criterion_11_dynamic_topk():
         rng = make_rng(9)
         for ratio in (0.25, 0.5, 0.75, 0.9):
             scores = rng.standard_normal((25, 8))
-            d = GateDecision(scores, topk_mask(scores, 4), 4)
+            d = GateDecision(scores, topk_mask(scores, 4))
             out = dynamic_topk(d, ratio)
             total = int(d.selected.sum())
             keep = int(np.ceil((1 - ratio) * total))
@@ -316,7 +327,7 @@ def test_criterion_11_dynamic_topk():
             kept_nonprot = out.selected & ~protected
             if dropped.any() and kept_nonprot.any():
                 assert scores[dropped].max() <= scores[kept_nonprot].min() + 1e-15
-        d = GateDecision(scores, topk_mask(scores, 4), 4)
+        d = GateDecision(scores, topk_mask(scores, 4))
         assert np.array_equal(dynamic_topk(d, 0.0).selected, d.selected)
 
 
@@ -331,9 +342,7 @@ def test_criterion_12_transition_continuity(toy_ssd_run):
         for e in probed:
             assert e["loss_before"] == e["loss_after"], e
 
-        # bitwise parameter recovery for an immediate split + merge
-        from ssdlab.scheduler import (transition_dense_to_sparse,
-                                      transition_sparse_to_dense)
+        # bitwise parameter recovery for an immediate dense->sparse->dense
         cfg = toy_ssd_run["model_cfg"]
         model = GPT.init(cfg, make_rng(3))
         snapshot = {k: v.copy() for k, v in model.params.items()}

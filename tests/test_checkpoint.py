@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssdlab.checkpoint import (
     Checkpoint,
@@ -81,6 +86,54 @@ class TestRoundTrip:
         assert np.array_equal(state.partitions[0].assignment, np.array([0, 1] * 16))
         assert serialize_scheduler(state) == ckpt.scheduler
 
+    def test_snapshot_with_older_dense_segment_key_loads(self):
+        # older versions also stored "last_dense_len", always equal to
+        # steps_in_phase wherever it was read; it is ignored
+        current = make_checkpoint().scheduler
+        state = deserialize_scheduler({**current, "last_dense_len": 12})
+        assert serialize_scheduler(state) == current
+
+    @given(n_layers=st.integers(1, 2), n_heads=st.integers(1, 2),
+           head_dim=st.integers(1, 3), experts=st.integers(1, 3),
+           per_expert=st.integers(1, 3), vocab=st.integers(1, 6),
+           seq=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1),
+           with_adam=st.booleans(), with_layout=st.booleans(),
+           with_scheduler=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_save_load_save_over_random_configs(
+            self, n_layers, n_heads, head_dim, experts, per_expert, vocab, seq,
+            seed, with_adam, with_layout, with_scheduler):
+        cfg = ModelConfig(n_layers=n_layers, d_model=n_heads * head_dim,
+                          n_heads=n_heads, d_ff=experts * per_expert,
+                          vocab_size=vocab, max_seq_len=seq)
+        rng = make_rng(seed)
+        params = init_params(cfg, rng)
+        adam = None
+        if with_adam:
+            adam = AdamState.for_params(params)
+            for name in params:
+                adam.m[name][...] = rng.standard_normal(params[name].shape)
+                adam.v[name][...] = rng.random(params[name].shape)
+            adam.step_count = int(rng.integers(0, 1000))
+        layout = None
+        partitions = [Partition(rng.permutation(np.arange(cfg.d_ff) % experts), experts)
+                      for _ in range(n_layers)]
+        if with_layout:
+            layout = {"num_experts": experts, "active_experts": 1,
+                      "partitions": [p.assignment.tolist() for p in partitions]}
+        scheduler = None
+        if with_scheduler:
+            state = SchedulerState.fresh(n_layers)
+            state.steps_in_phase = int(rng.integers(0, 100))
+            state.partitions = partitions
+            state.log_event(3, "dense_to_sparse", similarity=float(rng.random()))
+            scheduler = serialize_scheduler(state)
+        ckpt = Checkpoint(config=cfg, params=params, step=int(rng.integers(0, 10 ** 6)),
+                          rng=rng_state(rng), adam=adam, moe_layout=layout,
+                          scheduler=scheduler, run_info={"cumulative_flops": 7})
+        blob = checkpoint_to_bytes(ckpt)
+        assert checkpoint_to_bytes(checkpoint_from_bytes(blob)) == blob
+
     def test_minimal_checkpoint_without_extras(self, tmp_path):
         ckpt = make_checkpoint(with_extras=False)
         path = tmp_path / "min.bin"
@@ -96,7 +149,39 @@ class TestRoundTrip:
         assert np.array_equal(model.moe[0].partition.assignment, np.array([0, 1] * 16))
 
 
+def with_header(blob: bytes, edit) -> bytes:
+    """blob with its JSON header passed through edit(header)."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + header_len])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len:]
+
+
 class TestRejection:
+    @pytest.mark.parametrize("key", ["tensors", "rng", "config", "run_info"])
+    def test_missing_header_key(self, key):
+        blob = with_header(checkpoint_to_bytes(make_checkpoint()),
+                           lambda h: h.pop(key))
+        with pytest.raises(CheckpointError,
+                           match=f"malformed checkpoint header: missing key '{key}'"):
+            checkpoint_from_bytes(blob)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
+        (lambda h: h["config"].update(d_model=16.0), "config values must be integers"),
+        (lambda h: h.update(step="33"), "'step' has type str"),
+        (lambda h: h["adam"].pop("eps"), "missing key 'eps'"),
+        (lambda h: h["tensors"][0].__setitem__(1, "bogus"),
+         "tensor list does not match the config"),
+    ], ids=["unknown-config-key", "float-config-value", "string-step",
+            "adam-without-eps", "unknown-tensor-name"])
+    def test_malformed_header(self, edit, message):
+        blob = with_header(checkpoint_to_bytes(make_checkpoint()), edit)
+        with pytest.raises(CheckpointError, match=message) as e:
+            checkpoint_from_bytes(blob)
+        assert str(e.value).startswith("malformed checkpoint header: ")
+
     def test_bad_magic(self):
         blob = bytearray(checkpoint_to_bytes(make_checkpoint()))
         blob[:4] = b"NOPE"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ssdlab.checkpoint import load_checkpoint, save_checkpoint
 from ssdlab.cli import main
 from ssdlab.data import make_toy_corpus, toy_vocab_chars
 
@@ -45,6 +46,14 @@ def trained_run(workspace):
     return out
 
 
+@pytest.fixture(scope="module")
+def dense_run(workspace):
+    out = workspace["root"] / "run_dense"
+    assert main(["train", "--config", str(workspace["config"]),
+                 "--mode", "dense", "--steps", "20", "--out", str(out)]) == 0
+    return out
+
+
 class TestTrain:
     def test_run_artifacts_written(self, trained_run):
         assert (trained_run / "final.bin").exists()
@@ -64,6 +73,19 @@ class TestTrain:
                    "--seed", "3", "--steps", "80", "--out", str(tmp_path / "r"),
                    "--resume", str(trained_run / "ckpt_00000040.bin")])
         assert rc == 0
+
+    def test_resume_without_cumulative_flops_exits_nonzero(self, workspace, trained_run,
+                                                           tmp_path, capsys):
+        ckpt = load_checkpoint(trained_run / "ckpt_00000040.bin")
+        del ckpt.run_info["cumulative_flops"]
+        save_checkpoint(ckpt, tmp_path / "foreign.bin")
+        rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
+                   "--seed", "3", "--steps", "80",
+                   "--resume", str(tmp_path / "foreign.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: checkpoint run_info has no cumulative_flops" in err
+        assert err.count("\n") == 1
 
     def test_missing_corpus_exits_nonzero(self, capsys):
         rc = main(["train", "--corpus", "/nonexistent/corpus.txt", "--steps", "1"])
@@ -172,12 +194,9 @@ class TestEval:
 
 
 class TestMoefy:
-    def test_moefy_then_eval(self, workspace, tmp_path, capsys):
-        out = tmp_path / "dense_run"
-        assert main(["train", "--config", str(workspace["config"]),
-                     "--mode", "dense", "--steps", "20", "--out", str(out)]) == 0
+    def test_moefy_then_eval(self, workspace, dense_run, tmp_path, capsys):
         moefied = tmp_path / "moefied.bin"
-        assert main(["moefy", "--checkpoint", str(out / "final.bin"),
+        assert main(["moefy", "--checkpoint", str(dense_run / "final.bin"),
                      "--experts", "8", "--out", str(moefied)]) == 0
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(moefied),
@@ -186,10 +205,27 @@ class TestMoefy:
                      "--seq-len", "32", "--k", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["perplexity"] > 1.0
 
-    def test_indivisible_expert_count_rejected(self, workspace, trained_run, capsys):
-        rc = main(["moefy", "--checkpoint", str(trained_run / "final.bin"),
-                   "--experts", "7", "--out", "/dev/null"])
+    @pytest.mark.parametrize("experts, message", [
+        ("7", "rows 64 not divisible by num_clusters 7"),
+        ("0", "num_clusters must be >= 1, got 0"),
+        ("-4", "num_clusters must be >= 1, got -4"),
+    ], ids=["7", "0", "-4"])
+    @pytest.mark.parametrize("command", ["moefy", "eval", "analyze"])
+    def test_indivisible_expert_count_rejected(self, workspace, dense_run, capsys,
+                                               command, experts, message):
+        # a dense checkpoint carries no expert structure, so each command clusters
+        ckpt = str(dense_run / "final.bin")
+        argv = {
+            "moefy": ["moefy", "--checkpoint", ckpt, "--out", "/dev/null"],
+            "eval": ["eval", "--checkpoint", ckpt, "--corpus", str(workspace["corpus"]),
+                     "--tokenizer", str(workspace["vocab"]), "--seq-len", "32",
+                     "--k", "2"],
+            "analyze": ["analyze", "--checkpoint-a", ckpt, "--checkpoint-b", ckpt,
+                        "--seq-len", "16"],
+        }[command]
+        rc = main(argv + ["--experts", experts])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestAnalyze:

@@ -3,7 +3,6 @@ import pytest
 from ssdlab.flops import (
     DenseMode,
     SmoeMode,
-    SsdMode,
     dense_ffn_flops_per_token,
     flops_estimate,
     smoe_ffn_flops_per_token,
@@ -49,7 +48,7 @@ class TestSpeedup:
     def test_ssd_mode_estimate_between_endpoints(self):
         dense = flops_estimate(BASE, DenseMode()).per_sequence_forward
         sparse = flops_estimate(BASE, SmoeMode(32, 6)).per_sequence_forward
-        mixed = flops_estimate(BASE, SsdMode(32, 6, 0.5)).per_sequence_forward
+        mixed = dense / ssd_speedup(BASE, 32, 6, sparse_fraction=0.5)
         assert sparse < mixed < dense
         assert mixed == pytest.approx((dense + sparse) / 2)
 
@@ -70,7 +69,3 @@ class TestStepAccounting:
         total = ssd_total_train_flops(self.CFG, 8, 2, dense_steps=10,
                                       sparse_steps=7, seq_len=32, batch_size=4)
         assert total == 10 * dense + 7 * sparse
-
-    def test_single_step_cannot_be_mixed_mode(self):
-        with pytest.raises(ValueError):
-            train_step_flops(self.CFG, SsdMode(8, 2, 0.5), 32, 4)

@@ -10,11 +10,8 @@ from ssdlab.moe import (
     MoEFFN,
     compute_centroids,
     dynamic_topk,
-    gate,
-    merge_experts,
     smoe_backward,
     smoe_forward,
-    split_ffn,
     topk_mask,
 )
 from ssdlab.numerics import make_rng
@@ -22,6 +19,7 @@ from ssdlab.numerics import make_rng
 from conftest import max_grad_error
 
 D_MODEL, D_FF, N = 16, 32, 4
+FIELDS = ("w_in", "b_in", "w_out", "b_out")
 DESK_D_MODEL, DESK_D_FF, DESK_N = 128, 512, 32  # ModelConfig() with 32 experts
 
 
@@ -48,10 +46,7 @@ class TestSplitMerge:
     def test_single_expert_is_identity(self):
         rng = make_rng(0)
         w = random_ffn(rng)
-        m = split_ffn(w, Partition(np.zeros(D_FF, dtype=np.int64), 1))
-        back = merge_experts(m)
-        for f in ("w_in", "b_in", "w_out", "b_out"):
-            assert np.array_equal(getattr(back, f), getattr(w, f))
+        m = MoEFFN(w, Partition(np.zeros(D_FF, dtype=np.int64), 1), 1)
         x = rng.standard_normal((3, D_MODEL))
         y_sparse, _, _, _ = smoe_forward(m, x)
         y_dense, _, _ = ffn_forward(w, x)
@@ -61,29 +56,32 @@ class TestSplitMerge:
         w = FFNWeights(np.arange(8.0).reshape(4, 2), np.arange(4.0),
                        np.zeros((2, 4)), np.zeros(2))
         m = MoEFFN(w, Partition([0, 1, 0, 1], 2), 1)
-        assert m.expert_w_in(0).tolist() == [[0.0, 1.0], [4.0, 5.0]]
-        assert m.expert_b_in(0).tolist() == [0.0, 2.0]
-        assert m.expert_w_out(1).shape == (2, 2)
+        rows = m.partition.cluster_members(0)
+        assert m.weights.w_in[rows].tolist() == [[0.0, 1.0], [4.0, 5.0]]
+        assert m.weights.b_in[rows].tolist() == [0.0, 2.0]
+        assert m.weights.w_out[:, m.partition.cluster_members(1)].shape == (2, 2)
 
     def test_round_trip_bitwise_and_output_equivalent(self):
+        # the expert layout is a view over the dense block's own arrays, so
+        # using it and dropping it leaves the dense block bitwise as it was
         for trial in range(100):
             rng = make_rng(1000 + trial)
             w = random_ffn(rng)
-            p = random_partition(rng)
-            m = split_ffn(w, p)
-            back = merge_experts(m)
-            for f in ("w_in", "b_in", "w_out", "b_out"):
-                assert np.array_equal(getattr(back, f), getattr(w, f))
+            snapshot = [getattr(w, f).copy() for f in FIELDS]
+            m = MoEFFN(w, random_partition(rng), N)
+            assert all(getattr(m.weights, f) is getattr(w, f) for f in FIELDS)
             x = rng.standard_normal((4, D_MODEL))
-            y_a, _, _ = ffn_forward(w, x)
-            y_b, _, _ = ffn_forward(back, x)
-            assert np.array_equal(y_a, y_b)
+            y_sparse, _, _, _ = smoe_forward(m, x)
+            for f, before in zip(FIELDS, snapshot):
+                assert np.array_equal(getattr(w, f), before)
+            y_dense, _, _ = ffn_forward(w, x)
+            assert np.array_equal(y_sparse, y_dense)
 
     def test_unbalanced_partition_rejected(self):
         w = random_ffn(make_rng(2))
         bad = Partition(np.zeros(D_FF, dtype=np.int64), 2)
         with pytest.raises(ValueError, match="balanced"):
-            split_ffn(w, bad)
+            MoEFFN(w, bad, 1)
 
 
 class TestCentroids:
@@ -100,18 +98,18 @@ class TestCentroids:
 
     def test_matches_direct_mean(self):
         rng = make_rng(3)
-        m = split_ffn(random_ffn(rng), random_partition(rng))
+        m = MoEFFN(random_ffn(rng), random_partition(rng), N)
         c = compute_centroids(m)
         for n in range(N):
-            direct = m.weights.w_in[m.expert_rows(n)].mean(axis=0)
+            direct = m.weights.w_in[m.partition.cluster_members(n)].mean(axis=0)
             assert np.allclose(c[n], direct, atol=1e-15)
 
 
 class TestGate:
     def test_all_experts_selected_when_k_equals_n(self):
         rng = make_rng(4)
-        m = split_ffn(random_ffn(rng), random_partition(rng), active_experts=N)
-        d = gate(m, rng.standard_normal((5, D_MODEL)))
+        m = MoEFFN(random_ffn(rng), random_partition(rng), N)
+        d = smoe_forward(m, rng.standard_normal((5, D_MODEL)))[1]
         assert d.selected.all()
 
     def test_orthogonal_centroids_pick_matching_expert(self):
@@ -120,7 +118,7 @@ class TestGate:
         w_in = np.vstack([np.tile(np.eye(d_model)[i], (2, 1)) for i in range(n)])
         w = FFNWeights(w_in, np.zeros(8), np.zeros((d_model, 8)), np.zeros(d_model))
         m = MoEFFN(w, Partition(np.repeat(np.arange(n), 2), n), 1)
-        d = gate(m, np.eye(d_model)[2][None, :])
+        d = smoe_forward(m, np.eye(d_model)[2][None, :])[1]
         assert d.selected[0].tolist() == [False, False, True, False]
 
     def test_tie_breaks_to_lower_index_deterministically(self):
@@ -139,9 +137,9 @@ class TestGate:
         w_in = np.vstack([-rows, rows, rows, np.zeros((2, 6))])
         w = FFNWeights(w_in, np.zeros(8), np.zeros((6, 8)), np.zeros(6))
         m = MoEFFN(w, Partition(np.repeat(np.arange(4), 2), 4), 1)
-        x = rows.mean(axis=0)  # scores: (-s, s, s, 0) with s > 0
+        x = rows.mean(axis=0)[None, :]  # scores: (-s, s, s, 0) with s > 0
         for _ in range(5):
-            d = gate(m, x)
+            d = smoe_forward(m, x)[1]
             assert d.scores[0, 1] == d.scores[0, 2]
             assert d.selected[0].tolist() == [False, True, False, False]
 
@@ -149,17 +147,16 @@ class TestGate:
     @settings(max_examples=30, deadline=None)
     def test_selection_invariant_to_positive_scaling(self, lam, seed):
         rng = np.random.default_rng(seed)
-        m = split_ffn(random_ffn(make_rng(5)), random_partition(make_rng(6)),
-                      active_experts=2)
+        m = MoEFFN(random_ffn(make_rng(5)), random_partition(make_rng(6)), 2)
         x = rng.standard_normal((3, D_MODEL))
-        a = gate(m, x)
-        b = gate(m, lam * x)
+        a = smoe_forward(m, x)[1]
+        b = smoe_forward(m, lam * x)[1]
         assert np.array_equal(a.selected, b.selected)
 
     def test_input_width_checked(self):
-        m = split_ffn(random_ffn(make_rng(7)), random_partition(make_rng(8)))
-        with pytest.raises(ValueError, match="width"):
-            gate(m, np.zeros((1, D_MODEL + 1)))
+        m = MoEFFN(random_ffn(make_rng(7)), random_partition(make_rng(8)), N)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            smoe_forward(m, np.zeros((1, D_MODEL + 1)))
 
 
 class TestSparseForwardBackward:
@@ -168,10 +165,10 @@ class TestSparseForwardBackward:
             rng = make_rng(2000 + trial)
             w = random_ffn(rng)
             p = random_partition(rng)
-            m = split_ffn(w, p, active_experts=N)
+            m = MoEFFN(w, p, N)
             x = rng.standard_normal((5, D_MODEL))
             y_sparse, _, hidden, _ = smoe_forward(m, x)
-            y_dense, hidden_dense, _ = ffn_forward(merge_experts(m), x)
+            y_dense, hidden_dense, _ = ffn_forward(w, x)
             assert np.array_equal(y_sparse, y_dense)
             assert np.array_equal(hidden, hidden_dense)
 
@@ -180,8 +177,7 @@ class TestSparseForwardBackward:
         # BLAS takes different code paths at these sizes than at toy ones
         rng = make_rng(4000 + tokens)
         w = desk_ffn(rng)
-        m = split_ffn(w, random_partition(rng, DESK_D_FF, DESK_N),
-                      active_experts=DESK_N)
+        m = MoEFFN(w, random_partition(rng, DESK_D_FF, DESK_N), DESK_N)
         x = rng.standard_normal((tokens, DESK_D_MODEL))
         y_sparse, _, hidden, _ = smoe_forward(m, x)
         y_dense, hidden_dense, _ = ffn_forward(w, x)
@@ -192,8 +188,7 @@ class TestSparseForwardBackward:
     def test_unselected_expert_gets_exactly_zero_gradients_at_desk_shape(self, tokens):
         rng = make_rng(5000 + tokens)
         w = desk_ffn(rng)
-        m = split_ffn(w, random_partition(rng, DESK_D_FF, DESK_N),
-                      active_experts=6)
+        m = MoEFFN(w, random_partition(rng, DESK_D_FF, DESK_N), 6)
         x = rng.standard_normal((tokens, DESK_D_MODEL))
         y, decision, _, cache = smoe_forward(m, x)
         never_selected = np.flatnonzero(~decision.selected.any(axis=0))
@@ -211,8 +206,7 @@ class TestSparseForwardBackward:
             rng = make_rng(3000 + trial)
             trial += 1
             # few tokens over many experts: some expert always goes unselected
-            m = split_ffn(random_ffn(rng), random_partition(rng, n=8),
-                          active_experts=2)
+            m = MoEFFN(random_ffn(rng), random_partition(rng, n=8), 2)
             x = rng.standard_normal((4, D_MODEL))
             y, decision, _, cache = smoe_forward(m, x)
             never_selected = np.flatnonzero(~decision.selected.any(axis=0))
@@ -221,7 +215,7 @@ class TestSparseForwardBackward:
             checked += 1
             _, grads = smoe_backward(m, cache, rng.standard_normal(y.shape))
             for e in never_selected:
-                rows = m.expert_rows(e)
+                rows = m.partition.cluster_members(e)
                 assert np.all(grads["w_in"][rows] == 0.0)
                 assert np.all(grads["b_in"][rows] == 0.0)
                 assert np.all(grads["w_out"][:, rows] == 0.0)
@@ -229,18 +223,18 @@ class TestSparseForwardBackward:
 
     def test_selected_experts_do_get_gradient(self):
         rng = make_rng(9)
-        m = split_ffn(random_ffn(rng), random_partition(rng), active_experts=2)
+        m = MoEFFN(random_ffn(rng), random_partition(rng), 2)
         x = rng.standard_normal((6, D_MODEL))
         y, decision, _, cache = smoe_forward(m, x)
         _, grads = smoe_backward(m, cache, np.ones_like(y))
         selected_somewhere = np.flatnonzero(decision.selected.any(axis=0))
         for e in selected_somewhere:
-            rows = m.expert_rows(e)
+            rows = m.partition.cluster_members(e)
             assert np.any(grads["w_in"][rows] != 0.0)
 
     def test_backward_matches_finite_differences_in_stable_region(self):
         rng = make_rng(7)
-        m = split_ffn(random_ffn(rng), random_partition(rng), active_experts=2)
+        m = MoEFFN(random_ffn(rng), random_partition(rng), 2)
         x = rng.standard_normal((4, D_MODEL))
         y0, decision, _, cache = smoe_forward(m, x)
         frozen = decision.scores.copy()
@@ -259,7 +253,7 @@ class TestSparseForwardBackward:
         # gradient flows into w_in through the centroid even for neurons the
         # ReLU turned off, via the gate-score path
         rng = make_rng(11)
-        m = split_ffn(random_ffn(rng), random_partition(rng), active_experts=N)
+        m = MoEFFN(random_ffn(rng), random_partition(rng), N)
         x = rng.standard_normal((3, D_MODEL))
         y, _, _, cache = smoe_forward(m, x)
         _, grads = smoe_backward(m, cache, np.ones_like(y))
@@ -272,7 +266,7 @@ class TestSparseForwardBackward:
 class TestDynamicTopk:
     def _decision(self, rng, tokens=25, experts=8, k=4):
         scores = rng.standard_normal((tokens, experts))
-        return GateDecision(scores, topk_mask(scores, k), k)
+        return GateDecision(scores, topk_mask(scores, k))
 
     def test_zero_ratio_is_identity(self):
         d = self._decision(make_rng(12))
@@ -341,7 +335,7 @@ class TestDynamicTopk:
 
     def test_forward_consistency_with_reduced_decision(self):
         rng = make_rng(17)
-        m = split_ffn(random_ffn(rng), random_partition(rng), active_experts=3)
+        m = MoEFFN(random_ffn(rng), random_partition(rng), 3)
         x = rng.standard_normal((6, D_MODEL))
         _, decision, _, _ = smoe_forward(m, x)
         reduced = dynamic_topk(decision, 0.5)
@@ -350,8 +344,30 @@ class TestDynamicTopk:
         for t in range(6):
             for e in range(N):
                 if not reduced.selected[t, e]:
-                    assert np.all(hidden[t, m.expert_rows(e)] == 0.0)
+                    assert np.all(hidden[t, m.partition.cluster_members(e)] == 0.0)
         assert np.all(np.isfinite(y))
+
+    @given(st.integers(1, 40), st.integers(1, 12), st.data(),
+           st.floats(0.0, 0.99), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_properties_over_random_shapes(self, tokens, experts, data, ratio, seed):
+        k = data.draw(st.integers(1, experts))
+        scores = np.random.default_rng(seed).standard_normal((tokens, experts))
+        d = GateDecision(scores, topk_mask(scores, k))
+        out = dynamic_topk(d, ratio)
+        # kept pairs are a subset of the selected ones
+        assert not (out.selected & ~d.selected).any()
+        # every token keeps its best expert
+        best = np.where(d.selected, scores, -np.inf).argmax(axis=1)
+        assert out.selected[np.arange(tokens), best].all()
+        # ceil((1 - ratio) * total) by (score desc, token, expert), plus the
+        # best pairs that fell outside those
+        toks, exps = np.nonzero(d.selected)
+        keep = int(np.ceil((1 - ratio) * toks.size))
+        lex = np.lexsort((exps, toks, -scores[toks, exps]))
+        kept_set = {(toks[i], exps[i]) for i in lex[:keep]}
+        additions = sum((t, best[t]) not in kept_set for t in range(tokens))
+        assert int(out.selected.sum()) == keep + additions
 
     def test_invalid_ratio_rejected(self):
         d = self._decision(make_rng(18))

@@ -50,7 +50,7 @@ class TestTransitionArithmetic:
 
     def test_monitor_transition_sets_budget(self):
         st = SchedulerState.fresh(2)
-        st.last_dense_len = 18_000
+        st.steps_in_phase = 18_000
         assert on_monitor(st, CFG, 0.95, step=18_000, seed=0)
         assert st.phase == PHASE_SPARSE
         assert st.sparse_budget == 22_500
@@ -58,21 +58,21 @@ class TestTransitionArithmetic:
 
     def test_similarity_at_threshold_does_not_fire(self):
         st = SchedulerState.fresh(2)
-        st.last_dense_len = 3000
+        st.steps_in_phase = 3000
         assert not on_monitor(st, CFG, CFG.similarity_threshold, 3000, seed=0)
         assert st.phase == PHASE_DENSE
 
     def test_zero_sparse_ratio_never_leaves_dense(self):
         cfg = SSDConfig(sparse_ratio=0.0, total_steps=10_000, monitor_interval=10)
         st = SchedulerState.fresh(2)
-        st.last_dense_len = 100
+        st.steps_in_phase = 100
         assert not on_monitor(st, cfg, 0.99, 100, seed=0)
         assert st.phase == PHASE_DENSE
 
     def test_budget_truncated_at_final_window(self):
         cfg = SSDConfig(total_steps=1000, monitor_interval=100)
         st = SchedulerState.fresh(2)
-        st.last_dense_len = 800
+        st.steps_in_phase = 800
         assert on_monitor(st, cfg, 0.95, step=800, seed=0)
         assert st.sparse_budget == 100  # 900 - 800, not round(1.25 * 800)
 
@@ -89,7 +89,7 @@ class TestTransitionArithmetic:
             run = []
             for step in (3000, 6000, 9000, 12000):
                 st = SchedulerState.fresh(1)
-                st.last_dense_len = step
+                st.steps_in_phase = step
                 run.append(on_monitor(st, cfg, None, step, seed=5))
             decisions.append(run)
         assert decisions[0] == decisions[1]
@@ -121,7 +121,7 @@ class TestAdvance:
         st.steps_in_phase = 5
         assert advance(st, CFG, 1001) == "merge"
         assert st.phase == PHASE_DENSE
-        assert st.last_dense_len == 0
+        assert st.steps_in_phase == 0
 
     def test_event_log_replays_phases(self):
         cfg = SSDConfig(total_steps=100, monitor_interval=10,
@@ -134,8 +134,6 @@ class TestAdvance:
                 on_monitor(st, cfg, 0.9, step, seed=0)
             phases.append(st.phase)
             st.steps_in_phase += 1
-            if st.phase == PHASE_DENSE:
-                st.last_dense_len += 1
         # replay phases from the event log alone
         replayed, phase = [], PHASE_DENSE
         events = {e["step"]: e["kind"] for e in st.events}
@@ -157,16 +155,14 @@ class TestMonitorDue:
         for step in range(40):
             if monitor_due(st, cfg):
                 due_at.append(step)
-                st.last_dense_len = 0 if False else st.last_dense_len
             st.steps_in_phase += 1
-            st.last_dense_len += 1
         assert due_at == [10, 20, 30]
 
     def test_not_due_during_sparse(self):
         cfg = SSDConfig(total_steps=1000, monitor_interval=10)
         st = SchedulerState.fresh(1)
         st.phase = PHASE_SPARSE
-        st.last_dense_len = 10
+        st.steps_in_phase = 10
         assert not monitor_due(st, cfg)
 
 
