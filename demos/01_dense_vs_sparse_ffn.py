@@ -27,6 +27,7 @@ from ssdlab import (
     transition_sparse_to_dense,
 )
 from ssdlab.clustering import Partition
+from ssdlab.scheduler import monitor_similarity
 
 rng = make_rng(0)
 d_model, d_ff, num_experts = 32, 128, 8
@@ -85,7 +86,12 @@ ids = rng.integers(0, cfg.vocab_size, size=(4, 8))
 snapshot = {k: v.copy() for k, v in model.params.items()}
 loss_dense, _, _ = lm_loss(model, ids, want_grads=False)
 state = SchedulerState.fresh(cfg.n_layers)
-transition_dense_to_sparse(model, state, num_experts, num_experts, seed=0, step=0)
+# a monitor clusters every layer into the chain; the conversion attaches
+# exactly those partitions, here with all experts selected (K=N)
+monitor_similarity(model, state, num_experts, seed=0, step=0)
+transition_dense_to_sparse(model, state, num_experts)
+print("conversion attached the monitor's partition:",
+      model.moe[0].partition is state.partitions[0])
 loss_sparse, _, _ = lm_loss(model, ids, want_grads=False)
 transition_sparse_to_dense(model, state)
 loss_back, _, _ = lm_loss(model, ids, want_grads=False)

@@ -76,14 +76,13 @@ def _layer_rng(base: int, layer: int) -> np.random.Generator:
 
 
 def pattern_similarity(ckpt_a, ckpt_b, num_experts: int,
-                       rng: np.random.Generator,
-                       warm_chain: bool = True) -> SimilarityReport:
+                       rng: np.random.Generator) -> SimilarityReport:
     """Per-layer ARI between the two checkpoints' neuron groupings.
 
     Each layer is clustered with the same derived seed on both sides, so
-    identical checkpoints score exactly 1. With warm_chain (the training-time
-    behavior) checkpoint b's clustering is initialized from checkpoint a's
-    result; warm_chain=False clusters the two sides independently.
+    identical checkpoints score exactly 1. As at a training-time monitor,
+    checkpoint b's clustering is also tried warm-started from checkpoint a's
+    result.
     """
     if ckpt_a.config.to_dict() != ckpt_b.config.to_dict():
         raise ValueError("checkpoints have different model configs")
@@ -93,9 +92,8 @@ def pattern_similarity(ckpt_a, ckpt_b, num_experts: int,
         key = f"block{layer}.ffn_w_in"
         out_a = cluster_with_warmstart(ckpt_a.params[key], num_experts, None,
                                        _layer_rng(base, layer))
-        prev = out_a.partition if warm_chain else None
-        out_b = cluster_with_warmstart(ckpt_b.params[key], num_experts, prev,
-                                       _layer_rng(base, layer))
+        out_b = cluster_with_warmstart(ckpt_b.params[key], num_experts,
+                                       out_a.partition, _layer_rng(base, layer))
         per_layer.append(adjusted_rand_index(out_a.partition, out_b.partition))
     return SimilarityReport(
         per_layer_ari=per_layer,

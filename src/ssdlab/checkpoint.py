@@ -62,11 +62,30 @@ class Checkpoint:
         """Model with the checkpoint's expert layouts attached (if any)."""
         model = GPT(self.config, {k: v.copy() for k, v in self.params.items()})
         if self.moe_layout is not None:
-            n = self.moe_layout["num_experts"]
-            attach_experts(model, [Partition(np.array(a), n)
-                                   for a in self.moe_layout["partitions"]],
+            attach_experts(model, decode_partitions(self.moe_layout),
                            self.moe_layout["active_experts"])
         return model
+
+
+def decode_partitions(moe_layout: dict) -> list:
+    """The per-layer Partitions a `moe_layout` header entry stores."""
+    n = moe_layout["num_experts"]
+    return [Partition(np.array(a), n) for a in moe_layout["partitions"]]
+
+
+def _check_partitions(partitions: list, config: ModelConfig, where: str) -> None:
+    """One balanced partition of d_ff neurons per layer; None marks a layer
+    not clustered yet."""
+    if len(partitions) != config.n_layers:
+        raise ValueError(f"{where} holds {len(partitions)} partitions "
+                         f"for {config.n_layers} layers")
+    for p in partitions:
+        if p is None:
+            continue
+        if p.assignment.shape != (config.d_ff,):
+            raise ValueError(f"{where} partition covers {p.assignment.size} "
+                             f"neurons, not d_ff {config.d_ff}")
+        p.validate_balanced()
 
 
 def serialize_scheduler(state: SchedulerState) -> dict:
@@ -166,6 +185,15 @@ def _parse_header(raw: bytes):
                     raise TypeError(f"adam {key!r} must be a number")
         if header["tensors"] != _tensor_manifest(config, header["adam"] is not None):
             raise ValueError("tensor list does not match the config")
+        layout = header["moe_layout"]
+        if layout is not None:
+            _check_partitions(decode_partitions(layout), config, "moe_layout")
+            if not 1 <= layout["active_experts"] <= layout["num_experts"]:
+                raise ValueError("moe_layout active_experts must be in "
+                                 "[1, num_experts]")
+        if header["scheduler"] is not None:
+            _check_partitions(deserialize_scheduler(header["scheduler"]).partitions,
+                              config, "scheduler")
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint header: missing key {e}") from e
     except (TypeError, ValueError) as e:

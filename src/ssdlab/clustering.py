@@ -1,10 +1,11 @@
 """Balanced k-means over feed-forward input-weight rows, WCSS scoring, and the
-warm-start-vs-random selection used at every dense-to-sparse conversion.
+warm-start-vs-random selection used at every similarity monitor.
 
-Each conversion clusters the rows of the (d_ff, d_model) input matrix into N
-equal-size groups. A conversion runs the pipeline twice, once from random
-seeds and once initialized from the previous conversion's result, and keeps
-whichever scores the lower within-cluster sum of squares.
+Each monitor clusters the rows of the (d_ff, d_model) input matrix into N
+equal-size groups. It runs the pipeline twice, once from random seeds and
+once initialized from the previous monitor's result, and keeps whichever
+scores the lower within-cluster sum of squares. A dense-to-sparse conversion
+reuses the grouping of the monitor that fired it.
 
 The balanced assignment is a greedy fill plus pairwise-swap refinement, a
 deterministic stand-in for an exact assignment solver.

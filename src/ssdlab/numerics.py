@@ -214,13 +214,11 @@ def noam_lr(step: int, warmup: int = 2000, d_model: int = 128, base: float = 0.5
 # -----------------------------------------------------------------------------
 
 # Purpose tags keep derived seeds disjoint across uses of the same run seed.
-SEED_TAG_INIT = 1
-SEED_TAG_BATCH = 2
+# Their values are part of every derived seed: never renumber them.
 SEED_TAG_CLUSTER = 3
 SEED_TAG_POLICY = 4
 SEED_TAG_SMOE_INIT = 5
 SEED_TAG_VALIDATION = 6
-SEED_TAG_EVAL_MOEFY = 7
 
 
 def make_rng(seed: int) -> np.random.Generator:

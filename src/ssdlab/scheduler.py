@@ -10,8 +10,10 @@ steps, where D is the length of the dense segment just ended, truncated so it
 never crosses into the terminal dense window. The last ceil(final_dense_ratio
 * total_steps) steps are always dense, whatever phase was active.
 
-The per-layer partition chain stored here seeds each conversion's clustering
-warm start and is the baseline the next monitor's ARI is measured against.
+Each monitor clusters every layer, warm-started from the per-layer partition
+chain stored here, scores the result against the chain (ARI) and stores it.
+A dense-to-sparse conversion fires only at a monitor, so it attaches the
+partitions that monitor just chose instead of clustering again.
 """
 
 from __future__ import annotations
@@ -161,10 +163,11 @@ def on_monitor(state: SchedulerState, cfg: SSDConfig, similarity,
 
 
 def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SSDLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Clustering worker threads, from SSDLAB_THREADS (default 1)."""
+    raw = os.environ.get("SSDLAB_THREADS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"SSDLAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _cluster_layer(model: GPT, layer: int, num_experts: int,
@@ -210,15 +213,16 @@ def monitor_similarity(model: GPT, state: SchedulerState, num_experts: int,
 
 
 def transition_dense_to_sparse(model: GPT, state: SchedulerState,
-                               num_experts: int, active_experts: int,
-                               seed: int, step: int,
+                               active_experts: int,
                                adam: "AdamState | None" = None,
                                reset_adam: bool = False) -> None:
-    """Cluster each layer (warm-started from the chain) and attach the expert
-    layouts. Weights stay in place, so optimizer moments already sit next to
-    their parameters; reset_adam instead zeroes them for the ablation."""
-    outcomes = cluster_all_layers(model, state.partitions, num_experts, seed, step)
-    state.partitions[:] = [o.partition for o in outcomes]
+    """Attach the expert layouts the chain holds, which are the partitions the
+    monitor that fired this conversion just chose. Weights stay in place, so
+    optimizer moments already sit next to their parameters; reset_adam
+    instead zeroes them for the ablation."""
+    if any(p is None for p in state.partitions):
+        raise ValueError("the partition chain is not seeded: "
+                         "run monitor_similarity first")
     attach_experts(model, state.partitions, active_experts)
     if reset_adam and adam is not None:
         for k in adam.m:
@@ -230,6 +234,6 @@ def transition_dense_to_sparse(model: GPT, state: SchedulerState,
 def transition_sparse_to_dense(model: GPT, state: SchedulerState) -> None:
     """Drop the expert layouts; parameters and optimizer moments are already
     in dense layout, so this is exact. The chain keeps the last partitions as
-    the next conversion's warm start."""
+    the next monitor's warm start and ARI baseline."""
     for layer in range(model.config.n_layers):
         model.moe[layer] = None

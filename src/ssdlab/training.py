@@ -19,6 +19,7 @@ import numpy as np
 
 from ssdlab.checkpoint import (
     Checkpoint,
+    decode_partitions,
     deserialize_scheduler,
     save_checkpoint,
     serialize_scheduler,
@@ -294,8 +295,8 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
                                                 seed, step)
                 if on_monitor(state, ssd_cfg, similarity, step, seed):
                     _probed(transition_dense_to_sparse, model, state, probe_batch,
-                            mode.num_experts, mode.active_experts, seed, step,
-                            adam=adam, reset_adam=mode.reset_adam_on_transition)
+                            mode.active_experts, adam=adam,
+                            reset_adam=mode.reset_adam_on_transition)
             phase = state.phase
         else:
             phase = PHASE_SPARSE if mode.kind == "smoe" else PHASE_DENSE
@@ -357,8 +358,7 @@ def _stored_partitions(ckpt: Checkpoint) -> "list | None":
     """Partitions carried by the checkpoint: the active sparse layout if any,
     else the scheduler's chain (the structure a switchable run trained with)."""
     if ckpt.moe_layout is not None:
-        n = ckpt.moe_layout["num_experts"]
-        return [Partition(np.array(a), n) for a in ckpt.moe_layout["partitions"]]
+        return decode_partitions(ckpt.moe_layout)
     if ckpt.scheduler is not None:
         parts = deserialize_scheduler(ckpt.scheduler).partitions
         if all(p is not None for p in parts):
@@ -368,15 +368,19 @@ def _stored_partitions(ckpt: Checkpoint) -> "list | None":
 
 def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
                     sparse_k: "int | None" = None, dynamic_ratio: float = 0.0,
-                    num_experts: "int | None" = None, moefy_seed: int = 0,
+                    num_experts: "int | None" = None,
                     val_sequences: int = 64, val_batch_size: int = 8) -> float:
     """exp(mean token NLL) on the fixed validation batches.
 
     Without sparse_k the model computes densely. With sparse_k the stored
-    expert structure is reused when the checkpoint carries one; a plain dense
-    checkpoint is MoEfied on the fly (cluster + attach), which needs
-    num_experts. dynamic_ratio > 0 truncates low-score candidates per batch.
+    expert structure is reused when the checkpoint carries one (num_experts,
+    if given, must match it); a plain dense checkpoint is MoEfied on the fly
+    as moefy_checkpoint does, which needs num_experts. dynamic_ratio > 0
+    truncates low-score candidates per batch.
     """
+    if sparse_k is None and (dynamic_ratio != 0.0 or num_experts is not None):
+        raise ValueError("dynamic_ratio and num_experts are only read "
+                         "with sparse_k (--k)")
     model = GPT(ckpt.config, ckpt.params)  # read only
     if sparse_k is not None:
         partitions = _stored_partitions(ckpt)
@@ -384,10 +388,10 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
             if num_experts is None:
                 raise ValueError("dense checkpoint carries no expert structure; "
                                  "pass num_experts to MoEfy it")
-            outcomes = cluster_all_layers(model, [None] * ckpt.config.n_layers,
-                                          num_experts, moefy_seed, step=0)
-            partitions = [o.partition for o in outcomes]
+            partitions = _stored_partitions(moefy_checkpoint(ckpt, num_experts))
         n = partitions[0].num_clusters
+        if num_experts is not None and num_experts != n:
+            raise ValueError(f"checkpoint carries {n} experts, not {num_experts}")
         if not 1 <= sparse_k <= n:
             raise ValueError(f"sparse_k must be in [1, {n}]")
         attach_experts(model, partitions, sparse_k)

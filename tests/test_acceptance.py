@@ -33,6 +33,7 @@ from ssdlab.scheduler import (
     SchedulerState,
     SSDConfig,
     final_dense_start,
+    monitor_similarity,
     on_monitor,
     transition_dense_to_sparse,
     transition_sparse_to_dense,
@@ -92,7 +93,8 @@ def test_criterion_02_split_merge_round_trip():
             ids = rng.integers(0, cfg.vocab_size, size=(2, 8))
             loss_before, _, _ = lm_loss(model, ids, want_grads=False)
             state = SchedulerState.fresh(cfg.n_layers)
-            transition_dense_to_sparse(model, state, 4, 4, seed=trial, step=0)
+            monitor_similarity(model, state, 4, seed=trial, step=0)
+            transition_dense_to_sparse(model, state, 4)
             for layer, m in enumerate(model.moe):
                 assert m.weights.w_in is model.params[f"block{layer}.ffn_w_in"]
             loss_k_equals_n, _, _ = lm_loss(model, ids, want_grads=False)
@@ -347,6 +349,7 @@ def test_criterion_12_transition_continuity(toy_ssd_run):
         model = GPT.init(cfg, make_rng(3))
         snapshot = {k: v.copy() for k, v in model.params.items()}
         state = SchedulerState.fresh(cfg.n_layers)
-        transition_dense_to_sparse(model, state, 8, 2, seed=0, step=0)
+        monitor_similarity(model, state, 8, seed=0, step=0)
+        transition_dense_to_sparse(model, state, 2)
         transition_sparse_to_dense(model, state)
         assert all(np.array_equal(model.params[k], snapshot[k]) for k in snapshot)

@@ -174,8 +174,23 @@ class TestRejection:
         (lambda h: h["adam"].pop("eps"), "missing key 'eps'"),
         (lambda h: h["tensors"][0].__setitem__(1, "bogus"),
          "tensor list does not match the config"),
+        (lambda h: h["moe_layout"].pop("partitions"), "missing key 'partitions'"),
+        (lambda h: h["moe_layout"].update(partitions=[[0, 1, 0], [1, 0, 1]]),
+         "moe_layout partition covers 3 neurons, not d_ff 32"),
+        (lambda h: h["moe_layout"]["partitions"].pop(),
+         "moe_layout holds 1 partitions for 2 layers"),
+        (lambda h: h["moe_layout"].update(partitions=[[0] * 32, [1] * 32]),
+         "partition is not balanced"),
+        (lambda h: h["moe_layout"].update(active_experts=3),
+         "active_experts must be in"),
+        (lambda h: h["scheduler"].pop("phase"), "missing key 'phase'"),
+        (lambda h: h["scheduler"]["partitions"][0]["assignment"].pop(),
+         "scheduler partition covers 31 neurons, not d_ff 32"),
     ], ids=["unknown-config-key", "float-config-value", "string-step",
-            "adam-without-eps", "unknown-tensor-name"])
+            "adam-without-eps", "unknown-tensor-name", "layout-without-partitions",
+            "layout-short-assignments", "layout-missing-layer", "layout-unbalanced",
+            "layout-active-above-experts", "scheduler-without-phase",
+            "scheduler-short-assignment"])
     def test_malformed_header(self, edit, message):
         blob = with_header(checkpoint_to_bytes(make_checkpoint()), edit)
         with pytest.raises(CheckpointError, match=message) as e:

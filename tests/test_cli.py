@@ -192,6 +192,22 @@ class TestEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--dynamic-ratio", "0.5"],
+         "dynamic_ratio and num_experts are only read with sparse_k (--k)"),
+        (["--experts", "4"],
+         "dynamic_ratio and num_experts are only read with sparse_k (--k)"),
+        (["--k", "2", "--experts", "4"], "checkpoint carries 8 experts, not 4"),
+    ], ids=["dynamic-ratio-without-k", "experts-without-k", "experts-differ"])
+    def test_unread_flags_exit_nonzero(self, workspace, trained_run, capsys,
+                                       flags, message):
+        rc = main(["eval", "--checkpoint", str(trained_run / "final.bin"),
+                   "--corpus", str(workspace["corpus"]),
+                   "--tokenizer", str(workspace["vocab"]),
+                   "--seq-len", "32", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestMoefy:
     def test_moefy_then_eval(self, workspace, dense_run, tmp_path, capsys):

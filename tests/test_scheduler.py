@@ -18,6 +18,7 @@ from ssdlab.scheduler import (
     monitor_similarity,
     on_monitor,
     sparse_budget_for,
+    thread_count,
     transition_dense_to_sparse,
     transition_sparse_to_dense,
 )
@@ -29,6 +30,14 @@ def toy_model(seed=0):
     cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
                       vocab_size=11, max_seq_len=8)
     return GPT.init(cfg, make_rng(seed))
+
+
+def seeded_state(model, num_experts=4, seed=0, step=0):
+    """A scheduler whose chain holds a monitor's partitions, as it does
+    whenever train converts."""
+    state = SchedulerState.fresh(model.config.n_layers)
+    monitor_similarity(model, state, num_experts, seed, step)
+    return state
 
 
 class TestTransitionArithmetic:
@@ -173,17 +182,16 @@ class TestModelConversions:
         model = toy_model()
         ids = make_rng(1).integers(0, 11, size=(2, 7))
         loss_dense, _, _ = lm_loss(model, ids, want_grads=False)
-        state = SchedulerState.fresh(2)
-        transition_dense_to_sparse(model, state, num_experts=4, active_experts=4,
-                                   seed=0, step=0)
+        state = seeded_state(model)
+        transition_dense_to_sparse(model, state, active_experts=4)
         loss_sparse, _, _ = lm_loss(model, ids, want_grads=False)
         assert loss_sparse == loss_dense
 
     def test_sparse_to_dense_recovers_parameters_bitwise(self):
         model = toy_model()
         snapshot = {k: v.copy() for k, v in model.params.items()}
-        state = SchedulerState.fresh(2)
-        transition_dense_to_sparse(model, state, 4, 2, seed=0, step=0)
+        state = seeded_state(model)
+        transition_dense_to_sparse(model, state, 2)
         transition_sparse_to_dense(model, state)
         assert all(np.array_equal(model.params[k], snapshot[k]) for k in snapshot)
         assert all(lay is None for lay in model.moe)
@@ -205,8 +213,8 @@ class TestModelConversions:
                               v={k: v.copy() for k, v in adam.v.items()},
                               step_count=adam.step_count)
 
-        state = SchedulerState.fresh(2)
-        transition_dense_to_sparse(model, state, 4, 2, seed=0, step=3, adam=adam)
+        state = seeded_state(model, step=3)
+        transition_dense_to_sparse(model, state, 2, adam=adam)
         _, sparse_grads, _ = lm_loss(model, ids)
         adam_step(model.params, sparse_grads, adam, lr=0.01)
 
@@ -220,25 +228,36 @@ class TestModelConversions:
         adam = AdamState.for_params(model.params)
         adam.m["head"][:] = 1.0
         adam.step_count = 5
-        state = SchedulerState.fresh(2)
-        transition_dense_to_sparse(model, state, 4, 2, seed=0, step=0,
-                                   adam=adam, reset_adam=True)
+        state = seeded_state(model)
+        transition_dense_to_sparse(model, state, 2, adam=adam, reset_adam=True)
         assert np.all(adam.m["head"] == 0.0)
         assert adam.step_count == 0
 
     def test_transition_reuses_monitor_partition(self):
-        # the conversion's clustering (same derived seed) lands on exactly
-        # the partition the monitor just computed
+        # the conversion attaches the partitions the monitor just chose
         model = toy_model()
-        state = SchedulerState.fresh(2)
-        monitor_similarity(model, state, num_experts=4, seed=9, step=50)
-        chain = [p.assignment.copy() for p in state.partitions]
-        transition_dense_to_sparse(model, state, 4, 2, seed=9, step=50)
+        state = seeded_state(model, seed=9, step=50)
+        transition_dense_to_sparse(model, state, 2)
         for layer in range(2):
-            assert np.array_equal(model.moe[layer].partition.assignment, chain[layer])
+            assert model.moe[layer].partition is state.partitions[layer]
+
+    def test_transition_needs_a_seeded_chain(self):
+        model = toy_model()
+        with pytest.raises(ValueError) as e:
+            transition_dense_to_sparse(model, SchedulerState.fresh(2), 2)
+        assert str(e.value) == ("the partition chain is not seeded: "
+                                "run monitor_similarity first")
+        assert all(lay is None for lay in model.moe)
 
 
 class TestThreads:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", ""])
+    def test_bad_thread_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("SSDLAB_THREADS", raw)
+        with pytest.raises(ValueError, match="SSDLAB_THREADS must be a positive "
+                                             f"integer, got {raw!r}"):
+            thread_count()
+
     def test_thread_count_invariance(self):
         model = toy_model(seed=3)
         base = cluster_all_layers(model, [None, None], 4, seed=11, step=7)

@@ -156,6 +156,27 @@ class TestSsdScheduleBehavior:
         assert [r.loss for r in ssd_rec] == [r.loss for r in dense_rec]
         assert all(r.phase in ("dense", "final_dense") for r in ssd_rec)
 
+    def test_layers_clustered_once_per_monitor(self, toy_corpus, monkeypatch):
+        # the step-0 chain seed and each monitor cluster every layer once; a
+        # conversion attaches the monitor's partitions without clustering
+        from ssdlab import scheduler
+
+        calls = []
+        real = scheduler.cluster_with_warmstart
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "cluster_with_warmstart", counted)
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        final, records = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=3,
+                               run=short_run())
+        kinds = [e["kind"] for e in final.scheduler["events"]]
+        assert kinds.count("dense_to_sparse") >= 2
+        monitors = sum(r.similarity is not None for r in records)
+        assert len(calls) == cfg.n_layers * (1 + monitors)
+
     def test_transitions_happen_and_probe_losses_match(self, toy_ssd_run):
         events = toy_ssd_run["final"].scheduler["events"]
         kinds = [e["kind"] for e in events]
