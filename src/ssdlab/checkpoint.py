@@ -67,10 +67,20 @@ class Checkpoint:
         return model
 
 
+def _assignment(values: list) -> np.ndarray:
+    """A stored cluster assignment; Partition would truncate floats to int64,
+    so a non-integer entry (JSON 1.0 included) is rejected here."""
+    assignment = np.array(values)
+    if assignment.dtype.kind not in "iu":
+        raise ValueError(f"partition assignment is not integer "
+                         f"(dtype {assignment.dtype})")
+    return assignment
+
+
 def decode_partitions(moe_layout: dict) -> list:
     """The per-layer Partitions a `moe_layout` header entry stores."""
     n = moe_layout["num_experts"]
-    return [Partition(np.array(a), n) for a in moe_layout["partitions"]]
+    return [Partition(_assignment(a), n) for a in moe_layout["partitions"]]
 
 
 def _check_partitions(partitions: list, config: ModelConfig, where: str) -> None:
@@ -109,7 +119,7 @@ def deserialize_scheduler(data: dict) -> SchedulerState:
         steps_in_phase=data["steps_in_phase"],
         sparse_budget=data["sparse_budget"],
         partitions=[None if p is None else
-                    Partition(np.array(p["assignment"]), p["num_clusters"])
+                    Partition(_assignment(p["assignment"]), p["num_clusters"])
                     for p in data["partitions"]],
         events=list(data["events"]),
     )

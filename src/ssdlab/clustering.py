@@ -8,7 +8,12 @@ scores the lower within-cluster sum of squares. A dense-to-sparse conversion
 reuses the grouping of the monitor that fired it.
 
 The balanced assignment is a greedy fill plus pairwise-swap refinement, a
-deterministic stand-in for an exact assignment solver.
+deterministic stand-in for an exact assignment solver. The swap search reads
+an O(n·N) table, gain[i, c] = d(i, c) - d(i, own cluster), laid out by
+cluster: the best swap between clusters a and b pairs a's lowest gain
+towards b with b's lowest gain towards a. Among equally good swaps it takes
+the lowest point index, then that point's lowest partner, so the result is
+the one a search over all n×n point pairs in index order returns.
 """
 
 from __future__ import annotations
@@ -80,14 +85,19 @@ def wcss(points: np.ndarray, p: Partition) -> float:
 def _sq_dists(points, centroids):
     """(n_points, n_clusters) squared euclidean distances.
 
-    One cluster at a time, so no (n_points, n_clusters, dim) temporary is
-    built; each row still sums its own contiguous squared differences.
+    One cluster at a time through one reused (n_points, dim) buffer, so no
+    (n_points, n_clusters, dim) temporary is built; each row still sums its
+    own contiguous squared differences, in the order
+    ((points - c) ** 2).sum(axis=1) would. The result is a transposed view of
+    a cluster-major array.
     """
-    out = np.empty((points.shape[0], centroids.shape[0]))
+    buf = np.empty_like(points)
+    out = np.empty((centroids.shape[0], points.shape[0]))
     for c in range(centroids.shape[0]):
-        d = points - centroids[c]
-        out[:, c] = (d * d).sum(axis=1)
-    return out
+        np.subtract(points, centroids[c], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.sum(buf, axis=1, out=out[c])
+    return out.T
 
 
 def _lloyd(points, centroids, max_iters=MAX_LLOYD_ITERS):
@@ -115,41 +125,60 @@ def _lloyd(points, centroids, max_iters=MAX_LLOYD_ITERS):
 
 def _greedy_balanced(points, centroids, capacity):
     """Capacity-constrained assignment: all (point, cluster) pairs ascending by
-    (distance, point index, cluster index)."""
+    (distance, point index, cluster index), each placing its point if the
+    point is still unplaced and the cluster has room."""
     n, k = points.shape[0], centroids.shape[0]
     dist = _sq_dists(points, centroids)
-    pts, cls = np.divmod(np.arange(n * k), k)
-    order = np.lexsort((cls, pts, dist.reshape(-1)))
-    assign = np.full(n, -1, dtype=np.int64)
-    remaining = np.full(k, capacity, dtype=np.int64)
+    # a stable sort keeps equal distances in flat-index order, which is
+    # (point, cluster) order
+    pts, cls = np.divmod(np.argsort(dist.reshape(-1), kind="stable"), k)
+    assign = [-1] * n
+    remaining = [capacity] * k
     placed = 0
-    for idx in order:
-        i, c = pts[idx], cls[idx]
+    for i, c in zip(pts.tolist(), cls.tolist()):
         if assign[i] < 0 and remaining[c] > 0:
             assign[i] = c
             remaining[c] -= 1
             placed += 1
             if placed == n:
                 break
-    return assign, dist
+    return np.array(assign, dtype=np.int64)
 
 
 def _swap_refine(assign, dist):
     """Pairwise swaps while any swap lowers the fixed-centroid cost.
 
+    Swapping point i (cluster a) with point j (cluster b) changes the cost by
+    gain[i, b] + gain[j, a], where gain[i, c] = dist[i, c] - dist[i, a]. The
+    best swap between a and b therefore pairs a's best mover towards b with
+    b's best mover towards a, so each swap is found from an (N, N) table of
+    per-cluster minima of gain, O(n·N) work, not from an n×n delta matrix.
+    Clusters are balanced, so sorting points by cluster lays gain out as an
+    (N, n/N, N) array whose axis 1 holds each cluster's members.
+
+    Ties go to the lowest point index i among all minimal swaps, then to i's
+    lowest partner j: the row-major first minimum of the n×n delta matrix.
+
     Returns the number of swaps applied.
     """
-    n = assign.size
+    n, k = dist.shape
+    rows = np.arange(n)
     applied = 0
     for _ in range(MAX_SWAP_PASSES):
-        cost_own = dist[np.arange(n), assign]
-        cost_cross = dist[:, assign]  # cost_cross[i, j] = d(point i, cluster of j)
-        delta = cost_cross + cost_cross.T - cost_own[:, None] - cost_own[None, :]
-        delta[assign[:, None] == assign[None, :]] = 0.0
-        best = np.unravel_index(np.argmin(delta), delta.shape)
-        if delta[best] >= -SWAP_IMPROVEMENT_TOL:
+        gain = dist - dist[rows, assign][:, None]
+        members = np.argsort(assign, kind="stable").reshape(k, n // k)
+        table = gain[members]  # table[a, r, b]: a's r-th member moving to b
+        best = table.min(axis=1)
+        # argmin takes the first minimum: the lowest member index
+        mover = np.take_along_axis(members, table.argmin(axis=1), axis=1)
+        delta = best + best.T  # delta[a, b]: best swap between a and b
+        np.fill_diagonal(delta, np.inf)
+        lowest = delta.min()
+        if lowest >= -SWAP_IMPROVEMENT_TOL:
             break
-        i, j = best
+        tied = delta == lowest  # symmetric, so mover[tied] holds both sides
+        i = mover[tied].min()
+        j = mover.T[tied & (mover == i)].min()
         assign[i], assign[j] = assign[j], assign[i]
         applied += 1
     return applied
@@ -242,7 +271,7 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
         seeds = rng.choice(n, size=num_clusters, replace=False)
         centroids = points[np.sort(seeds)].copy()
         assign, centroids, history = _lloyd(points, centroids)
-        assign, _ = _greedy_balanced(points, centroids, n // num_clusters)
+        assign = _greedy_balanced(points, centroids, n // num_clusters)
         init_kind = "random"
     else:
         if init.assignment.size != n or init.num_clusters != num_clusters:

@@ -303,6 +303,10 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
         batch = sample_batch(corpus.train_tokens, run.batch_size, corpus.seq_len, rng)
         loss, grads, hiddens = lm_loss(model, batch)
+        if not np.isfinite(loss):
+            # stop before the update spreads it; the last periodic
+            # checkpoint stays the newest loadable state
+            raise ValueError(f"loss is not finite at step {step}: {loss}")
         lr = noam_lr(step + 1, opt.warmup, model_cfg.d_model, opt.base_lr)
         adam_step(model.params, grads, adam, lr)
 

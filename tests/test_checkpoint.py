@@ -186,11 +186,21 @@ class TestRejection:
         (lambda h: h["scheduler"].pop("phase"), "missing key 'phase'"),
         (lambda h: h["scheduler"]["partitions"][0]["assignment"].pop(),
          "scheduler partition covers 31 neurons, not d_ff 32"),
+        (lambda h: h["moe_layout"].update(partitions=[[0.9, 1.2] * 16] * 2),
+         r"partition assignment is not integer \(dtype float64\)"),
+        (lambda h: h["moe_layout"].update(partitions=[[0.0, 1.0] * 16] * 2),
+         "partition assignment is not integer"),
+        (lambda h: h["scheduler"]["partitions"][1].update(assignment=[0.9, 1.2] * 16),
+         "partition assignment is not integer"),
+        (lambda h: h["scheduler"]["partitions"][0].update(assignment=[True, False] * 16),
+         r"partition assignment is not integer \(dtype bool\)"),
     ], ids=["unknown-config-key", "float-config-value", "string-step",
             "adam-without-eps", "unknown-tensor-name", "layout-without-partitions",
             "layout-short-assignments", "layout-missing-layer", "layout-unbalanced",
             "layout-active-above-experts", "scheduler-without-phase",
-            "scheduler-short-assignment"])
+            "scheduler-short-assignment", "layout-float-assignments",
+            "layout-integral-float-assignments", "scheduler-float-assignment",
+            "scheduler-bool-assignment"])
     def test_malformed_header(self, edit, message):
         blob = with_header(checkpoint_to_bytes(make_checkpoint()), edit)
         with pytest.raises(CheckpointError, match=message) as e:

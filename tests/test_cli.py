@@ -165,6 +165,34 @@ class TestTrain:
             main(["train", "--config", str(workspace["config"]),
                   "--mode", "turbo", "--steps", "1"])
 
+    def test_diverged_loss_stops_with_loadable_checkpoint(self, workspace, tmp_path,
+                                                          capsys, monkeypatch):
+        from ssdlab import training
+
+        real_loss, step_losses = training.lm_loss, []
+
+        def nan_at_step_12(model, batch, want_grads=True):
+            loss, grads, hiddens = real_loss(model, batch, want_grads)
+            if want_grads:  # a training step, not a validation pass
+                step_losses.append(loss)
+                if len(step_losses) == 13:
+                    loss = float("nan")
+            return loss, grads, hiddens
+
+        monkeypatch.setattr(training, "lm_loss", nan_at_step_12)
+        cfg = json.loads(workspace["config"].read_text())
+        cfg["run"]["checkpoint_interval"] = 5
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(tmp_path / "config.json"),
+                   "--mode", "dense", "--steps", "20", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: loss is not finite at step 12: nan\n"
+        assert sorted(p.name for p in out.iterdir()) == ["ckpt_00000005.bin",
+                                                         "ckpt_00000010.bin"]
+        assert load_checkpoint(out / "ckpt_00000010.bin").step == 10
+
 
 class TestEval:
     def test_dense_eval_outputs_json(self, workspace, trained_run, capsys):

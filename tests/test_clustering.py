@@ -3,9 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from ssdlab import clustering
 from ssdlab.clustering import (
+    SWAP_IMPROVEMENT_TOL,
     Partition,
+    _greedy_balanced,
     _sq_dists,
+    _swap_refine,
     balanced_kmeans,
     cluster_with_warmstart,
     wcss,
@@ -44,6 +48,64 @@ def enumerate_balanced(n, k):
         yield assignment
 
 
+def swap_refine_reference(assign, dist):
+    """Pairwise swaps through the full n×n delta matrix; ties go to the
+    row-major first minimum (lowest i, then lowest j)."""
+    n = assign.size
+    applied = 0
+    for _ in range(clustering.MAX_SWAP_PASSES):
+        cost_own = dist[np.arange(n), assign]
+        cost_cross = dist[:, assign]  # cost_cross[i, j] = d(point i, cluster of j)
+        delta = cost_cross + cost_cross.T - cost_own[:, None] - cost_own[None, :]
+        delta[assign[:, None] == assign[None, :]] = 0.0
+        best = np.unravel_index(np.argmin(delta), delta.shape)
+        if delta[best] >= -SWAP_IMPROVEMENT_TOL:
+            break
+        i, j = best
+        assign[i], assign[j] = assign[j], assign[i]
+        applied += 1
+    return applied
+
+
+def greedy_balanced_reference(points, centroids, capacity):
+    """Greedy fill over all (point, cluster) pairs in lexicographic
+    (distance, point, cluster) order, one numpy scalar at a time."""
+    n, k = points.shape[0], centroids.shape[0]
+    dist = _sq_dists(points, centroids)
+    pts, cls = np.divmod(np.arange(n * k), k)
+    order = np.lexsort((cls, pts, dist.reshape(-1)))
+    assign = np.full(n, -1, dtype=np.int64)
+    remaining = np.full(k, capacity, dtype=np.int64)
+    placed = 0
+    for idx in order:
+        i, c = pts[idx], cls[idx]
+        if assign[i] < 0 and remaining[c] > 0:
+            assign[i] = c
+            remaining[c] -= 1
+            placed += 1
+            if placed == n:
+                break
+    return assign
+
+
+def integer_instances(count=240):
+    """(points, centroids, balanced assignment) with small integer
+    coordinates, so every distance and swap delta is exact and ties are
+    common; some rows are exact duplicates, and cluster sizes run down to 2
+    and cluster counts down to 1."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        k = int(rng.choice([1, 2, 3, 4, 6, 8]))
+        size = int(rng.choice([2, 3, 4, 8]))
+        n, dim = k * size, int(rng.integers(1, 4))
+        points = rng.integers(-3, 4, (n, dim)).astype(np.float64)
+        dup = rng.random(n) < 0.3
+        points[dup] = points[rng.integers(0, n, int(dup.sum()))]
+        centroids = rng.integers(-3, 4, (k, dim)).astype(np.float64)
+        assign = rng.permutation(np.repeat(np.arange(k), size))
+        yield points, centroids, assign
+
+
 def separated_blobs(seed, k=8, per=8, dim=16, spread=5.0, noise=0.3):
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((k, dim)) * spread
@@ -80,6 +142,51 @@ class TestSqDists:
         broadcast = (d * d).sum(axis=2)
         assert np.array_equal(_sq_dists(points, centroids).view(np.int64),
                               broadcast.view(np.int64))
+
+
+class TestSwapRefine:
+    def test_matches_full_delta_matrix_under_exact_arithmetic(self):
+        total_swaps = 0
+        for points, centroids, assign in integer_instances():
+            dist = _sq_dists(points, centroids)
+            ours, ref = assign.copy(), assign.copy()
+            applied = _swap_refine(ours, dist)
+            assert applied == swap_refine_reference(ref, dist)
+            assert np.array_equal(ours, ref)
+            total_swaps += applied
+        assert total_swaps > 500  # the instances exercise the search
+
+
+class TestGreedyBalanced:
+    def test_matches_scalar_loop_including_ties(self):
+        for points, centroids, assign in integer_instances():
+            capacity = assign.size // centroids.shape[0]
+            assert np.array_equal(
+                _greedy_balanced(points, centroids, capacity),
+                greedy_balanced_reference(points, centroids, capacity))
+
+
+class TestReferencePipeline:
+    @pytest.mark.parametrize("n, dim, k", [(512, 128, 32), (64, 32, 8)])
+    def test_same_partitions_as_reference_search(self, n, dim, k, monkeypatch):
+        # random-init runs and warm starts on perturbed rows, as a monitor
+        # after some training steps sees them
+        def run_all():
+            outs = []
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                W = 0.05 * rng.standard_normal((n, dim))
+                first = balanced_kmeans(W, k, rng=np.random.default_rng(100 + seed))
+                W += 0.02 * rng.standard_normal((n, dim))
+                outs += [first, balanced_kmeans(W, k, init=first.partition)]
+            return outs
+
+        fast = run_all()
+        monkeypatch.setattr(clustering, "_swap_refine", swap_refine_reference)
+        monkeypatch.setattr(clustering, "_greedy_balanced", greedy_balanced_reference)
+        for ours, ref in zip(fast, run_all()):
+            assert np.array_equal(ours.partition.assignment, ref.partition.assignment)
+            assert ours.wcss == ref.wcss
 
 
 class TestBalancedKmeans:
