@@ -14,6 +14,18 @@ cluster: the best swap between clusters a and b pairs a's lowest gain
 towards b with b's lowest gain towards a. Among equally good swaps it takes
 the lowest point index, then that point's lowest partner, so the result is
 the one a search over all n×n point pairs in index order returns.
+
+Lloyd's assignment step makes one BLAS product per iteration and still
+returns the argmin of the exact distance table, ties to the lowest cluster
+index. The product screens: approx = ‖x‖² + ‖c‖² − 2·x·c. Rounding in the
+product and in the exact routine moves each distance by at most
+γ·(‖x‖+‖c‖)² ≤ 2γ·(‖x‖² + ‖c‖²), γ a small multiple of dim·eps, plus a few
+multiples of the smallest subnormal per coordinate where products
+underflow. A cluster can only hold a point's exact minimum if its lower
+bound, approx − err, is at most the least upper bound, min(approx + err),
+over the point's clusters; only those candidates are recomputed exactly, with
+the arithmetic of the full table, so the argmin, the history and the
+centroids are the ones the full table gives.
 """
 
 from __future__ import annotations
@@ -28,6 +40,8 @@ MAX_SWAP_PASSES = 10_000  # safety bound; strict improvement terminates long bef
 SWAP_IMPROVEMENT_TOL = 1e-12
 EXACT_ENUMERATION_MAX = 10  # solve tiny instances exactly; pairwise swaps alone
                             # can strand pairing-size clusters in poor optima
+_EPS = np.finfo(np.float64).eps
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass
@@ -64,20 +78,42 @@ class ClusteringOutcome:
 
 
 def partition_means(points: np.ndarray, p: Partition) -> np.ndarray:
+    empty = np.flatnonzero(np.bincount(p.assignment, minlength=p.num_clusters)
+                           [:p.num_clusters] == 0)
+    if empty.size:
+        raise ValueError(f"cluster {empty[0]} is empty")
     means = np.empty((p.num_clusters, points.shape[1]))
-    for c in range(p.num_clusters):
-        members = p.cluster_members(c)
-        if members.size == 0:
-            raise ValueError(f"cluster {c} is empty")
-        means[c] = points[members].mean(axis=0)
+    _update_means(points, p.assignment, means)
     return means
+
+
+def _update_means(points, assign, means):
+    """means[c] = points[assign == c].mean(axis=0), bit for bit, for every
+    non-empty cluster c < len(means); the others keep their row.
+
+    For C-contiguous points, a stable sort by cluster lays out each cluster's
+    rows in index order as one C-contiguous block, shaped and strided as the
+    boolean gather's copy, so each block sums the same way; one sort replaces
+    a mask and a gather per cluster.
+    """
+    k = means.shape[0]
+    grouped = points[np.argsort(assign, kind="stable")]
+    start = 0
+    for c, count in enumerate(np.bincount(assign, minlength=k)[:k].tolist()):
+        if count:
+            np.add.reduce(grouped[start:start + count], axis=0, out=means[c])
+            means[c] /= count
+        start += count
 
 
 def wcss(points: np.ndarray, p: Partition) -> float:
     """Sum over clusters of squared deviations from the within-cluster mean."""
     if p.assignment.size != points.shape[0]:
         raise ValueError("partition does not cover all rows")
-    means = partition_means(points, p)
+    return _wcss_given_means(points, p, partition_means(points, p))
+
+
+def _wcss_given_means(points, p: Partition, means) -> float:
     diffs = points - means[p.assignment]
     return float((diffs * diffs).sum())
 
@@ -105,21 +141,71 @@ def _lloyd(points, centroids, max_iters=MAX_LLOYD_ITERS):
 
     Returns (assignment, centroids, objective_history) where the objective is
     the assignment cost against the centroids of each round.
+
+    Each round screens every (point, cluster) pair with one product,
+    approx = ‖x‖² + ‖c‖² − 2·X·Cᵀ, and bounds its distance from the value
+    _sq_dists computes by
+
+        err = γ·(‖x‖² + ‖c‖²) + τ,   γ = 4(dim+4)·eps,   τ = 4(dim+4)·subnormal.
+
+    With u = eps/2, the product's dot products and norms are off by about
+    dim·u times ‖x‖‖c‖, ‖x‖² and ‖c‖² (any summation order, with or without
+    FMA), its two additions by about 2u·(‖x‖+‖c‖)², and _sq_dists by about
+    (dim+2)·u·(‖x‖+‖c‖)². As (‖x‖+‖c‖)² ≤ 2(‖x‖² + ‖c‖²), γ's term is twice
+    their sum; the spare half absorbs the rounding of err and approx ± err.
+    Each product or square that underflows loses at most half a subnormal;
+    a pair has 4·dim of them (the product's counted twice for the −2), which
+    τ covers. So the exact distance lies in [approx − err, approx + err], and
+    any cluster whose approx − err exceeds the point's least approx + err
+    cannot attain the exact minimum. The remaining candidates, every
+    minimizer and every tie included, are recomputed with _sq_dists'
+    arithmetic (subtract, square, sum each contiguous row); the rest read
+    +inf, so the first argmin of that table is the full table's, and so are
+    the history and the centroids.
+
+    Requires finite points whose squared distances cannot overflow, as
+    balanced_kmeans checks.
     """
-    n = points.shape[0]
+    n, dim = points.shape
+    k = centroids.shape[0]
+    rows = np.arange(n)
+    gamma = 4.0 * (dim + 4) * _EPS
+    floor = 4.0 * (dim + 4) * _SUBNORMAL
+    point_sq = np.einsum("ij,ij->i", points, points)
+    approx, err, table = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
+    # gather buffers for the candidates' exact distances; at least one per
+    # point, more only near ties
+    point_rows, centroid_rows, exact = np.empty((n, dim)), np.empty((n, dim)), np.empty(n)
     assign = np.full(n, -1, dtype=np.int64)
     history = []
     for _ in range(max_iters):
-        dist = _sq_dists(points, centroids)
-        new_assign = dist.argmin(axis=1)  # ties -> lower cluster index
-        history.append(float(dist[np.arange(n), new_assign].sum()))
+        np.add.outer(point_sq, np.einsum("ij,ij->i", centroids, centroids), out=err)
+        np.matmul(points, centroids.T, out=approx)
+        approx *= -2.0
+        approx += err
+        err *= gamma
+        err += floor
+        np.add(approx, err, out=table)
+        upper = table.min(axis=1)
+        np.subtract(approx, err, out=table)
+        cand_point, cand_cluster = np.divmod(np.flatnonzero(table <= upper[:, None]), k)
+        m = cand_point.size
+        if m > exact.size:
+            point_rows, centroid_rows, exact = (np.empty((m, dim)), np.empty((m, dim)),
+                                                np.empty(m))
+        # indices are in range; mode="clip" lets take write to out unbuffered
+        diff = np.take(points, cand_point, axis=0, out=point_rows[:m], mode="clip")
+        np.subtract(diff, np.take(centroids, cand_cluster, axis=0,
+                                  out=centroid_rows[:m], mode="clip"), out=diff)
+        np.multiply(diff, diff, out=diff)
+        table.fill(np.inf)
+        table[cand_point, cand_cluster] = np.sum(diff, axis=1, out=exact[:m])
+        new_assign = table.argmin(axis=1)  # ties -> lower cluster index
+        history.append(float(table[rows, new_assign].sum()))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(centroids.shape[0]):
-            members = assign == c
-            if members.any():
-                centroids[c] = points[members].mean(axis=0)
+        _update_means(points, assign, centroids)
     return assign, centroids, history
 
 
@@ -246,7 +332,7 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
     Instances of at most EXACT_ENUMERATION_MAX rows are solved by exhaustive
     enumeration instead (exact, rng unused).
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     n = points.shape[0]
     if num_clusters < 1:
         raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
@@ -254,15 +340,24 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
         raise ValueError(f"num_clusters {num_clusters} > rows {n}")
     if n % num_clusters != 0:
         raise ValueError(f"rows {n} not divisible by num_clusters {num_clusters}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points contain NaN or inf")
+    # a squared distance is at most 4·max‖x‖² and the costs sum n of them;
+    # twice that covers swap deltas and the bounds of Lloyd's screen
+    with np.errstate(over="ignore"):
+        largest = 8.0 * n * np.einsum("ij,ij->i", points, points).max()
+    if not np.isfinite(largest):
+        raise ValueError("points too large: squared distances overflow float64")
     if n <= EXACT_ENUMERATION_MAX:
         if init is not None:
             init.validate_balanced()
         assign = _exact_balanced(points, num_clusters)
         partition = Partition(assign, num_clusters)
+        means = partition_means(points, partition)
         return ClusteringOutcome(
             partition=partition,
-            centroids=partition_means(points, partition),
-            wcss=wcss(points, partition),
+            centroids=means,
+            wcss=_wcss_given_means(points, partition, means),
             init_kind="random" if init is None else "warm-start",
         )
     if init is None:
@@ -283,11 +378,11 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
     assign = _balanced_local_search(points, assign)
     partition = Partition(assign, num_clusters)
     partition.validate_balanced()
-    final_centroids = partition_means(points, partition)
+    means = partition_means(points, partition)
     return ClusteringOutcome(
         partition=partition,
-        centroids=final_centroids,
-        wcss=wcss(points, partition),
+        centroids=means,
+        wcss=_wcss_given_means(points, partition, means),
         init_kind=init_kind,
         lloyd_wcss_history=history,
     )

@@ -272,6 +272,27 @@ class TestMoefy:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("command", ["moefy", "eval", "analyze"])
+    def test_overflowing_weights_rejected(self, workspace, dense_run, tmp_path, capsys,
+                                          command):
+        ckpt = load_checkpoint(dense_run / "final.bin")
+        ckpt.params["block0.ffn_w_in"] *= 1e160  # finite, so the checkpoint saves
+        path = str(tmp_path / "huge.bin")
+        save_checkpoint(ckpt, path)
+        argv = {
+            "moefy": ["moefy", "--checkpoint", path, "--out", str(tmp_path / "out.bin")],
+            "eval": ["eval", "--checkpoint", path, "--corpus", str(workspace["corpus"]),
+                     "--tokenizer", str(workspace["vocab"]), "--seq-len", "32",
+                     "--k", "2"],
+            "analyze": ["analyze", "--checkpoint-a", path, "--checkpoint-b", path,
+                        "--seq-len", "16"],
+        }[command]
+        assert main(argv + ["--experts", "8"]) == 2
+        assert capsys.readouterr().err == ("error: points too large: squared "
+                                           "distances overflow float64\n")
+        assert not (tmp_path / "out.bin").exists()
+
+
 class TestAnalyze:
     def test_sparsity_and_ari_emitted(self, workspace, trained_run, capsys):
         rc = main(["analyze",

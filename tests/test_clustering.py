@@ -8,6 +8,7 @@ from ssdlab.clustering import (
     SWAP_IMPROVEMENT_TOL,
     Partition,
     _greedy_balanced,
+    _lloyd,
     _sq_dists,
     _swap_refine,
     balanced_kmeans,
@@ -88,6 +89,26 @@ def greedy_balanced_reference(points, centroids, capacity):
     return assign
 
 
+def lloyd_reference(points, centroids, max_iters=clustering.MAX_LLOYD_ITERS):
+    """Lloyd iterations on the full exact distance table; ties go to the
+    lowest cluster index and empty clusters keep their centroid."""
+    n = points.shape[0]
+    assign = np.full(n, -1, dtype=np.int64)
+    history = []
+    for _ in range(max_iters):
+        dist = _sq_dists(points, centroids)
+        new_assign = dist.argmin(axis=1)
+        history.append(float(dist[np.arange(n), new_assign].sum()))
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(centroids.shape[0]):
+            members = assign == c
+            if members.any():
+                centroids[c] = points[members].mean(axis=0)
+    return assign, centroids, history
+
+
 def integer_instances(count=240):
     """(points, centroids, balanced assignment) with small integer
     coordinates, so every distance and swap delta is exact and ties are
@@ -166,6 +187,81 @@ class TestGreedyBalanced:
                 greedy_balanced_reference(points, centroids, capacity))
 
 
+def lloyd_instances():
+    """(points, initial centroids) on which a screened argmin is easy to get
+    wrong: zero rows, points equal to a centroid, rows from 1e-150 to 1e150,
+    rows whose squares are subnormal, centroid pairs one ulp apart, dim 1
+    and a single cluster."""
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        n = int(rng.choice([12, 24, 40]))
+        dim = int(rng.choice([1, 2, 5, 16, 64]))
+        k = int(rng.choice([1, 2, 3, 4, 8]))
+        points = rng.standard_normal((n, dim))
+        kind = trial % 5
+        if kind == 0:  # zero rows; some seeds are zero rows
+            points[rng.random(n) < 0.4] = 0.0
+        elif kind == 1:  # rows spanning 1e-150 to 1e150
+            points *= 10.0 ** rng.uniform(-150, 150, (n, 1))
+        elif kind == 2:  # products and squares underflow to subnormals
+            points *= 10.0 ** rng.uniform(-162, -160, (n, 1))
+        seeds = np.sort(rng.choice(n, k, replace=False))
+        centroids = points[seeds].copy()  # points equal to a centroid
+        if kind == 3:  # centroid pairs one ulp apart in every coordinate
+            centroids[1::2] = np.nextafter(centroids[0::2][:centroids[1::2].shape[0]],
+                                           np.inf)
+        elif kind == 4:  # duplicated rows, as often as not on a seed
+            points[rng.random(n) < 0.5] = points[seeds[0]]
+        yield points, centroids
+
+
+class TestPartitionMeans:
+    def test_match_boolean_gather_bit_for_bit(self):
+        instances = [(p, a) for p, _, a in integer_instances()]
+        rng = np.random.default_rng(3)
+        for points, centroids in lloyd_instances():
+            k = centroids.shape[0]
+            if points.shape[0] % k == 0:
+                instances.append((points, rng.permutation(np.arange(points.shape[0]) % k)))
+        for points, assign in instances:
+            k = int(assign.max()) + 1
+            ours = clustering.partition_means(points, Partition(assign, k))
+            for c in range(k):
+                ref = points[assign == c].mean(axis=0)
+                assert np.array_equal(ours[c].view(np.int64), ref.view(np.int64))
+
+    def test_empty_cluster_named(self):
+        with pytest.raises(ValueError, match="^cluster 1 is empty$"):
+            clustering.partition_means(np.zeros((4, 2)), Partition([0, 0, 2, 2], 3))
+
+
+class TestLloyd:
+    @staticmethod
+    def assert_same_as_reference(points, centroids):
+        assign, means, history = _lloyd(points, centroids.copy())
+        ref_assign, ref_means, ref_history = lloyd_reference(points, centroids.copy())
+        assert np.array_equal(assign, ref_assign)
+        assert np.array_equal(means.view(np.int64), ref_means.view(np.int64))
+        assert np.array_equal(np.array(history).view(np.int64),
+                              np.array(ref_history).view(np.int64))
+
+    def test_matches_full_table_on_exact_ties(self):
+        for points, centroids, _ in integer_instances():
+            self.assert_same_as_reference(points, centroids)
+
+    def test_matches_full_table_on_hard_instances(self):
+        for points, centroids in lloyd_instances():
+            self.assert_same_as_reference(points, centroids)
+
+    @pytest.mark.parametrize("n, dim, k", [(256, 64, 16), (64, 1, 8), (32, 8, 1)])
+    def test_matches_full_table_on_weight_rows(self, n, dim, k):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            points = 0.05 * rng.standard_normal((n, dim))
+            self.assert_same_as_reference(
+                points, points[np.sort(rng.choice(n, k, replace=False))].copy())
+
+
 class TestReferencePipeline:
     @pytest.mark.parametrize("n, dim, k", [(512, 128, 32), (64, 32, 8)])
     def test_same_partitions_as_reference_search(self, n, dim, k, monkeypatch):
@@ -182,6 +278,7 @@ class TestReferencePipeline:
             return outs
 
         fast = run_all()
+        monkeypatch.setattr(clustering, "_lloyd", lloyd_reference)
         monkeypatch.setattr(clustering, "_swap_refine", swap_refine_reference)
         monkeypatch.setattr(clustering, "_greedy_balanced", greedy_balanced_reference)
         for ours, ref in zip(fast, run_all()):
@@ -249,6 +346,37 @@ class TestBalancedKmeans:
             balanced_kmeans(pts, 7, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="rng"):
             balanced_kmeans(np.zeros((16, 2)), 2)  # heuristic path needs seeds
+
+    @pytest.mark.parametrize("n", [8, 32], ids=["exact", "heuristic"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_rejected(self, n, value):
+        pts = np.random.default_rng(9).standard_normal((n, 3))
+        pts[n // 2, 1] = value
+        with pytest.raises(ValueError, match="^points contain NaN or inf$"):
+            balanced_kmeans(pts, 4, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [8, 32], ids=["exact", "heuristic"])
+    def test_overflowing_points_rejected(self, n):
+        # finite rows whose squared distances overflow float64
+        pts = 1e160 * np.random.default_rng(10).standard_normal((n, 3))
+        with pytest.raises(ValueError, match="^points too large: squared "
+                                             "distances overflow float64$"):
+            balanced_kmeans(pts, 4, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^points too large"):
+            balanced_kmeans(pts, 4, init=Partition(np.arange(n) % 4, 4))
+
+    def test_large_finite_points_clustered(self):
+        pts = 1e150 * np.random.default_rng(11).standard_normal((32, 3))
+        out = balanced_kmeans(pts, 4, rng=np.random.default_rng(0))
+        out.partition.validate_balanced()
+        assert np.isfinite(out.wcss)
+
+    def test_memory_layout_does_not_change_the_result(self):
+        pts = np.random.default_rng(12).standard_normal((64, 16))
+        a = balanced_kmeans(pts, 8, rng=np.random.default_rng(1))
+        b = balanced_kmeans(np.asfortranarray(pts), 8, rng=np.random.default_rng(1))
+        assert np.array_equal(a.partition.assignment, b.partition.assignment)
+        assert a.wcss == b.wcss and a.lloyd_wcss_history == b.lloyd_wcss_history
 
     def test_tiny_instances_solved_exactly(self):
         for seed in range(6):
