@@ -178,8 +178,14 @@ def cmd_export(args) -> int:
     run_path = os.path.join(args.run_dir, "run.json")
     records = load_metrics_jsonl(metrics_path)
     with open(run_path) as f:
-        n_layers = json.load(f)["n_layers"]
+        run_info = json.load(f)
+    n_layers = run_info.get("n_layers") if isinstance(run_info, dict) else None
+    if type(n_layers) is not int:
+        raise ValueError(f"{run_path} has no integer n_layers")
     out = args.out or os.path.join(args.run_dir, f"metrics.{args.format}")
+    if os.path.exists(out) and os.path.samefile(out, metrics_path):
+        raise ValueError(f"refusing to overwrite the input {metrics_path}: "
+                         "pass another --out")
     export_metrics(records, out, args.format, n_layers)
     print(f"wrote {len(records)} records to {out}")
     return 0

@@ -65,7 +65,10 @@ def export_metrics(records: list, path, fmt: str, n_layers: int) -> None:
 def load_metrics_jsonl(path) -> list:
     records = []
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             if line.strip():
-                records.append(MetricsRecord.from_dict(json.loads(line)))
+                try:
+                    records.append(MetricsRecord.from_dict(json.loads(line)))
+                except (TypeError, ValueError) as e:
+                    raise ValueError(f"malformed metrics record on line {n}: {e}") from e
     return records

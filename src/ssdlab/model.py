@@ -307,6 +307,8 @@ def forward_with_cache(model: GPT, token_ids: np.ndarray):
         raise ValueError("token_ids must be (batch, seq)")
     batch, seq = token_ids.shape
     cfg = model.config
+    if seq < 1:
+        raise ValueError(f"sequence length must be >= 1, got {seq}")
     if seq > cfg.max_seq_len:
         raise ValueError(f"sequence length {seq} exceeds max_seq_len {cfg.max_seq_len}")
     if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:

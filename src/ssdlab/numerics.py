@@ -230,7 +230,7 @@ def derived_rng(seed: int, tag: int, *extra: int) -> np.random.Generator:
     """Stateless child generator for (seed, purpose, context) tuples.
 
     Used for randomness off the main training stream (clustering seeds,
-    policy coins) so that resume and thread count never perturb it.
+    policy coins) so that a resume never perturbs it.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag, *extra])))
 

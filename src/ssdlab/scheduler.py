@@ -19,14 +19,12 @@ partitions that monitor just chose instead of clustering again.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ssdlab.analysis import adjusted_rand_index
-from ssdlab.clustering import Partition, cluster_with_warmstart
+from ssdlab.clustering import cluster_with_warmstart
 from ssdlab.model import GPT
 from ssdlab.moe import attach_experts
 from ssdlab.numerics import SEED_TAG_CLUSTER, SEED_TAG_POLICY, AdamState, derived_rng
@@ -162,37 +160,17 @@ def on_monitor(state: SchedulerState, cfg: SSDConfig, similarity,
 # -----------------------------------------------------------------------------
 
 
-def thread_count() -> int:
-    """Clustering worker threads, from SSDLAB_THREADS (default 1)."""
-    raw = os.environ.get("SSDLAB_THREADS", "1")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"SSDLAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _cluster_layer(model: GPT, layer: int, num_experts: int,
-                   prev: "Partition | None", seed: int, step: int):
-    rng = derived_rng(seed, SEED_TAG_CLUSTER, step, layer)
-    w_in = model.params[f"block{layer}.ffn_w_in"]
-    return cluster_with_warmstart(w_in, num_experts, prev, rng)
-
-
 def cluster_all_layers(model: GPT, partitions: list, num_experts: int,
                        seed: int, step: int) -> list:
     """Cluster every layer's input weights, warm-started from `partitions`.
 
-    Per-layer seeds derive from (seed, step, layer) so results are identical
-    for any SSDLAB_THREADS value.
+    Layer i draws from derived_rng(seed, SEED_TAG_CLUSTER, step, i), so a
+    replay or a resume reproduces each layer's result.
     """
-    layers = range(model.config.n_layers)
-    workers = thread_count()
-    if workers == 1:
-        return [_cluster_layer(model, i, num_experts, partitions[i], seed, step)
-                for i in layers]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_cluster_layer, model, i, num_experts,
-                               partitions[i], seed, step) for i in layers]
-        return [f.result() for f in futures]
+    return [cluster_with_warmstart(model.params[f"block{i}.ffn_w_in"], num_experts,
+                                   partitions[i],
+                                   derived_rng(seed, SEED_TAG_CLUSTER, step, i))
+            for i in range(model.config.n_layers)]
 
 
 def monitor_similarity(model: GPT, state: SchedulerState, num_experts: int,

@@ -4,7 +4,8 @@ perplexity evaluation, MoEfication of dense checkpoints, and resume.
 A run is a pure function of (seed, configs): parameter init and batch
 sampling consume the main RNG stream, everything else (clustering seeds,
 policy coins, validation batches) uses seeds derived from (run seed, purpose,
-step), so checkpoint-resume replays and thread counts cannot perturb it.
+step), so a checkpoint-resume cannot perturb it. Bit-identical replay holds
+for one machine, numpy/BLAS build and BLAS thread count (see numerics).
 """
 
 from __future__ import annotations
@@ -236,10 +237,11 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
     ssd_cfg = None
     if is_ssd:
         ssd_cfg = SSDConfig(**{**mode.ssd.to_dict(), "total_steps": run.total_steps})
-        if model_cfg.d_ff % mode.num_experts != 0:
-            raise ValueError("d_ff must be divisible by num_experts")
-    if mode.kind == "smoe" and model_cfg.d_ff % mode.num_experts != 0:
+    if mode.kind != "dense" and model_cfg.d_ff % mode.num_experts != 0:
         raise ValueError("d_ff must be divisible by num_experts")
+    if resume_from is not None and resume_from.step > run.total_steps:
+        raise ValueError(f"checkpoint is at step {resume_from.step}, "
+                         f"past total_steps {run.total_steps}")
 
     run_info_base = {"mode": mode.to_dict(), "optimizer": opt.to_dict(),
                      "run": run.to_dict(), "seed": seed}

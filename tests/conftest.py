@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -110,7 +109,3 @@ def toy_ssd_run(toy_corpus, tmp_path_factory):
 def fresh_toy_model(toy_corpus):
     cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
     return GPT.init(cfg, make_rng(42))
-
-
-def assert_single_thread():
-    assert os.environ.get("SSDLAB_THREADS", "1") == "1"

@@ -160,6 +160,17 @@ class TestTrain:
         assert "error: --experts and --k are not read in dense mode" in err
         assert err.count("\n") == 1
 
+    def test_resume_past_total_steps_exits_nonzero(self, workspace, dense_run,
+                                                   tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = main(["train", "--config", str(workspace["config"]), "--mode", "dense",
+                   "--steps", "10", "--out", str(out),
+                   "--resume", str(dense_run / "final.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: checkpoint is at step 20, "
+                                           "past total_steps 10\n")
+        assert not out.exists()
+
     def test_bad_mode_rejected_by_parser(self, workspace):
         with pytest.raises(SystemExit):
             main(["train", "--config", str(workspace["config"]),
@@ -317,6 +328,14 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["similarity"]["mean_ari"] == 1.0
 
+    def test_zero_seq_len_exits_nonzero(self, trained_run, capsys):
+        final = str(trained_run / "final.bin")
+        rc = main(["analyze", "--checkpoint-a", final, "--checkpoint-b", final,
+                   "--experts", "8", "--seq-len", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: sequence length must be >= 1, "
+                                           "got 0\n")
+
 
 class TestExport:
     def test_csv_export(self, trained_run, capsys):
@@ -337,3 +356,57 @@ class TestExport:
 
     def test_missing_run_dir_exits_nonzero(self, capsys):
         assert main(["export", "--run-dir", "/nonexistent", "--format", "csv"]) == 2
+
+    @staticmethod
+    def _run_dir(tmp_path, trained_run, metrics=None, run_json=None):
+        """A copy of trained_run's metrics.jsonl and run.json, either one
+        replaceable by raw text."""
+        d = tmp_path / "run"
+        d.mkdir()
+        (d / "metrics.jsonl").write_text(
+            metrics if metrics is not None else (trained_run / "metrics.jsonl").read_text())
+        (d / "run.json").write_text(
+            run_json if run_json is not None else (trained_run / "run.json").read_text())
+        return d
+
+    @pytest.mark.parametrize("line", [
+        '{"step": 1}',
+        "[1, 2]",
+        "not json",
+        None,  # a whole record plus one unknown key
+    ], ids=["missing-keys", "not-an-object", "not-json", "unknown-key"])
+    def test_malformed_metrics_record_exits_nonzero(self, trained_run, tmp_path,
+                                                    capsys, line):
+        first = (trained_run / "metrics.jsonl").read_text().split("\n")[0]
+        if line is None:
+            line = json.dumps({**json.loads(first), "bogus": 0})
+        d = self._run_dir(tmp_path, trained_run, metrics=f"{first}\n{line}\n")
+        assert main(["export", "--run-dir", str(d), "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed metrics record on line 2: ")
+        assert err.count("\n") == 1
+        assert not (d / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("run_json", ["{}", "[]", '{"n_layers": "2"}',
+                                          '{"n_layers": true}'])
+    def test_run_json_without_integer_n_layers_exits_nonzero(self, trained_run,
+                                                             tmp_path, capsys,
+                                                             run_json):
+        d = self._run_dir(tmp_path, trained_run, run_json=run_json)
+        assert main(["export", "--run-dir", str(d), "--format", "csv"]) == 2
+        assert capsys.readouterr().err == (f"error: {d / 'run.json'} has no "
+                                           "integer n_layers\n")
+
+    @pytest.mark.parametrize("fmt, out", [("jsonl", None),
+                                          ("csv", "./metrics.jsonl")])
+    def test_export_onto_its_input_refused(self, trained_run, tmp_path, capsys,
+                                           fmt, out):
+        d = self._run_dir(tmp_path, trained_run)
+        before = (d / "metrics.jsonl").read_bytes()
+        argv = ["export", "--run-dir", str(d), "--format", fmt]
+        if out is not None:
+            argv += ["--out", f"{d}/{out}"]  # another spelling of the input path
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: refusing to overwrite the input "
+                                           f"{d / 'metrics.jsonl'}: pass another --out\n")
+        assert (d / "metrics.jsonl").read_bytes() == before

@@ -129,6 +129,12 @@ class TestLmLoss:
         with pytest.raises(ValueError, match="vocabulary"):
             lm_loss(model, bad, want_grads=False)
 
+    def test_empty_sequence_rejected(self):
+        model, ids = small_model()
+        with pytest.raises(ValueError) as e:
+            forward_with_cache(model, ids[:, :0])
+        assert str(e.value) == "sequence length must be >= 1, got 0"
+
     def test_gradcheck_end_to_end(self):
         model, ids = small_model()
         assert min_relu_margin(model, ids[:, :-1]) > 20 * 1e-5

@@ -1,10 +1,9 @@
-import os
-
 import numpy as np
 import pytest
 
+from ssdlab.clustering import cluster_with_warmstart
 from ssdlab.model import GPT, ModelConfig
-from ssdlab.numerics import AdamState, adam_step, make_rng
+from ssdlab.numerics import SEED_TAG_CLUSTER, AdamState, adam_step, derived_rng, make_rng
 from ssdlab.scheduler import (
     PHASE_DENSE,
     PHASE_FINAL_DENSE,
@@ -18,7 +17,6 @@ from ssdlab.scheduler import (
     monitor_similarity,
     on_monitor,
     sparse_budget_for,
-    thread_count,
     transition_dense_to_sparse,
     transition_sparse_to_dense,
 )
@@ -250,29 +248,23 @@ class TestModelConversions:
         assert all(lay is None for lay in model.moe)
 
 
-class TestThreads:
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", ""])
-    def test_bad_thread_count_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("SSDLAB_THREADS", raw)
-        with pytest.raises(ValueError, match="SSDLAB_THREADS must be a positive "
-                                             f"integer, got {raw!r}"):
-            thread_count()
-
-    def test_thread_count_invariance(self):
+class TestClusterAllLayers:
+    @pytest.mark.parametrize("warm", [False, True], ids=["random-init", "warm-start"])
+    def test_each_layer_uses_its_derived_seed(self, warm):
+        """Layer i is cluster_with_warmstart on its own weights, drawing from
+        derived_rng(seed, SEED_TAG_CLUSTER, step, i): the contract replay and
+        resume rely on."""
         model = toy_model(seed=3)
-        base = cluster_all_layers(model, [None, None], 4, seed=11, step=7)
-        old = os.environ.get("SSDLAB_THREADS")
-        os.environ["SSDLAB_THREADS"] = "3"
-        try:
-            threaded = cluster_all_layers(model, [None, None], 4, seed=11, step=7)
-        finally:
-            if old is None:
-                os.environ.pop("SSDLAB_THREADS")
-            else:
-                os.environ["SSDLAB_THREADS"] = old
-        for a, b in zip(base, threaded):
-            assert np.array_equal(a.partition.assignment, b.partition.assignment)
-            assert a.wcss == b.wcss
+        prev = ([o.partition for o in cluster_all_layers(model, [None, None], 4,
+                                                         seed=5, step=0)]
+                if warm else [None, None])
+        outcomes = cluster_all_layers(model, prev, 4, seed=11, step=7)
+        assert len(outcomes) == 2
+        for i, got in enumerate(outcomes):
+            want = cluster_with_warmstart(model.params[f"block{i}.ffn_w_in"], 4, prev[i],
+                                          derived_rng(11, SEED_TAG_CLUSTER, 7, i))
+            assert np.array_equal(got.partition.assignment, want.partition.assignment)
+            assert got.wcss == want.wcss
 
 
 class TestConfigValidation:

@@ -121,6 +121,23 @@ class TestDeterminism:
             train(cfg, toy_corpus, short_ssd_mode(40), OPT, seed=1,
                   run=short_run(40), resume_from=mid)
 
+    def test_resume_past_total_steps_rejected(self, toy_corpus, tmp_path):
+        # a checkpoint already past the run's end would be saved as a
+        # final.bin labelled with the earlier step; total_steps equal to the
+        # checkpoint's step stays a valid no-op
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        ckpt, _ = train(cfg, toy_corpus, DenseTrain(), OPT, seed=1, run=short_run(30))
+        out = tmp_path / "r"
+        with pytest.raises(ValueError) as e:
+            train(cfg, toy_corpus, DenseTrain(), OPT, seed=1,
+                  run=short_run(20, out_dir=str(out)), resume_from=ckpt)
+        assert str(e.value) == "checkpoint is at step 30, past total_steps 20"
+        assert not out.exists()
+        final, records = train(cfg, toy_corpus, DenseTrain(), OPT, seed=1,
+                               run=short_run(30), resume_from=ckpt)
+        assert records == []
+        assert checkpoint_to_bytes(final) == checkpoint_to_bytes(ckpt)
+
 
 class TestConfigForms:
     # resume compares these saved forms with the requested configs
