@@ -50,8 +50,7 @@ results = {}
 for name, mode in [
     ("dense", DenseTrain()),
     ("smoe", SmoeTrain(num_experts=8, active_experts=2)),
-    ("ssd", SsdTrain(ssd=SSDConfig(similarity_threshold=0.5, monitor_interval=100,
-                                   total_steps=steps),
+    ("ssd", SsdTrain(ssd=SSDConfig(similarity_threshold=0.5, monitor_interval=100),
                      num_experts=8, active_experts=2)),
 ]:
     run = RunConfig(total_steps=steps, batch_size=4, val_interval=500,

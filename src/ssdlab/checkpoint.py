@@ -11,10 +11,12 @@ Layout (little-endian):
 
 The header carries the model config, step counter, RNG state, optimizer
 scalars, the active expert layout (per-layer partitions), the scheduler
-snapshot, and run metadata; the payload carries model parameters in canonical
-order followed by Adam first/second moments in the same order. Loading a
-truncated file, a wrong magic, or a different version is rejected; a
-non-finite tensor is rejected on save and load. Saves are atomic.
+snapshot, and run metadata (run_info: mode, optimizer and run configs); the
+payload carries model parameters in canonical order followed by Adam
+first/second moments in the same order. Unread header keys are ignored, so
+older files that also stored an "ssd_config" copy of run_info's still load.
+Loading a truncated file, a wrong magic, or a different version is rejected;
+a non-finite tensor is rejected on save and load. Saves are atomic.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _OPTIONAL = (dict, type(None))
 # the header's keys and the JSON types their values may take
 _HEADER_TYPES = {"config": dict, "step": int, "rng": _OPTIONAL, "adam": _OPTIONAL,
                 "moe_layout": _OPTIONAL, "scheduler": _OPTIONAL,
-                "ssd_config": _OPTIONAL, "run_info": dict, "tensors": list}
+                "run_info": dict, "tensors": list}
 _ADAM_SCALARS = ("step_count", "beta1", "beta2", "eps")
 
 
@@ -55,7 +57,6 @@ class Checkpoint:
     adam: "AdamState | None" = None
     moe_layout: "dict | None" = None   # {"num_experts", "active_experts", "partitions"}
     scheduler: "dict | None" = None    # serialized SchedulerState
-    ssd_config: "dict | None" = None
     run_info: dict = field(default_factory=dict)
 
     def build_model(self) -> GPT:
@@ -158,7 +159,6 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
             k: getattr(ckpt.adam, k) for k in _ADAM_SCALARS},
         "moe_layout": ckpt.moe_layout,
         "scheduler": ckpt.scheduler,
-        "ssd_config": ckpt.ssd_config,
         "run_info": ckpt.run_info,
         "tensors": _tensor_manifest(ckpt.config, ckpt.adam is not None),
     }
@@ -248,7 +248,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     return Checkpoint(
         config=config, params=params, step=header["step"], rng=header["rng"],
         adam=adam, moe_layout=header["moe_layout"], scheduler=header["scheduler"],
-        ssd_config=header["ssd_config"], run_info=header["run_info"],
+        run_info=header["run_info"],
     )
 
 

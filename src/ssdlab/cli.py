@@ -102,15 +102,14 @@ def cmd_train(args) -> int:
     elif mode_name == "smoe":
         mode = _section(cfg_file, "moe", moe_over, SmoeTrain)
     else:
-        ssd = _section(cfg_file, "ssd", {"total_steps": run.total_steps}, SSDConfig,
-                       {"total_steps": "run.total_steps (--steps)"})
+        ssd = _section(cfg_file, "ssd", {}, SSDConfig)
         mode = _section(cfg_file, "moe", {**moe_over, "ssd": ssd}, SsdTrain,
                         {"ssd": "the 'ssd' section"})
     resume = load_checkpoint(args.resume) if args.resume else None
     final, records = train(model_cfg, corpus, mode, opt, seed=args.seed,
                            run=run, resume_from=resume)
     last = records[-1] if records else None
-    print(f"trained {run.total_steps} steps "
+    print(f"trained {final.step} steps "
           f"(final loss {last.loss:.4f}, ppl {last.ppl:.4f})" if last else "no steps run")
     if run.out_dir:
         print(f"run artifacts in {run.out_dir}")
@@ -140,28 +139,28 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     from ssdlab.analysis import (ActivationSample, activation_sparsity,
                                  pattern_similarity)
+    from ssdlab.data import validation_batches
     from ssdlab.model import forward_with_cache
 
+    if args.seq_len < 1:
+        raise ValueError(f"--seq-len must be >= 1, got {args.seq_len}")
     ckpt_a = load_checkpoint(args.checkpoint_a)
     ckpt_b = load_checkpoint(args.checkpoint_b)
     report = pattern_similarity(ckpt_a, ckpt_b, args.experts, make_rng(args.seed))
+    # both checkpoints run the same batches (their configs match)
+    if args.corpus:
+        corpus = tokenize_corpus(CorpusConfig(args.corpus, tokenizer=args.tokenizer,
+                                              seq_len=args.seq_len))
+        batches = validation_batches(corpus.val_tokens, corpus.seq_len, 64, 8)
+    else:
+        rng = make_rng(args.seed)
+        batches = [rng.integers(0, ckpt_a.config.vocab_size, size=(8, args.seq_len + 1))
+                   for _ in range(16)]
 
     def sparsity_of(ckpt):
         model = ckpt.build_model()
-        if args.corpus:
-            corpus = tokenize_corpus(CorpusConfig(args.corpus, tokenizer=args.tokenizer,
-                                                  seq_len=args.seq_len))
-            from ssdlab.data import validation_batches
-            batches = validation_batches(corpus.val_tokens, corpus.seq_len, 64, 8)
-        else:
-            rng = make_rng(args.seed)
-            batches = [rng.integers(0, ckpt.config.vocab_size, size=(8, args.seq_len + 1))
-                       for _ in range(16)]
-        stacked = None
-        for b in batches:
-            _, hiddens, _ = forward_with_cache(model, b[:, :-1])
-            stacked = hiddens if stacked is None else [
-                np.vstack([s, h]) for s, h in zip(stacked, hiddens)]
+        per_batch = [forward_with_cache(model, b[:, :-1])[1] for b in batches]
+        stacked = [np.vstack(layer) for layer in zip(*per_batch)]
         return activation_sparsity(ActivationSample(stacked, step=ckpt.step))
 
     print(json.dumps({

@@ -42,24 +42,57 @@ def _cell(value):
 
 def export_metrics(records: list, path, fmt: str, n_layers: int) -> None:
     """Write the stream as 'csv' or 'jsonl'; an empty stream yields a
-    header-only CSV / an empty JSONL file."""
-    if fmt == "jsonl":
-        with open(path, "w") as f:
+    header-only CSV / an empty JSONL file. A bad format or a record with
+    another layer count is rejected before the file is opened."""
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown export format {fmt!r}")
+    for r in records:
+        if r.sparsity is not None and len(r.sparsity) != n_layers:
+            raise ValueError(f"record at step {r.step} has {len(r.sparsity)} "
+                             f"sparsity layers, not n_layers {n_layers}")
+    with open(path, "w") as f:
+        if fmt == "jsonl":
             for r in records:
                 f.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
-    elif fmt == "csv":
-        with open(path, "w") as f:
+        else:
             f.write(",".join(csv_header(n_layers)) + "\n")
             for r in records:
                 sparsity = r.sparsity if r.sparsity is not None else [None] * n_layers
-                if len(sparsity) != n_layers:
-                    raise ValueError("record layer count differs from n_layers")
                 row = ([_cell(r.step), r.phase, _cell(r.loss), _cell(r.ppl)]
                        + [_cell(s) for s in sparsity]
                        + [_cell(r.similarity), _cell(r.flops), _cell(r.lr)])
                 f.write(",".join(row) + "\n")
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
+
+
+def _number(v) -> bool:
+    return type(v) in (int, float)  # JSON true/false are not numbers
+
+
+def _number_or_null(v) -> bool:
+    return v is None or _number(v)
+
+
+# the JSON type each field must have on load, and how to name it
+_FIELD_TYPES = {
+    "step": (lambda v: type(v) is int, "an integer"),
+    "phase": (lambda v: type(v) is str, "a string"),
+    "loss": (_number_or_null, "a number or null"),
+    "ppl": (_number_or_null, "a number or null"),
+    "sparsity": (lambda v: v is None or type(v) is list and all(map(_number, v)),
+                 "null or a list of numbers"),
+    "similarity": (_number_or_null, "a number or null"),
+    "flops": (lambda v: type(v) is int, "an integer"),
+    "lr": (_number_or_null, "a number or null"),
+}
+
+
+def _parse_record(line: str) -> MetricsRecord:
+    record = MetricsRecord.from_dict(json.loads(line))
+    for name, (ok, kind) in _FIELD_TYPES.items():
+        value = getattr(record, name)
+        if not ok(value):
+            raise TypeError(f"{name} must be {kind}, not {json.dumps(value)}")
+    return record
 
 
 def load_metrics_jsonl(path) -> list:
@@ -68,7 +101,7 @@ def load_metrics_jsonl(path) -> list:
         for n, line in enumerate(f, 1):
             if line.strip():
                 try:
-                    records.append(MetricsRecord.from_dict(json.loads(line)))
+                    records.append(_parse_record(line))
                 except (TypeError, ValueError) as e:
                     raise ValueError(f"malformed metrics record on line {n}: {e}") from e
     return records

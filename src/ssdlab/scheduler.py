@@ -8,7 +8,8 @@ ablation policy); the following sparse phase lasts
 
 steps, where D is the length of the dense segment just ended, truncated so it
 never crosses into the terminal dense window. The last ceil(final_dense_ratio
-* total_steps) steps are always dense, whatever phase was active.
+* total_steps) steps are always dense, whatever phase was active; callers
+pass the run length total_steps (RunConfig.total_steps) in.
 
 Each monitor clusters every layer, warm-started from the per-layer partition
 chain stored here, scores the result against the chain (ARI) and stores it.
@@ -19,7 +20,7 @@ partitions that monitor just chose instead of clustering again.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +41,6 @@ class SSDConfig:
     sparse_ratio: float = 0.5
     final_dense_ratio: float = 0.1
     monitor_interval: int = 3000
-    total_steps: int = 200_000
     policy: str = "threshold"  # or "random" (fires with p=0.5 at each monitor)
 
     def __post_init__(self):
@@ -57,9 +57,6 @@ class SSDConfig:
         if self.policy not in ("threshold", "random"):
             raise ValueError("policy must be 'threshold' or 'random'")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def _ceil_with_tol(x: float, tol: float = 1e-6) -> int:
     """ceil that forgives float dust (0.1 * 200000 is 20000.000000000004)."""
@@ -69,10 +66,10 @@ def _ceil_with_tol(x: float, tol: float = 1e-6) -> int:
     return int(math.ceil(x))
 
 
-def final_dense_start(cfg: SSDConfig) -> int:
+def final_dense_start(cfg: SSDConfig, total_steps: int) -> int:
     """First step of the terminal dense window, which spans exactly the last
     ceil(final_dense_ratio * total_steps) steps."""
-    return cfg.total_steps - _ceil_with_tol(cfg.final_dense_ratio * cfg.total_steps)
+    return total_steps - _ceil_with_tol(cfg.final_dense_ratio * total_steps)
 
 
 def sparse_budget_for(cfg: SSDConfig, dense_len: int) -> int:
@@ -99,7 +96,8 @@ class SchedulerState:
                             "loss_before": loss_before, "loss_after": loss_after})
 
 
-def advance(state: SchedulerState, cfg: SSDConfig, step: int) -> "str | None":
+def advance(state: SchedulerState, cfg: SSDConfig, step: int,
+            total_steps: int) -> "str | None":
     """Phase bookkeeping at the start of step `step` (0-based).
 
     Returns the model conversion the caller must perform now:
@@ -108,7 +106,7 @@ def advance(state: SchedulerState, cfg: SSDConfig, step: int) -> "str | None":
     """
     if state.phase == PHASE_FINAL_DENSE:
         return None
-    if step >= final_dense_start(cfg):
+    if step >= final_dense_start(cfg, total_steps):
         need_merge = state.phase == PHASE_SPARSE
         state.phase = PHASE_FINAL_DENSE
         state.steps_in_phase = 0
@@ -129,7 +127,7 @@ def monitor_due(state: SchedulerState, cfg: SSDConfig) -> bool:
 
 
 def on_monitor(state: SchedulerState, cfg: SSDConfig, similarity,
-               step: int, seed: int) -> bool:
+               step: int, total_steps: int, seed: int) -> bool:
     """Decide a dense-to-sparse transition at a monitor point.
 
     Threshold policy fires on similarity strictly greater than the threshold;
@@ -145,7 +143,7 @@ def on_monitor(state: SchedulerState, cfg: SSDConfig, similarity,
     if not fire:
         return False
     budget = sparse_budget_for(cfg, state.steps_in_phase)
-    budget = min(budget, final_dense_start(cfg) - step)
+    budget = min(budget, final_dense_start(cfg, total_steps) - step)
     if budget <= 0:
         return False
     state.phase = PHASE_SPARSE

@@ -200,8 +200,7 @@ def _active_moe_layout(model: GPT) -> "dict | None":
     }
 
 
-def _make_checkpoint(model, adam, rng, step, scheduler_state, ssd_cfg,
-                     run_info) -> Checkpoint:
+def _make_checkpoint(model, adam, rng, step, scheduler_state, run_info) -> Checkpoint:
     """Checkpoint sharing the live params and Adam moments: periodic saves
     serialise it at once, and the final one outlives the model it shares."""
     return Checkpoint(
@@ -212,7 +211,6 @@ def _make_checkpoint(model, adam, rng, step, scheduler_state, ssd_cfg,
         adam=adam,
         moe_layout=_active_moe_layout(model),
         scheduler=None if scheduler_state is None else serialize_scheduler(scheduler_state),
-        ssd_config=None if ssd_cfg is None else ssd_cfg.to_dict(),
         run_info=run_info,
     )
 
@@ -234,9 +232,6 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         raise ValueError(f"corpus vocab {corpus.manifest['vocab_size']} != "
                          f"model vocab {model_cfg.vocab_size}")
     is_ssd = mode.kind == "ssd"
-    ssd_cfg = None
-    if is_ssd:
-        ssd_cfg = SSDConfig(**{**mode.ssd.to_dict(), "total_steps": run.total_steps})
     if mode.kind != "dense" and model_cfg.d_ff % mode.num_experts != 0:
         raise ValueError("d_ff must be divisible by num_experts")
     if resume_from is not None and resume_from.step > run.total_steps:
@@ -245,8 +240,6 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
     run_info_base = {"mode": mode.to_dict(), "optimizer": opt.to_dict(),
                      "run": run.to_dict(), "seed": seed}
-    if run.out_dir:
-        os.makedirs(run.out_dir, exist_ok=True)
 
     if resume_from is None:
         rng = make_rng(seed)
@@ -270,6 +263,10 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
             raise ValueError("checkpoint model config differs from requested config")
         if ckpt.run_info.get("mode") != mode.to_dict():
             raise ValueError("checkpoint was trained in a different mode")
+        planned = ckpt.run_info.get("run", {}).get("total_steps")
+        if is_ssd and planned != run.total_steps:
+            raise ValueError(f"checkpoint's ssd schedule was planned for "
+                             f"total_steps {planned}, not {run.total_steps}")
         if ckpt.run_info.get("optimizer") != opt.to_dict():
             raise ValueError("checkpoint was trained with a different optimizer config")
         if "cumulative_flops" not in ckpt.run_info:
@@ -282,6 +279,8 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         cumulative_flops = ckpt.run_info["cumulative_flops"]
         state = deserialize_scheduler(ckpt.scheduler) if is_ssd else None
 
+    if run.out_dir:
+        os.makedirs(run.out_dir, exist_ok=True)
     val_set = validation_batches(corpus.val_tokens, corpus.seq_len,
                                  run.val_sequences, run.val_batch_size)
     probe_batch = val_set[0]
@@ -289,13 +288,12 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
     for step in range(start_step, run.total_steps):
         similarity = None
         if is_ssd:
-            action = advance(state, ssd_cfg, step)
-            if action == "merge":
+            if advance(state, mode.ssd, step, run.total_steps) == "merge":
                 _probed(transition_sparse_to_dense, model, state, probe_batch)
-            if monitor_due(state, ssd_cfg):
+            if monitor_due(state, mode.ssd):
                 similarity = monitor_similarity(model, state, mode.num_experts,
                                                 seed, step)
-                if on_monitor(state, ssd_cfg, similarity, step, seed):
+                if on_monitor(state, mode.ssd, similarity, step, run.total_steps, seed):
                     _probed(transition_dense_to_sparse, model, state, probe_batch,
                             mode.active_experts, adam=adam,
                             reset_adam=mode.reset_adam_on_transition)
@@ -335,11 +333,11 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
         if run.out_dir and (step + 1) % run.checkpoint_interval == 0 \
                 and step + 1 < run.total_steps:
-            ck = _make_checkpoint(model, adam, rng, step + 1, state, ssd_cfg,
+            ck = _make_checkpoint(model, adam, rng, step + 1, state,
                                   {**run_info_base, "cumulative_flops": cumulative_flops})
             save_checkpoint(ck, os.path.join(run.out_dir, f"ckpt_{step + 1:08d}.bin"))
 
-    final = _make_checkpoint(model, adam, rng, run.total_steps, state, ssd_cfg,
+    final = _make_checkpoint(model, adam, rng, run.total_steps, state,
                              {**run_info_base, "cumulative_flops": cumulative_flops})
     if run.out_dir:
         save_checkpoint(final, os.path.join(run.out_dir, "final.bin"))

@@ -91,8 +91,7 @@ def toy_ssd_run(toy_corpus, tmp_path_factory):
     500 steps, and continuity probes on."""
     out_dir = str(tmp_path_factory.mktemp("ssd_run"))
     model_cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
-    ssd = SSDConfig(similarity_threshold=0.5, monitor_interval=100,
-                    total_steps=2000)
+    ssd = SSDConfig(similarity_threshold=0.5, monitor_interval=100)
     mode = SsdTrain(ssd=ssd, num_experts=8, active_experts=2)
     run = RunConfig(total_steps=2000, batch_size=4, val_interval=500,
                     val_sequences=16, val_batch_size=8,

@@ -186,17 +186,17 @@ def test_criterion_04_gradient_fidelity():
 
 def test_criterion_05_scheduler_arithmetic():
     with criterion(5, "transition arithmetic: 18000->22500, 6000->7500, last 10% dense"):
-        cfg = SSDConfig(sparse_ratio=0.5, final_dense_ratio=0.1, total_steps=200_000)
+        cfg = SSDConfig(sparse_ratio=0.5, final_dense_ratio=0.1)
         st = SchedulerState.fresh(1)
         st.steps_in_phase = 18_000
-        assert on_monitor(st, cfg, 0.95, step=18_000, seed=0)
+        assert on_monitor(st, cfg, 0.95, step=18_000, total_steps=200_000, seed=0)
         assert st.sparse_budget == 22_500
         st2 = SchedulerState.fresh(1)
         st2.steps_in_phase = 6_000
-        assert on_monitor(st2, cfg, 0.95, step=60_000, seed=0)
+        assert on_monitor(st2, cfg, 0.95, step=60_000, total_steps=200_000, seed=0)
         assert st2.sparse_budget == 7_500
-        assert final_dense_start(cfg) == 180_000
-        assert cfg.total_steps - final_dense_start(cfg) == 20_000
+        assert final_dense_start(cfg, 200_000) == 180_000
+        assert 200_000 - final_dense_start(cfg, 200_000) == 20_000
 
 
 def test_criterion_06_warmstart_selection():
@@ -281,8 +281,7 @@ def test_criterion_09_flops_model():
 def test_criterion_10_determinism_and_resume(toy_corpus, tmp_path):
     with criterion(10, "bit-identical reruns; resume == uninterrupted"):
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
-        ssd = SSDConfig(similarity_threshold=0.5, monitor_interval=10,
-                        total_steps=40)
+        ssd = SSDConfig(similarity_threshold=0.5, monitor_interval=10)
         mode = SsdTrain(ssd=ssd, num_experts=8, active_experts=2)
         opt = OptimizerConfig(base_lr=1.0, warmup=100)
 

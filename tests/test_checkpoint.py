@@ -43,9 +43,6 @@ def make_checkpoint(seed=0, with_extras=True):
         moe_layout={"num_experts": 2, "active_experts": 1,
                     "partitions": [[0, 1] * 16, [1, 0] * 16]} if with_extras else None,
         scheduler=serialize_scheduler(state) if with_extras else None,
-        ssd_config={"similarity_threshold": 0.9, "sparse_ratio": 0.5,
-                    "final_dense_ratio": 0.1, "monitor_interval": 10,
-                    "total_steps": 100, "policy": "threshold"} if with_extras else None,
         run_info={"mode": {"mode": "ssd"}, "cumulative_flops": 123456789},
     )
 
@@ -70,7 +67,6 @@ class TestRoundTrip:
         assert loaded.rng == ckpt.rng
         assert loaded.run_info == ckpt.run_info
         assert loaded.moe_layout == ckpt.moe_layout
-        assert loaded.ssd_config == ckpt.ssd_config
         for k in ckpt.params:
             assert np.array_equal(loaded.params[k], ckpt.params[k])
             assert np.array_equal(loaded.adam.m[k], ckpt.adam.m[k])
@@ -156,6 +152,27 @@ def with_header(blob: bytes, edit) -> bytes:
     edit(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len:]
+
+
+def header_of(blob: bytes) -> dict:
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + header_len])
+
+
+class TestSsdConfigKey:
+    # run_info["mode"]["ssd"] and run_info["run"]["total_steps"] hold the
+    # schedule; headers no longer repeat them in a separate ssd_config entry
+    def test_new_header_has_no_ssd_config(self):
+        assert "ssd_config" not in header_of(checkpoint_to_bytes(make_checkpoint()))
+
+    def test_older_header_with_ssd_config_loads(self):
+        blob = checkpoint_to_bytes(make_checkpoint())
+        ssd = {"similarity_threshold": 0.9, "sparse_ratio": 0.5,
+               "final_dense_ratio": 0.1, "monitor_interval": 10,
+               "total_steps": 100, "policy": "threshold"}
+        older = with_header(blob, lambda h: h.update(ssd_config=ssd))
+        assert header_of(older)["ssd_config"] == ssd
+        assert checkpoint_to_bytes(checkpoint_from_bytes(older)) == blob
 
 
 class TestRejection:

@@ -136,8 +136,8 @@ class TestTrain:
         ("moe", {"bogus": 1}, "dense", "config section 'moe' is not read in dense mode"),
         ("ssd", {"monitor_interval": 10}, "smoe",
          "config section 'ssd' is not read in smoe mode"),
-        ("ssd", {"total_steps": 5}, "ssd", "key 'total_steps' in config section 'ssd' "
-         "cannot be set: it comes from run.total_steps (--steps)"),
+        ("ssd", {"total_steps": 5}, "ssd", "unknown key 'total_steps' in config "
+         "section 'ssd'"),
         ("moe", {"ssd": {}}, "ssd", "key 'ssd' in config section 'moe' cannot be set"),
         ("model", {"vocab_size": 300}, "dense",
          "key 'vocab_size' in config section 'model' cannot be set"),
@@ -170,6 +170,29 @@ class TestTrain:
         assert capsys.readouterr().err == ("error: checkpoint is at step 20, "
                                            "past total_steps 10\n")
         assert not out.exists()
+
+    def test_ssd_resume_with_other_steps_exits_nonzero(self, workspace, trained_run,
+                                                       tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
+                   "--seed", "3", "--steps", "60", "--out", str(out),
+                   "--resume", str(trained_run / "ckpt_00000040.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: checkpoint's ssd schedule was "
+                                           "planned for total_steps 80, not 60\n")
+        assert not out.exists()
+
+    def test_dense_resume_with_more_steps_runs(self, workspace, dense_run, tmp_path,
+                                               capsys):
+        # a dense run has no schedule, so it can be extended
+        out = tmp_path / "r"
+        rc = main(["train", "--config", str(workspace["config"]), "--mode", "dense",
+                   "--steps", "30", "--out", str(out),
+                   "--resume", str(dense_run / "final.bin")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("trained 30 steps ")
+        assert load_checkpoint(out / "final.bin").step == 30
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 10
 
     def test_bad_mode_rejected_by_parser(self, workspace):
         with pytest.raises(SystemExit):
@@ -333,8 +356,33 @@ class TestAnalyze:
         rc = main(["analyze", "--checkpoint-a", final, "--checkpoint-b", final,
                    "--experts", "8", "--seq-len", "0"])
         assert rc == 2
-        assert capsys.readouterr().err == ("error: sequence length must be >= 1, "
-                                           "got 0\n")
+        assert capsys.readouterr().err == "error: --seq-len must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("corpus", [False, True], ids=["random-tokens", "corpus"])
+    def test_negative_seq_len_exits_nonzero(self, workspace, trained_run, tmp_path,
+                                            capsys, corpus):
+        final = str(trained_run / "final.bin")
+        argv = ["analyze", "--checkpoint-a", final, "--checkpoint-b", final,
+                "--experts", "8", "--seq-len", "-5"]
+        if corpus:
+            argv += ["--corpus", str(workspace["corpus"]),
+                     "--tokenizer", str(workspace["vocab"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --seq-len must be >= 1, got -5\n"
+
+    def test_corpus_tokenized_once(self, workspace, trained_run, capsys, monkeypatch):
+        from ssdlab import cli
+
+        calls = []
+        real = cli.tokenize_corpus
+        monkeypatch.setattr(cli, "tokenize_corpus",
+                            lambda cfg: calls.append(cfg) or real(cfg))
+        assert main(["analyze",
+                     "--checkpoint-a", str(trained_run / "ckpt_00000040.bin"),
+                     "--checkpoint-b", str(trained_run / "final.bin"),
+                     "--experts", "8", "--corpus", str(workspace["corpus"]),
+                     "--tokenizer", str(workspace["vocab"]), "--seq-len", "32"]) == 0
+        assert len(calls) == 1
 
 
 class TestExport:
@@ -369,22 +417,34 @@ class TestExport:
             run_json if run_json is not None else (trained_run / "run.json").read_text())
         return d
 
-    @pytest.mark.parametrize("line", [
-        '{"step": 1}',
-        "[1, 2]",
-        "not json",
-        None,  # a whole record plus one unknown key
-    ], ids=["missing-keys", "not-an-object", "not-json", "unknown-key"])
+    @pytest.mark.parametrize("line, detail", [
+        ('{"step": 1}', None),
+        ("[1, 2]", None),
+        ("not json", None),
+        ({"bogus": 0}, None),
+        ({"sparsity": 5}, "sparsity must be null or a list of numbers, not 5"),
+        ({"sparsity": [0.5, "x"]},
+         'sparsity must be null or a list of numbers, not [0.5, "x"]'),
+        ({"step": 1.0}, "step must be an integer, not 1.0"),
+        ({"flops": True}, "flops must be an integer, not true"),
+        ({"phase": 3}, "phase must be a string, not 3"),
+        ({"loss": "1.5"}, 'loss must be a number or null, not "1.5"'),
+        ({"lr": False}, "lr must be a number or null, not false"),
+    ], ids=["missing-keys", "not-an-object", "not-json", "unknown-key",
+            "sparsity-int", "sparsity-string-entry", "step-float", "flops-bool",
+            "phase-int", "loss-string", "lr-bool"])
     def test_malformed_metrics_record_exits_nonzero(self, trained_run, tmp_path,
-                                                    capsys, line):
+                                                    capsys, line, detail):
         first = (trained_run / "metrics.jsonl").read_text().split("\n")[0]
-        if line is None:
-            line = json.dumps({**json.loads(first), "bogus": 0})
+        if isinstance(line, dict):  # a whole record with these keys set
+            line = json.dumps({**json.loads(first), **line})
         d = self._run_dir(tmp_path, trained_run, metrics=f"{first}\n{line}\n")
         assert main(["export", "--run-dir", str(d), "--format", "csv"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed metrics record on line 2: ")
         assert err.count("\n") == 1
+        if detail is not None:
+            assert err == f"error: malformed metrics record on line 2: {detail}\n"
         assert not (d / "metrics.csv").exists()
 
     @pytest.mark.parametrize("run_json", ["{}", "[]", '{"n_layers": "2"}',

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from ssdlab.scheduler import (
     transition_sparse_to_dense,
 )
 
-CFG = SSDConfig(total_steps=200_000)
+CFG = SSDConfig()
+TOTAL = 200_000  # the run length every CFG schedule below is planned for
 
 
 def toy_model(seed=0):
@@ -44,21 +47,21 @@ class TestTransitionArithmetic:
         assert sparse_budget_for(CFG, 6_000) == 7_500
 
     def test_final_window_is_last_tenth(self):
-        assert final_dense_start(CFG) == 180_000
-        assert final_dense_start(SSDConfig(total_steps=1001)) == 900
+        assert final_dense_start(CFG, TOTAL) == 180_000
+        assert final_dense_start(CFG, 1001) == 900
 
     @pytest.mark.parametrize("r,l,dense_len", [(0.5, 0.1, 3000), (0.5, 0.1, 18000),
                                                (0.3, 0.1, 6000), (0.7, 0.1, 4000)])
     def test_cycle_ratio_identity(self, r, l, dense_len):
         # T / (D + T) == r / (1 - l) for every dense/sparse cycle
-        cfg = SSDConfig(sparse_ratio=r, final_dense_ratio=l, total_steps=10 ** 6)
+        cfg = SSDConfig(sparse_ratio=r, final_dense_ratio=l)
         t = sparse_budget_for(cfg, dense_len)
         assert t / (dense_len + t) == pytest.approx(r / (1 - l), rel=1e-6)
 
     def test_monitor_transition_sets_budget(self):
         st = SchedulerState.fresh(2)
         st.steps_in_phase = 18_000
-        assert on_monitor(st, CFG, 0.95, step=18_000, seed=0)
+        assert on_monitor(st, CFG, 0.95, step=18_000, total_steps=TOTAL, seed=0)
         assert st.phase == PHASE_SPARSE
         assert st.sparse_budget == 22_500
         assert st.events[-1]["kind"] == "dense_to_sparse"
@@ -66,38 +69,38 @@ class TestTransitionArithmetic:
     def test_similarity_at_threshold_does_not_fire(self):
         st = SchedulerState.fresh(2)
         st.steps_in_phase = 3000
-        assert not on_monitor(st, CFG, CFG.similarity_threshold, 3000, seed=0)
+        assert not on_monitor(st, CFG, CFG.similarity_threshold, 3000, TOTAL, seed=0)
         assert st.phase == PHASE_DENSE
 
     def test_zero_sparse_ratio_never_leaves_dense(self):
-        cfg = SSDConfig(sparse_ratio=0.0, total_steps=10_000, monitor_interval=10)
+        cfg = SSDConfig(sparse_ratio=0.0, monitor_interval=10)
         st = SchedulerState.fresh(2)
         st.steps_in_phase = 100
-        assert not on_monitor(st, cfg, 0.99, 100, seed=0)
+        assert not on_monitor(st, cfg, 0.99, 100, 10_000, seed=0)
         assert st.phase == PHASE_DENSE
 
     def test_budget_truncated_at_final_window(self):
-        cfg = SSDConfig(total_steps=1000, monitor_interval=100)
+        cfg = SSDConfig(monitor_interval=100)
         st = SchedulerState.fresh(2)
         st.steps_in_phase = 800
-        assert on_monitor(st, cfg, 0.95, step=800, seed=0)
+        assert on_monitor(st, cfg, 0.95, step=800, total_steps=1000, seed=0)
         assert st.sparse_budget == 100  # 900 - 800, not round(1.25 * 800)
 
     def test_on_monitor_requires_dense_phase(self):
         st = SchedulerState.fresh(2)
         st.phase = PHASE_SPARSE
         with pytest.raises(ValueError):
-            on_monitor(st, CFG, 0.95, 100, seed=0)
+            on_monitor(st, CFG, 0.95, 100, TOTAL, seed=0)
 
     def test_random_policy_is_seed_deterministic(self):
-        cfg = SSDConfig(policy="random", total_steps=100_000)
+        cfg = SSDConfig(policy="random")
         decisions = []
         for _ in range(2):
             run = []
             for step in (3000, 6000, 9000, 12000):
                 st = SchedulerState.fresh(1)
                 st.steps_in_phase = step
-                run.append(on_monitor(st, cfg, None, step, seed=5))
+                run.append(on_monitor(st, cfg, None, step, 100_000, seed=5))
             decisions.append(run)
         assert decisions[0] == decisions[1]
         assert any(decisions[0]) or not all(decisions[0])  # coin actually flips
@@ -109,14 +112,14 @@ class TestAdvance:
             st = SchedulerState.fresh(1)
             st.phase = phase
             st.sparse_budget = 10 ** 9
-            action = advance(st, CFG, 180_000)
+            action = advance(st, CFG, 180_000, TOTAL)
             assert st.phase == PHASE_FINAL_DENSE
             assert (action == "merge") == (phase == PHASE_SPARSE)
 
     def test_final_dense_absorbing(self):
         st = SchedulerState.fresh(1)
         st.phase = PHASE_FINAL_DENSE
-        assert advance(st, CFG, 190_000) is None
+        assert advance(st, CFG, 190_000, TOTAL) is None
         assert st.phase == PHASE_FINAL_DENSE
 
     def test_sparse_ends_exactly_at_budget(self):
@@ -124,27 +127,27 @@ class TestAdvance:
         st.phase = PHASE_SPARSE
         st.sparse_budget = 5
         st.steps_in_phase = 4
-        assert advance(st, CFG, 1000) is None
+        assert advance(st, CFG, 1000, TOTAL) is None
         st.steps_in_phase = 5
-        assert advance(st, CFG, 1001) == "merge"
+        assert advance(st, CFG, 1001, TOTAL) == "merge"
         assert st.phase == PHASE_DENSE
         assert st.steps_in_phase == 0
 
     def test_event_log_replays_phases(self):
-        cfg = SSDConfig(total_steps=100, monitor_interval=10,
-                        similarity_threshold=0.5)
+        cfg = SSDConfig(monitor_interval=10, similarity_threshold=0.5)
+        total = 100
         st = SchedulerState.fresh(1)
         phases = []
-        for step in range(cfg.total_steps):
-            advance(st, cfg, step)
+        for step in range(total):
+            advance(st, cfg, step, total)
             if monitor_due(st, cfg):
-                on_monitor(st, cfg, 0.9, step, seed=0)
+                on_monitor(st, cfg, 0.9, step, total, seed=0)
             phases.append(st.phase)
             st.steps_in_phase += 1
         # replay phases from the event log alone
         replayed, phase = [], PHASE_DENSE
         events = {e["step"]: e["kind"] for e in st.events}
-        for step in range(cfg.total_steps):
+        for step in range(total):
             if step in events:
                 phase = {"dense_to_sparse": PHASE_SPARSE,
                          "sparse_to_dense": PHASE_DENSE,
@@ -156,7 +159,7 @@ class TestAdvance:
 
 class TestMonitorDue:
     def test_fires_every_interval_of_dense_steps(self):
-        cfg = SSDConfig(total_steps=1000, monitor_interval=10)
+        cfg = SSDConfig(monitor_interval=10)
         st = SchedulerState.fresh(1)
         due_at = []
         for step in range(40):
@@ -166,7 +169,7 @@ class TestMonitorDue:
         assert due_at == [10, 20, 30]
 
     def test_not_due_during_sparse(self):
-        cfg = SSDConfig(total_steps=1000, monitor_interval=10)
+        cfg = SSDConfig(monitor_interval=10)
         st = SchedulerState.fresh(1)
         st.phase = PHASE_SPARSE
         st.steps_in_phase = 10
@@ -275,3 +278,11 @@ class TestConfigValidation:
             SSDConfig(similarity_threshold=0.0)
         with pytest.raises(ValueError):
             SSDConfig(policy="sometimes")
+
+    def test_run_length_is_not_a_setting(self):
+        # the schedule is planned for RunConfig.total_steps, passed per call
+        with pytest.raises(TypeError):
+            SSDConfig(total_steps=5)
+        assert [f.name for f in dataclasses.fields(SSDConfig)] == [
+            "similarity_threshold", "sparse_ratio", "final_dense_ratio",
+            "monitor_interval", "policy"]

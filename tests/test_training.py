@@ -24,9 +24,8 @@ from ssdlab.training import (
 from conftest import toy_model_config
 
 
-def short_ssd_mode(total_steps=60):
-    ssd = SSDConfig(similarity_threshold=0.5, monitor_interval=10,
-                    total_steps=total_steps)
+def short_ssd_mode():
+    ssd = SSDConfig(similarity_threshold=0.5, monitor_interval=10)
     return SsdTrain(ssd=ssd, num_experts=8, active_experts=2)
 
 
@@ -82,8 +81,7 @@ class TestDeterminism:
         # layout; resuming must rebuild it and stay bit-exact through the
         # following merge
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
-        ssd = SSDConfig(similarity_threshold=0.05, monitor_interval=10,
-                        total_steps=44)
+        ssd = SSDConfig(similarity_threshold=0.05, monitor_interval=10)
         mode = SsdTrain(ssd=ssd, num_experts=8, active_experts=2)
 
         def run(out, resume=None):
@@ -99,12 +97,13 @@ class TestDeterminism:
         assert checkpoint_to_bytes(final_res) == checkpoint_to_bytes(final_full)
         assert rec_res == rec_full[16:]
 
-    def test_resume_leaves_checkpoint_unchanged(self, toy_corpus):
+    def test_resume_leaves_checkpoint_unchanged(self, toy_corpus, tmp_path):
         # two resumes from one in-memory checkpoint replay each other, and
         # the checkpoint still holds the step it was taken at
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
-        mid, _ = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
-                       run=short_run(30))
+        train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
+              run=short_run(out_dir=str(tmp_path)))
+        mid = load_checkpoint(tmp_path / "ckpt_00000030.bin")
         runs = [train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
                       run=short_run(), resume_from=mid) for _ in range(2)]
         assert mid.adam.step_count == 30
@@ -118,7 +117,7 @@ class TestDeterminism:
               run=short_run(40, out_dir=str(out)))
         mid = load_checkpoint(out / "ckpt_00000030.bin")
         with pytest.raises(ValueError, match="different mode"):
-            train(cfg, toy_corpus, short_ssd_mode(40), OPT, seed=1,
+            train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=1,
                   run=short_run(40), resume_from=mid)
 
     def test_resume_past_total_steps_rejected(self, toy_corpus, tmp_path):
@@ -139,6 +138,21 @@ class TestDeterminism:
         assert checkpoint_to_bytes(final) == checkpoint_to_bytes(ckpt)
 
 
+    def test_ssd_resume_with_other_total_steps_rejected(self, toy_corpus, tmp_path):
+        # the terminal window and the sparse budgets are planned for the run
+        # length, so resuming under another could not equal an uninterrupted run
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        ckpt, _ = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=1,
+                        run=short_run(20))
+        out = tmp_path / "r"
+        with pytest.raises(ValueError) as e:
+            train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=1,
+                  run=short_run(30, out_dir=str(out)), resume_from=ckpt)
+        assert str(e.value) == ("checkpoint's ssd schedule was planned for "
+                                "total_steps 20, not 30")
+        assert not out.exists()
+
+
 class TestConfigForms:
     # resume compares these saved forms with the requested configs
     def test_saved_forms(self):
@@ -150,7 +164,7 @@ class TestConfigForms:
             "reset_adam_on_transition": False,
             "ssd": {"similarity_threshold": 0.9, "sparse_ratio": 0.5,
                     "final_dense_ratio": 0.1, "monitor_interval": 3000,
-                    "total_steps": 200_000, "policy": "threshold"}}
+                    "policy": "threshold"}}
         assert OptimizerConfig().to_dict() == {"base_lr": 0.5, "warmup": 2000,
                                                "beta1": 0.9, "beta2": 0.999,
                                                "eps": 1e-8}
@@ -166,7 +180,7 @@ class TestSsdScheduleBehavior:
         _, dense_rec = train(cfg, toy_corpus, DenseTrain(), OPT, seed=4,
                              run=short_run(40))
         ssd = SSDConfig(sparse_ratio=0.0, similarity_threshold=0.5,
-                        monitor_interval=10, total_steps=40)
+                        monitor_interval=10)
         _, ssd_rec = train(cfg, toy_corpus, SsdTrain(ssd=ssd, num_experts=8,
                                                      active_experts=2),
                            OPT, seed=4, run=short_run(40))
@@ -228,7 +242,9 @@ class TestSsdScheduleBehavior:
         from ssdlab.scheduler import final_dense_start, sparse_budget_for
 
         records = toy_ssd_run["records"]
-        ssd_cfg = SSDConfig(**toy_ssd_run["final"].ssd_config)
+        run_info = toy_ssd_run["final"].run_info
+        ssd_cfg = SSDConfig(**run_info["mode"]["ssd"])
+        total_steps = run_info["run"]["total_steps"]
         events = toy_ssd_run["final"].scheduler["events"]
         # each dense->sparse event's sparse run length must equal the budget
         # its dense segment earned (possibly truncated at the final window)
@@ -246,7 +262,7 @@ class TestSsdScheduleBehavior:
                 dense_len += 1
                 back -= 1
             expected = min(sparse_budget_for(ssd_cfg, dense_len),
-                           final_dense_start(ssd_cfg) - start)
+                           final_dense_start(ssd_cfg, total_steps) - start)
             assert length == expected
 
 
@@ -259,7 +275,7 @@ class TestModesLearn:
         run = RunConfig(total_steps=1000, batch_size=4, val_interval=1000,
                         val_sequences=16, val_batch_size=8, sparsity_interval=0)
         modes = [DenseTrain(), SmoeTrain(num_experts=8, active_experts=2),
-                 short_ssd_mode(1000)]
+                 short_ssd_mode()]
         for mode in modes:
             _, records = train(cfg, toy_corpus, mode, OPT, seed=6, run=run)
             assert records[-1].ppl is not None
@@ -382,6 +398,18 @@ class TestMetricsExport:
         records = self._records()
         export_metrics(records, path, "jsonl", n_layers=2)
         assert load_metrics_jsonl(path) == records
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_layer_count_checked_before_writing(self, tmp_path, fmt):
+        # the second record is the bad one, so a streaming check would
+        # already have written a header or a line
+        records = self._records()
+        records[1].sparsity = [0.5, 0.5, 0.5]
+        path = tmp_path / f"m.{fmt}"
+        with pytest.raises(ValueError) as e:
+            export_metrics(records, path, fmt, n_layers=2)
+        assert str(e.value) == "record at step 1 has 3 sparsity layers, not n_layers 2"
+        assert not path.exists()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
