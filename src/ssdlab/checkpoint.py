@@ -260,6 +260,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         with open(tmp, "wb") as f:
             f.write(blob)
         os.replace(tmp, path)
+    except OSError as e:
+        if e.filename == tmp and e.filename2 is None:
+            e.filename = os.fspath(path)  # name the file asked for, not its stand-in
+        raise
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

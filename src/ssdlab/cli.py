@@ -124,10 +124,21 @@ def cmd_moefy(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+def _corpus_for(ckpt, args):
+    """--corpus tokenized with --tokenizer, whose vocabulary must be the
+    checkpoint's."""
     corpus = tokenize_corpus(CorpusConfig(args.corpus, tokenizer=args.tokenizer,
                                           seq_len=args.seq_len))
+    if corpus.manifest["vocab_size"] != ckpt.config.vocab_size:
+        raise ValueError(f"corpus vocab {corpus.manifest['vocab_size']} "
+                         f"(tokenizer {args.tokenizer!r}) != model vocab "
+                         f"{ckpt.config.vocab_size}")
+    return corpus
+
+
+def cmd_eval(args) -> int:
+    ckpt = load_checkpoint(args.checkpoint)
+    corpus = _corpus_for(ckpt, args)
     ppl = eval_perplexity(ckpt, corpus, sparse_k=args.k,
                           dynamic_ratio=args.dynamic_ratio,
                           num_experts=args.experts)
@@ -146,16 +157,16 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"--seq-len must be >= 1, got {args.seq_len}")
     ckpt_a = load_checkpoint(args.checkpoint_a)
     ckpt_b = load_checkpoint(args.checkpoint_b)
-    report = pattern_similarity(ckpt_a, ckpt_b, args.experts, make_rng(args.seed))
-    # both checkpoints run the same batches (their configs match)
+    # both checkpoints run the same batches (pattern_similarity checks that
+    # their configs match)
     if args.corpus:
-        corpus = tokenize_corpus(CorpusConfig(args.corpus, tokenizer=args.tokenizer,
-                                              seq_len=args.seq_len))
+        corpus = _corpus_for(ckpt_a, args)
         batches = validation_batches(corpus.val_tokens, corpus.seq_len, 64, 8)
     else:
         rng = make_rng(args.seed)
         batches = [rng.integers(0, ckpt_a.config.vocab_size, size=(8, args.seq_len + 1))
                    for _ in range(16)]
+    report = pattern_similarity(ckpt_a, ckpt_b, args.experts, make_rng(args.seed))
 
     def sparsity_of(ckpt):
         model = ckpt.build_model()

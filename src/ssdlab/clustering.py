@@ -9,23 +9,30 @@ reuses the grouping of the monitor that fired it.
 
 The balanced assignment is a greedy fill plus pairwise-swap refinement, a
 deterministic stand-in for an exact assignment solver. The swap search reads
-an O(n·N) table, gain[i, c] = d(i, c) - d(i, own cluster), laid out by
-cluster: the best swap between clusters a and b pairs a's lowest gain
-towards b with b's lowest gain towards a. Among equally good swaps it takes
-the lowest point index, then that point's lowest partner, so the result is
-the one a search over all n×n point pairs in index order returns.
+gain[i, c] = d(i, c) - d(i, own cluster) through (N, N) tables of each
+cluster's least gain towards every other cluster and the point attaining it:
+the best swap between clusters a and b pairs a's best mover towards b with
+b's best mover towards a. A swap changes two clusters' members, so only
+their two rows of the tables are recomputed. Among equally good swaps it
+takes the lowest point index, then that point's lowest partner, so the
+result is the one a search over all n×n point pairs in index order returns.
 
-Lloyd's assignment step makes one BLAS product per iteration and still
-returns the argmin of the exact distance table, ties to the lowest cluster
-index. The product screens: approx = ‖x‖² + ‖c‖² − 2·x·c. Rounding in the
-product and in the exact routine moves each distance by at most
-γ·(‖x‖+‖c‖)² ≤ 2γ·(‖x‖² + ‖c‖²), γ a small multiple of dim·eps, plus a few
-multiples of the smallest subnormal per coordinate where products
-underflow. A cluster can only hold a point's exact minimum if its lower
-bound, approx − err, is at most the least upper bound, min(approx + err),
-over the point's clusters; only those candidates are recomputed exactly, with
-the arithmetic of the full table, so the argmin, the history and the
-centroids are the ones the full table gives.
+Lloyd, the greedy fill and the swap search read their distances through one
+screen (_Screen): a BLAS product gives approx = ‖x‖² + ‖c‖² − 2·x·c for
+every (point, cluster) pair, with a certified bound err such that the exact
+distance, the subtract-square-sum of the pair's rows, lies in
+[approx − err, approx + err]. Each consumer computes exactly only the pairs
+the bounds cannot settle:
+- Lloyd's argmin: the clusters whose lower bound reaches the point's least
+  upper bound.
+- The greedy fill's order: pairs sorted by approx form chains wherever the
+  bounds overlap across a position; only chains of two or more pairs are
+  computed and re-sorted by (exact distance, flat index).
+- The swap search's least gains: the members whose lower gain bound reaches
+  the cluster's least upper gain bound; own-cluster distances are exact.
+Rounding is monotone, so every argmin, order, minimum and tie-break is the
+one the full exact table gives, and partitions are bit for bit those of a
+search over that table.
 """
 
 from __future__ import annotations
@@ -118,106 +125,146 @@ def _wcss_given_means(points, p: Partition, means) -> float:
     return float((diffs * diffs).sum())
 
 
-def _sq_dists(points, centroids):
-    """(n_points, n_clusters) squared euclidean distances.
+class _Screen:
+    """The certified screen and the exact routine that Lloyd, the greedy fill
+    and the swap search share, over one set of points.
 
-    One cluster at a time through one reused (n_points, dim) buffer, so no
-    (n_points, n_clusters, dim) temporary is built; each row still sums its
-    own contiguous squared differences, in the order
-    ((points - c) ** 2).sum(axis=1) would. The result is a transposed view of
-    a cluster-major array.
-    """
-    buf = np.empty_like(points)
-    out = np.empty((centroids.shape[0], points.shape[0]))
-    for c in range(centroids.shape[0]):
-        np.subtract(points, centroids[c], out=buf)
-        np.multiply(buf, buf, out=buf)
-        np.sum(buf, axis=1, out=out[c])
-    return out.T
-
-
-def _lloyd(points, centroids, max_iters=MAX_LLOYD_ITERS):
-    """Plain Lloyd iterations; empty clusters keep their previous centroid.
-
-    Returns (assignment, centroids, objective_history) where the objective is
-    the assignment cost against the centroids of each round.
-
-    Each round screens every (point, cluster) pair with one product,
-    approx = ‖x‖² + ‖c‖² − 2·X·Cᵀ, and bounds its distance from the value
-    _sq_dists computes by
+    bound(centroids) fills three (n, k) tables from one product:
+    approx = ‖x‖² + ‖c‖² − 2·X·Cᵀ, and lower = approx − err and
+    upper = approx + err, with
 
         err = γ·(‖x‖² + ‖c‖²) + τ,   γ = 4(dim+4)·eps,   τ = 4(dim+4)·subnormal.
 
     With u = eps/2, the product's dot products and norms are off by about
     dim·u times ‖x‖‖c‖, ‖x‖² and ‖c‖² (any summation order, with or without
-    FMA), its two additions by about 2u·(‖x‖+‖c‖)², and _sq_dists by about
-    (dim+2)·u·(‖x‖+‖c‖)². As (‖x‖+‖c‖)² ≤ 2(‖x‖² + ‖c‖²), γ's term is twice
-    their sum; the spare half absorbs the rounding of err and approx ± err.
-    Each product or square that underflows loses at most half a subnormal;
-    a pair has 4·dim of them (the product's counted twice for the −2), which
-    τ covers. So the exact distance lies in [approx − err, approx + err], and
-    any cluster whose approx − err exceeds the point's least approx + err
-    cannot attain the exact minimum. The remaining candidates, every
-    minimizer and every tie included, are recomputed with _sq_dists'
-    arithmetic (subtract, square, sum each contiguous row); the rest read
-    +inf, so the first argmin of that table is the full table's, and so are
-    the history and the centroids.
+    FMA), its two additions by about 2u·(‖x‖+‖c‖)², and the exact routine by
+    about (dim+2)·u·(‖x‖+‖c‖)². As (‖x‖+‖c‖)² ≤ 2(‖x‖² + ‖c‖²), γ's term is
+    twice their sum; the spare half absorbs the rounding of err and
+    approx ± err. Each product or square that underflows loses at most half a
+    subnormal; a pair has 4·dim of them (the product's counted twice for the
+    −2), which τ covers. So every exact distance lies in [lower, upper].
 
-    Requires finite points whose squared distances cannot overflow, as
-    balanced_kmeans checks.
+    exact(point_idx, cluster_idx) computes the given pairs' distances: gather,
+    subtract, square and sum each contiguous row, which is bit for bit
+    ((x - c) ** 2).sum() for every pair. Its result is a view of a buffer
+    that the next call overwrites.
+
+    The buffers live as long as the screen, one balanced_kmeans call.
+    Requires C-contiguous finite points whose squared distances cannot
+    overflow, as balanced_kmeans checks.
     """
-    n, dim = points.shape
+
+    def __init__(self, points, k):
+        n, dim = points.shape
+        self.points = points
+        self.point_sq = np.einsum("ij,ij->i", points, points)
+        self.gamma = 4.0 * (dim + 4) * _EPS
+        self.floor = 4.0 * (dim + 4) * _SUBNORMAL
+        self.approx, self.lower, self.upper = (np.empty((n, k)) for _ in range(3))
+        # exact() gathers at most n pairs' rows at a time
+        self._point_rows, self._centroid_rows = np.empty((n, dim)), np.empty((n, dim))
+        self._exact = np.empty(n)
+        self.centroids = None
+
+    def bound(self, centroids):
+        """Screen every (point, centroid) pair; returns (approx, lower, upper)."""
+        self.centroids = centroids
+        # err lives in lower's buffer until lower is written, last
+        approx, err, upper = self.approx, self.lower, self.upper
+        np.add.outer(self.point_sq, np.einsum("ij,ij->i", centroids, centroids), out=err)
+        np.matmul(self.points, centroids.T, out=approx)
+        approx *= -2.0
+        approx += err
+        err *= self.gamma
+        err += self.floor
+        np.add(approx, err, out=upper)
+        np.subtract(approx, err, out=self.lower)
+        return approx, self.lower, upper
+
+    def exact(self, point_idx, cluster_idx):
+        """Exact squared distances of the pairs (point_idx[t], cluster_idx[t])
+        to the bound centroids."""
+        m = point_idx.size
+        if m > self._exact.size:
+            self._exact = np.empty(m)
+        out = self._exact[:m]
+        chunk = self._point_rows.shape[0]
+        for start in range(0, m, chunk):
+            stop = min(start + chunk, m)
+            # indices are in range; mode="clip" lets take write to out unbuffered
+            diff = np.take(self.points, point_idx[start:stop], axis=0,
+                           out=self._point_rows[:stop - start], mode="clip")
+            np.subtract(diff, np.take(self.centroids, cluster_idx[start:stop], axis=0,
+                                      out=self._centroid_rows[:stop - start], mode="clip"),
+                        out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.sum(diff, axis=1, out=out[start:stop])
+        return out
+
+
+def _lloyd(screen, centroids, max_iters=MAX_LLOYD_ITERS):
+    """Plain Lloyd iterations; empty clusters keep their previous centroid.
+
+    Returns (assignment, centroids, objective_history) where the objective is
+    the assignment cost against the centroids of each round.
+
+    A cluster can hold a point's exact minimum only if its lower bound is at
+    most the least upper bound over the point's clusters. Those candidates,
+    every minimizer and every tie included, are computed exactly and the rest
+    read +inf, so the first argmin of that table, the history and the
+    centroids are those of the full exact table.
+    """
+    n = screen.points.shape[0]
     k = centroids.shape[0]
     rows = np.arange(n)
-    gamma = 4.0 * (dim + 4) * _EPS
-    floor = 4.0 * (dim + 4) * _SUBNORMAL
-    point_sq = np.einsum("ij,ij->i", points, points)
-    approx, err, table = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
-    # gather buffers for the candidates' exact distances; at least one per
-    # point, more only near ties
-    point_rows, centroid_rows, exact = np.empty((n, dim)), np.empty((n, dim)), np.empty(n)
     assign = np.full(n, -1, dtype=np.int64)
     history = []
     for _ in range(max_iters):
-        np.add.outer(point_sq, np.einsum("ij,ij->i", centroids, centroids), out=err)
-        np.matmul(points, centroids.T, out=approx)
-        approx *= -2.0
-        approx += err
-        err *= gamma
-        err += floor
-        np.add(approx, err, out=table)
-        upper = table.min(axis=1)
-        np.subtract(approx, err, out=table)
-        cand_point, cand_cluster = np.divmod(np.flatnonzero(table <= upper[:, None]), k)
-        m = cand_point.size
-        if m > exact.size:
-            point_rows, centroid_rows, exact = (np.empty((m, dim)), np.empty((m, dim)),
-                                                np.empty(m))
-        # indices are in range; mode="clip" lets take write to out unbuffered
-        diff = np.take(points, cand_point, axis=0, out=point_rows[:m], mode="clip")
-        np.subtract(diff, np.take(centroids, cand_cluster, axis=0,
-                                  out=centroid_rows[:m], mode="clip"), out=diff)
-        np.multiply(diff, diff, out=diff)
+        table, lower, upper = screen.bound(centroids)
+        least_upper = upper.min(axis=1)
+        cand_point, cand_cluster = np.divmod(
+            np.flatnonzero(lower <= least_upper[:, None]), k)
         table.fill(np.inf)
-        table[cand_point, cand_cluster] = np.sum(diff, axis=1, out=exact[:m])
+        table[cand_point, cand_cluster] = screen.exact(cand_point, cand_cluster)
         new_assign = table.argmin(axis=1)  # ties -> lower cluster index
         history.append(float(table[rows, new_assign].sum()))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        _update_means(points, assign, centroids)
+        _update_means(screen.points, assign, centroids)
     return assign, centroids, history
 
 
-def _greedy_balanced(points, centroids, capacity):
+def _greedy_balanced(screen, centroids, capacity):
     """Capacity-constrained assignment: all (point, cluster) pairs ascending by
     (distance, point index, cluster index), each placing its point if the
-    point is still unplaced and the cluster has room."""
-    n, k = points.shape[0], centroids.shape[0]
-    dist = _sq_dists(points, centroids)
-    # a stable sort keeps equal distances in flat-index order, which is
-    # (point, cluster) order
-    pts, cls = np.divmod(np.argsort(dist.reshape(-1), kind="stable"), k)
+    point is still unplaced and the cluster has room.
+
+    The pairs are sorted by approx, stably, so equal keys stay in flat-index
+    order, which is (point, cluster) order. Between positions s-1 and s that
+    order is already the exact one if the largest upper bound before s is
+    below the least lower bound from s on (from s on, not at s alone: a pair
+    with a wider bound may sort later and still fall below a pair before s).
+    The positions between two such breaks form a chain. Only chains of two
+    or more pairs are computed exactly, and each is re-sorted by (exact
+    distance, flat index), which gives the order of a stable sort of the full
+    exact table.
+    """
+    n, k = screen.points.shape[0], centroids.shape[0]
+    approx, lower, upper = screen.bound(centroids)
+    order = np.argsort(approx.reshape(-1), kind="stable")
+    upper_before = upper.reshape(-1)[order[:-1]]
+    lower_from = lower.reshape(-1)[order[:0:-1]]
+    np.maximum.accumulate(upper_before, out=upper_before)
+    np.minimum.accumulate(lower_from, out=lower_from)
+    joined = upper_before >= lower_from[::-1]  # joined[s-1]: no break before s
+    joined_left = np.concatenate(([False], joined))
+    in_chain = np.flatnonzero(joined_left | np.concatenate((joined, [False])))
+    chain = np.cumsum(~joined_left[in_chain])
+    flat = order[in_chain]
+    dist = screen.exact(*np.divmod(flat, k))
+    order[in_chain] = flat[np.lexsort((flat, dist, chain))]
+    pts, cls = np.divmod(order, k)
     assign = [-1] * n
     remaining = [capacity] * k
     placed = 0
@@ -231,32 +278,57 @@ def _greedy_balanced(points, centroids, capacity):
     return np.array(assign, dtype=np.int64)
 
 
-def _swap_refine(assign, dist):
-    """Pairwise swaps while any swap lowers the fixed-centroid cost.
+def _best_moves(screen, clusters, members, own):
+    """(best, mover) for the clusters listed: best[r, b] is the least gain,
+    exact d(i, b) - own[i], over the members i of cluster clusters[r] (row r
+    of members, ascending), and mover[r, b] the lowest member attaining it.
+    Moves into a point's own cluster read +inf.
+
+    Rounding is monotone, so each gain lies between the same subtraction on
+    the screen's lower and upper bounds. Only members whose lower gain bound
+    is at most the least upper gain bound can attain or tie the minimum; they
+    are computed exactly and the rest read +inf.
+    """
+    m = members.shape[0]
+    own_members = own[members][:, :, None]
+    lower = screen.lower[members] - own_members  # lower[r, t, b]
+    gain = screen.upper[members] - own_members
+    least_upper = gain.min(axis=1)
+    lower[np.arange(m), :, clusters] = np.inf
+    r, t, b = np.nonzero(lower <= least_upper[:, None, :])
+    gain.fill(np.inf)
+    point = members[r, t]
+    gain[r, t, b] = screen.exact(point, b) - own[point]
+    first = gain.argmin(axis=1)[:, None, :]  # the first minimum: the lowest member
+    return (np.take_along_axis(gain, first, axis=1)[:, 0],
+            np.take_along_axis(members, first[:, 0], axis=1))
+
+
+def _swap_refine(screen, centroids, assign):
+    """Pairwise swaps while any swap lowers the cost against fixed centroids.
 
     Swapping point i (cluster a) with point j (cluster b) changes the cost by
-    gain[i, b] + gain[j, a], where gain[i, c] = dist[i, c] - dist[i, a]. The
-    best swap between a and b therefore pairs a's best mover towards b with
-    b's best mover towards a, so each swap is found from an (N, N) table of
-    per-cluster minima of gain, O(n·N) work, not from an n×n delta matrix.
-    Clusters are balanced, so sorting points by cluster lays gain out as an
-    (N, n/N, N) array whose axis 1 holds each cluster's members.
+    gain[i, b] + gain[j, a], where gain[i, c] = d(i, c) - d(i, a). The best
+    swap between a and b therefore pairs a's best mover towards b with b's
+    best mover towards a, so each swap is found from the (N, N) tables of
+    per-cluster least gains and their movers (_best_moves), not from an
+    n×n delta matrix. Every point's distance to its own cluster is exact.
+
+    A swap changes the members of a and b only, so only rows a and b of the
+    tables are recomputed; i and j get their new own distances exactly.
 
     Ties go to the lowest point index i among all minimal swaps, then to i's
     lowest partner j: the row-major first minimum of the n×n delta matrix.
 
     Returns the number of swaps applied.
     """
-    n, k = dist.shape
-    rows = np.arange(n)
+    screen.bound(centroids)
+    n, k = assign.size, centroids.shape[0]
+    own = screen.exact(np.arange(n), assign).copy()
+    members = np.argsort(assign, kind="stable").reshape(k, n // k)
+    best, mover = _best_moves(screen, np.arange(k), members, own)
     applied = 0
     for _ in range(MAX_SWAP_PASSES):
-        gain = dist - dist[rows, assign][:, None]
-        members = np.argsort(assign, kind="stable").reshape(k, n // k)
-        table = gain[members]  # table[a, r, b]: a's r-th member moving to b
-        best = table.min(axis=1)
-        # argmin takes the first minimum: the lowest member index
-        mover = np.take_along_axis(members, table.argmin(axis=1), axis=1)
         delta = best + best.T  # delta[a, b]: best swap between a and b
         np.fill_diagonal(delta, np.inf)
         lowest = delta.min()
@@ -265,7 +337,14 @@ def _swap_refine(assign, dist):
         tied = delta == lowest  # symmetric, so mover[tied] holds both sides
         i = mover[tied].min()
         j = mover.T[tied & (mover == i)].min()
-        assign[i], assign[j] = assign[j], assign[i]
+        pair = np.array([assign[i], assign[j]])
+        assign[i], assign[j] = pair[1], pair[0]
+        own[[i, j]] = screen.exact(np.array([i, j]), pair[::-1])
+        for c, old, new in zip(pair.tolist(), (i, j), (j, i)):
+            row = members[c]
+            row[row == old] = new
+            row.sort()
+        best[pair], mover[pair] = _best_moves(screen, pair, members[pair], own)
         applied += 1
     return applied
 
@@ -301,7 +380,7 @@ def _exact_balanced(points, num_clusters):
     return best_assign
 
 
-def _balanced_local_search(points, assign):
+def _balanced_local_search(screen, assign):
     """Alternate (recompute means, improving swaps) to a joint fixed point.
 
     Every swap strictly lowers the cost against current means and means-updates
@@ -311,9 +390,8 @@ def _balanced_local_search(points, assign):
     """
     k = int(assign.max()) + 1
     for _ in range(MAX_SWAP_PASSES):
-        means = partition_means(points, Partition(assign, k))
-        dist = _sq_dists(points, means)
-        if _swap_refine(assign, dist) == 0:
+        means = partition_means(screen.points, Partition(assign, k))
+        if _swap_refine(screen, means, assign) == 0:
             break
     return assign
 
@@ -360,13 +438,14 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
             wcss=_wcss_given_means(points, partition, means),
             init_kind="random" if init is None else "warm-start",
         )
+    screen = _Screen(points, num_clusters)
     if init is None:
         if rng is None:
             raise ValueError("random initialization requires rng")
         seeds = rng.choice(n, size=num_clusters, replace=False)
         centroids = points[np.sort(seeds)].copy()
-        assign, centroids, history = _lloyd(points, centroids)
-        assign = _greedy_balanced(points, centroids, n // num_clusters)
+        assign, centroids, history = _lloyd(screen, centroids)
+        assign = _greedy_balanced(screen, centroids, n // num_clusters)
         init_kind = "random"
     else:
         if init.assignment.size != n or init.num_clusters != num_clusters:
@@ -375,7 +454,7 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
         assign = init.assignment.copy()
         history = []
         init_kind = "warm-start"
-    assign = _balanced_local_search(points, assign)
+    assign = _balanced_local_search(screen, assign)
     partition = Partition(assign, num_clusters)
     partition.validate_balanced()
     means = partition_means(points, partition)

@@ -215,6 +215,19 @@ def _make_checkpoint(model, adam, rng, step, scheduler_state, run_info) -> Check
     )
 
 
+def _stored_mode(run_info: dict):
+    """run_info's mode in today's form. Older ssd checkpoints also stored
+    the run length as mode.ssd.total_steps; that copy is dropped where it
+    equals run.total_steps, which the schedule reads."""
+    mode = run_info.get("mode")
+    ssd = mode.get("ssd") if isinstance(mode, dict) else None
+    if (isinstance(ssd, dict) and "total_steps" in ssd
+            and ssd["total_steps"] == run_info.get("run", {}).get("total_steps")):
+        ssd = {k: v for k, v in ssd.items() if k != "total_steps"}
+        mode = {**mode, "ssd": ssd}
+    return mode
+
+
 def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
           opt: "OptimizerConfig | None" = None, seed: int = 0,
           run: "RunConfig | None" = None,
@@ -261,7 +274,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         ckpt = resume_from
         if ckpt.config.to_dict() != model_cfg.to_dict():
             raise ValueError("checkpoint model config differs from requested config")
-        if ckpt.run_info.get("mode") != mode.to_dict():
+        if _stored_mode(ckpt.run_info) != mode.to_dict():
             raise ValueError("checkpoint was trained in a different mode")
         planned = ckpt.run_info.get("run", {}).get("total_steps")
         if is_ssd and planned != run.total_steps:

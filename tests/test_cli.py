@@ -270,6 +270,15 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_corpus_vocab_mismatch_exits_nonzero(self, workspace, trained_run, capsys):
+        # the checkpoint was trained on the toy character vocabulary
+        rc = main(["eval", "--checkpoint", str(trained_run / "final.bin"),
+                   "--corpus", str(workspace["corpus"]), "--seq-len", "32"])
+        assert rc == 2
+        vocab = load_checkpoint(trained_run / "final.bin").config.vocab_size
+        assert capsys.readouterr().err == (f"error: corpus vocab 257 (tokenizer 'byte') "
+                                           f"!= model vocab {vocab}\n")
+
 
 class TestMoefy:
     def test_moefy_then_eval(self, workspace, dense_run, tmp_path, capsys):
@@ -282,6 +291,14 @@ class TestMoefy:
                      "--tokenizer", str(workspace["vocab"]),
                      "--seq-len", "32", "--k", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["perplexity"] > 1.0
+
+    def test_missing_output_directory_named(self, dense_run, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.bin"
+        assert main(["moefy", "--checkpoint", str(dense_run / "final.bin"),
+                     "--experts", "8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: [Errno 2] No such file or "
+                                           f"directory: '{out}'\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("experts, message", [
         ("7", "rows 64 not divisible by num_clusters 7"),
@@ -369,6 +386,16 @@ class TestAnalyze:
                      "--tokenizer", str(workspace["vocab"])]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: --seq-len must be >= 1, got -5\n"
+
+    def test_corpus_vocab_mismatch_exits_nonzero(self, workspace, trained_run, capsys):
+        final = str(trained_run / "final.bin")
+        rc = main(["analyze", "--checkpoint-a", final, "--checkpoint-b", final,
+                   "--experts", "8", "--corpus", str(workspace["corpus"]),
+                   "--tokenizer", "byte", "--seq-len", "32"])
+        assert rc == 2
+        vocab = load_checkpoint(final).config.vocab_size
+        assert capsys.readouterr().err == (f"error: corpus vocab 257 (tokenizer 'byte') "
+                                           f"!= model vocab {vocab}\n")
 
     def test_corpus_tokenized_once(self, workspace, trained_run, capsys, monkeypatch):
         from ssdlab import cli

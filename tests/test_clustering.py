@@ -9,7 +9,7 @@ from ssdlab.clustering import (
     Partition,
     _greedy_balanced,
     _lloyd,
-    _sq_dists,
+    _Screen,
     _swap_refine,
     balanced_kmeans,
     cluster_with_warmstart,
@@ -49,6 +49,19 @@ def enumerate_balanced(n, k):
         yield assignment
 
 
+def sq_dists_reference(points, centroids):
+    """(n_points, n_clusters) squared euclidean distances, one cluster at a
+    time; each row sums its own contiguous squared differences, in the order
+    ((points - c) ** 2).sum(axis=1) would."""
+    buf = np.empty_like(points)
+    out = np.empty((centroids.shape[0], points.shape[0]))
+    for c in range(centroids.shape[0]):
+        np.subtract(points, centroids[c], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.sum(buf, axis=1, out=out[c])
+    return out.T
+
+
 def swap_refine_reference(assign, dist):
     """Pairwise swaps through the full n×n delta matrix; ties go to the
     row-major first minimum (lowest i, then lowest j)."""
@@ -68,11 +81,48 @@ def swap_refine_reference(assign, dist):
     return applied
 
 
+def swap_refine_gain_reference(assign, dist):
+    """Pairwise swaps found from the full gain table's per-cluster minima,
+    in the arithmetic of the screened search: gain[i, c] = dist[i, c] -
+    dist[i, own cluster] and delta = gain[i, b] + gain[j, a]. Ties go to the
+    lowest point index, then to its lowest partner."""
+    n, k = dist.shape
+    rows = np.arange(n)
+    applied = 0
+    for _ in range(clustering.MAX_SWAP_PASSES):
+        gain = dist - dist[rows, assign][:, None]
+        members = np.argsort(assign, kind="stable").reshape(k, n // k)
+        table = gain[members]  # table[a, r, b]: a's r-th member moving to b
+        best = table.min(axis=1)
+        mover = np.take_along_axis(members, table.argmin(axis=1), axis=1)
+        delta = best + best.T
+        np.fill_diagonal(delta, np.inf)
+        lowest = delta.min()
+        if lowest >= -SWAP_IMPROVEMENT_TOL:
+            break
+        tied = delta == lowest
+        i = mover[tied].min()
+        j = mover.T[tied & (mover == i)].min()
+        assign[i], assign[j] = assign[j], assign[i]
+        applied += 1
+    return applied
+
+
+def local_search_reference(points, assign):
+    """Alternate means and full-table swaps to a joint fixed point."""
+    k = int(assign.max()) + 1
+    for _ in range(clustering.MAX_SWAP_PASSES):
+        means = clustering.partition_means(points, Partition(assign, k))
+        if swap_refine_reference(assign, sq_dists_reference(points, means)) == 0:
+            break
+    return assign
+
+
 def greedy_balanced_reference(points, centroids, capacity):
     """Greedy fill over all (point, cluster) pairs in lexicographic
     (distance, point, cluster) order, one numpy scalar at a time."""
     n, k = points.shape[0], centroids.shape[0]
-    dist = _sq_dists(points, centroids)
+    dist = sq_dists_reference(points, centroids)
     pts, cls = np.divmod(np.arange(n * k), k)
     order = np.lexsort((cls, pts, dist.reshape(-1)))
     assign = np.full(n, -1, dtype=np.int64)
@@ -96,7 +146,7 @@ def lloyd_reference(points, centroids, max_iters=clustering.MAX_LLOYD_ITERS):
     assign = np.full(n, -1, dtype=np.int64)
     history = []
     for _ in range(max_iters):
-        dist = _sq_dists(points, centroids)
+        dist = sq_dists_reference(points, centroids)
         new_assign = dist.argmin(axis=1)
         history.append(float(dist[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assign):
@@ -125,6 +175,30 @@ def integer_instances(count=240):
         centroids = rng.integers(-3, 4, (k, dim)).astype(np.float64)
         assign = rng.permutation(np.repeat(np.arange(k), size))
         yield points, centroids, assign
+
+
+def near_tie_instances(count=60):
+    """(points, centroids, balanced assignment) whose distances lie within a
+    few ulps of each other, below the screen's error bound: points and
+    centroids are a few rows, each moved by up to two ulps per coordinate,
+    or the origin. The rows' scales run from 1e-3 to 1e8, so tight bounds of
+    small rows sit next to loose bounds of large ones."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        k = int(rng.choice([2, 3, 4, 8]))
+        size = int(rng.choice([2, 3, 4]))
+        n, dim = k * size, int(rng.choice([1, 2, 5, 16]))
+        rows = rng.standard_normal((3, dim)) * 10.0 ** rng.uniform(-3, 8, (3, 1))
+        rows = np.vstack([rows, np.zeros(dim)])
+
+        def nudged(m):
+            out = rows[rng.integers(0, len(rows), m)]
+            for _ in range(2):
+                out = np.where(rng.random(out.shape) < 0.5, np.nextafter(out, np.inf), out)
+            return out
+
+        assign = rng.permutation(np.repeat(np.arange(k), size))
+        yield nudged(n), nudged(k), assign
 
 
 def separated_blobs(seed, k=8, per=8, dim=16, spread=5.0, noise=0.3):
@@ -161,21 +235,43 @@ class TestSqDists:
         centroids = rng.standard_normal((k, dim))
         d = points[:, None, :] - centroids[None, :, :]
         broadcast = (d * d).sum(axis=2)
-        assert np.array_equal(_sq_dists(points, centroids).view(np.int64),
+        screen = _Screen(points, k)
+        screen.bound(centroids)
+        pts, cls = np.divmod(np.arange(n * k), k)
+        exact = screen.exact(pts, cls).reshape(n, k)
+        assert np.array_equal(exact.view(np.int64), broadcast.view(np.int64))
+        assert np.array_equal(sq_dists_reference(points, centroids).view(np.int64),
                               broadcast.view(np.int64))
 
 
+def swap_refine(points, centroids, assign):
+    return _swap_refine(_Screen(points, centroids.shape[0]), centroids, assign)
+
+
+def greedy_balanced(points, centroids, capacity):
+    return _greedy_balanced(_Screen(points, centroids.shape[0]), centroids, capacity)
+
+
 class TestSwapRefine:
+    @staticmethod
+    def swaps_as_reference(reference, points, centroids, assign):
+        ours, ref = assign.copy(), assign.copy()
+        applied = swap_refine(points, centroids, ours)
+        assert applied == reference(ref, sq_dists_reference(points, centroids))
+        assert np.array_equal(ours, ref)
+        return applied
+
     def test_matches_full_delta_matrix_under_exact_arithmetic(self):
-        total_swaps = 0
-        for points, centroids, assign in integer_instances():
-            dist = _sq_dists(points, centroids)
-            ours, ref = assign.copy(), assign.copy()
-            applied = _swap_refine(ours, dist)
-            assert applied == swap_refine_reference(ref, dist)
-            assert np.array_equal(ours, ref)
-            total_swaps += applied
+        total_swaps = sum(self.swaps_as_reference(swap_refine_reference, *instance)
+                          for instance in integer_instances())
         assert total_swaps > 500  # the instances exercise the search
+
+    def test_matches_full_gain_table_on_near_ties(self):
+        # rounded deltas depend on the order of the additions, so the
+        # reference is the full gain table, not the n×n delta matrix
+        total_swaps = sum(self.swaps_as_reference(swap_refine_gain_reference, *instance)
+                          for instance in near_tie_instances())
+        assert total_swaps > 50
 
 
 class TestGreedyBalanced:
@@ -183,8 +279,23 @@ class TestGreedyBalanced:
         for points, centroids, assign in integer_instances():
             capacity = assign.size // centroids.shape[0]
             assert np.array_equal(
-                _greedy_balanced(points, centroids, capacity),
+                greedy_balanced(points, centroids, capacity),
                 greedy_balanced_reference(points, centroids, capacity))
+
+    def test_matches_scalar_loop_on_near_ties(self):
+        reordered = 0
+        for points, centroids, assign in near_tie_instances():
+            k = centroids.shape[0]
+            capacity = assign.size // k
+            assert np.array_equal(
+                greedy_balanced(points, centroids, capacity),
+                greedy_balanced_reference(points, centroids, capacity))
+            screen = _Screen(points, k)
+            approx = screen.bound(centroids)[0].reshape(-1)
+            exact = sq_dists_reference(points, centroids).reshape(-1)
+            reordered += not np.array_equal(np.argsort(approx, kind="stable"),
+                                            np.argsort(exact, kind="stable"))
+        assert reordered > 30  # the approx order is often not the exact one
 
 
 def lloyd_instances():
@@ -238,7 +349,8 @@ class TestPartitionMeans:
 class TestLloyd:
     @staticmethod
     def assert_same_as_reference(points, centroids):
-        assign, means, history = _lloyd(points, centroids.copy())
+        assign, means, history = _lloyd(_Screen(points, centroids.shape[0]),
+                                        centroids.copy())
         ref_assign, ref_means, ref_history = lloyd_reference(points, centroids.copy())
         assert np.array_equal(assign, ref_assign)
         assert np.array_equal(means.view(np.int64), ref_means.view(np.int64))
@@ -278,9 +390,13 @@ class TestReferencePipeline:
             return outs
 
         fast = run_all()
-        monkeypatch.setattr(clustering, "_lloyd", lloyd_reference)
-        monkeypatch.setattr(clustering, "_swap_refine", swap_refine_reference)
-        monkeypatch.setattr(clustering, "_greedy_balanced", greedy_balanced_reference)
+        monkeypatch.setattr(clustering, "_lloyd",
+                            lambda screen, c: lloyd_reference(screen.points, c))
+        monkeypatch.setattr(clustering, "_greedy_balanced",
+                            lambda screen, c, cap: greedy_balanced_reference(
+                                screen.points, c, cap))
+        monkeypatch.setattr(clustering, "_balanced_local_search",
+                            lambda screen, a: local_search_reference(screen.points, a))
         for ours, ref in zip(fast, run_all()):
             assert np.array_equal(ours.partition.assignment, ref.partition.assignment)
             assert ours.wcss == ref.wcss

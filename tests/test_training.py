@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from ssdlab.checkpoint import checkpoint_to_bytes, load_checkpoint
+from ssdlab.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes, load_checkpoint
 from ssdlab.data import TokenizedCorpus, unigram_perplexity
 from ssdlab.flops import ssd_total_train_flops
 from ssdlab.metrics import MetricsRecord, csv_header, export_metrics, load_metrics_jsonl
@@ -22,6 +22,7 @@ from ssdlab.training import (
 )
 
 from conftest import toy_model_config
+from test_checkpoint import with_header
 
 
 def short_ssd_mode():
@@ -137,6 +138,29 @@ class TestDeterminism:
         assert records == []
         assert checkpoint_to_bytes(final) == checkpoint_to_bytes(ckpt)
 
+
+    @pytest.mark.parametrize("stored, resumes", [(60, True), (200_000, False)],
+                             ids=["equal-to-run-length", "other"])
+    def test_older_ssd_header_resumes(self, toy_corpus, tmp_path, stored, resumes):
+        # checkpoints written before the schedule read the run's length carry
+        # a copy of it as mode.ssd.total_steps
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        final_full, rec_full = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
+                                     run=short_run(out_dir=str(tmp_path / "full")))
+        blob = with_header((tmp_path / "full" / "ckpt_00000030.bin").read_bytes(),
+                           lambda h: h["run_info"]["mode"]["ssd"].update(total_steps=stored))
+        older = checkpoint_from_bytes(blob)
+        assert older.run_info["mode"]["ssd"]["total_steps"] == stored
+        if not resumes:
+            with pytest.raises(ValueError, match="^checkpoint was trained in a "
+                                                 "different mode$"):
+                train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
+                      run=short_run(), resume_from=older)
+            return
+        final_res, rec_res = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
+                                   run=short_run(), resume_from=older)
+        assert checkpoint_to_bytes(final_res) == checkpoint_to_bytes(final_full)
+        assert rec_res == rec_full[30:]
 
     def test_ssd_resume_with_other_total_steps_rejected(self, toy_corpus, tmp_path):
         # the terminal window and the sparse budgets are planned for the run
