@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 
 from ssdlab.clustering import Partition, cluster_with_warmstart
+from ssdlab.numerics import SEED_TAG_CLUSTER, derived_rng
 
 
 @dataclass
@@ -35,8 +36,6 @@ class ActivationSample:
 class SimilarityReport:
     per_layer_ari: list
     mean_ari: float
-    step_a: int
-    step_b: int
 
 
 def activation_sparsity(sample: ActivationSample) -> list:
@@ -66,38 +65,24 @@ def adjusted_rand_index(a: Partition, b: Partition) -> float:
     return (sum_cells - expected) / denom
 
 
-def layer_seed_base(rng: np.random.Generator) -> int:
-    """One draw that seeds all per-layer clusterings of a similarity call."""
-    return int(rng.integers(0, 2 ** 63 - 1))
-
-
-def _layer_rng(base: int, layer: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([base, layer])))
-
-
-def pattern_similarity(ckpt_a, ckpt_b, num_experts: int,
-                       rng: np.random.Generator) -> SimilarityReport:
+def pattern_similarity(ckpt_a, ckpt_b, num_experts: int, seed: int) -> SimilarityReport:
     """Per-layer ARI between the two checkpoints' neuron groupings.
 
-    Each layer is clustered with the same derived seed on both sides, so
+    Layer i of both checkpoints is clustered from derived_rng(seed,
+    SEED_TAG_CLUSTER, 0, i), the seeds moefy_checkpoint uses: checkpoint a is
+    grouped as moefy_checkpoint(ckpt_a, num_experts, seed) groups it, and
     identical checkpoints score exactly 1. As at a training-time monitor,
     checkpoint b's clustering is also tried warm-started from checkpoint a's
     result.
     """
     if ckpt_a.config.to_dict() != ckpt_b.config.to_dict():
         raise ValueError("checkpoints have different model configs")
-    base = layer_seed_base(rng)
     per_layer = []
     for layer in range(ckpt_a.config.n_layers):
         key = f"block{layer}.ffn_w_in"
         out_a = cluster_with_warmstart(ckpt_a.params[key], num_experts, None,
-                                       _layer_rng(base, layer))
-        out_b = cluster_with_warmstart(ckpt_b.params[key], num_experts,
-                                       out_a.partition, _layer_rng(base, layer))
+                                       derived_rng(seed, SEED_TAG_CLUSTER, 0, layer))
+        out_b = cluster_with_warmstart(ckpt_b.params[key], num_experts, out_a.partition,
+                                       derived_rng(seed, SEED_TAG_CLUSTER, 0, layer))
         per_layer.append(adjusted_rand_index(out_a.partition, out_b.partition))
-    return SimilarityReport(
-        per_layer_ari=per_layer,
-        mean_ari=float(np.mean(per_layer)),
-        step_a=getattr(ckpt_a, "step", 0),
-        step_b=getattr(ckpt_b, "step", 0),
-    )
+    return SimilarityReport(per_layer_ari=per_layer, mean_ari=float(np.mean(per_layer)))

@@ -9,12 +9,13 @@ Layout (little-endian):
     remainder     tensor payload: raw float64 bytes, row-major, concatenated
                   in the header's "tensors" order
 
-The header carries the model config, step counter, RNG state, optimizer
-scalars, the active expert layout (per-layer partitions), the scheduler
+The header carries the model config, step counter, RNG state, the Adam
+step count, the active expert layout (per-layer partitions), the scheduler
 snapshot, and run metadata (run_info: mode, optimizer and run configs); the
 payload carries model parameters in canonical order followed by Adam
 first/second moments in the same order. Unread header keys are ignored, so
-older files that also stored an "ssd_config" copy of run_info's still load.
+older files that also stored an "ssd_config" copy of run_info's, or copies
+of the optimizer config's Adam scalars, still load.
 Loading a truncated file, a wrong magic, or a different version is rejected;
 a non-finite tensor is rejected on save and load. Saves are atomic.
 """
@@ -37,11 +38,11 @@ from ssdlab.scheduler import SchedulerState
 MAGIC = b"SSD1"
 VERSION = 1
 _OPTIONAL = (dict, type(None))
-# the header's keys and the JSON types their values may take
-_HEADER_TYPES = {"config": dict, "step": int, "rng": _OPTIONAL, "adam": _OPTIONAL,
+# the header's keys and the JSON types their values may take (exactly: a
+# JSON true is a bool, not an int)
+_HEADER_TYPES = {"config": (dict,), "step": (int,), "rng": _OPTIONAL, "adam": _OPTIONAL,
                 "moe_layout": _OPTIONAL, "scheduler": _OPTIONAL,
-                "run_info": dict, "tensors": list}
-_ADAM_SCALARS = ("step_count", "beta1", "beta2", "eps")
+                "run_info": (dict,), "tensors": (list,)}
 
 
 class CheckpointError(ValueError):
@@ -155,8 +156,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         "config": ckpt.config.to_dict(),
         "step": ckpt.step,
         "rng": ckpt.rng,
-        "adam": None if ckpt.adam is None else {
-            k: getattr(ckpt.adam, k) for k in _ADAM_SCALARS},
+        "adam": None if ckpt.adam is None else {"step_count": ckpt.adam.step_count},
         "moe_layout": ckpt.moe_layout,
         "scheduler": ckpt.scheduler,
         "run_info": ckpt.run_info,
@@ -184,15 +184,13 @@ def _parse_header(raw: bytes):
         if not isinstance(header, dict):
             raise TypeError("not a JSON object")
         for key, kinds in _HEADER_TYPES.items():
-            if not isinstance(header[key], kinds):
+            if type(header[key]) not in kinds:
                 raise TypeError(f"{key!r} has type {type(header[key]).__name__}")
         config = ModelConfig(**header["config"])
-        if not all(isinstance(v, int) for v in config.to_dict().values()):
+        if not all(type(v) is int for v in config.to_dict().values()):
             raise TypeError("config values must be integers")
-        if header["adam"] is not None:
-            for key in _ADAM_SCALARS:
-                if not isinstance(header["adam"][key], (int, float)):
-                    raise TypeError(f"adam {key!r} must be a number")
+        if header["adam"] is not None and type(header["adam"]["step_count"]) is not int:
+            raise TypeError("adam 'step_count' must be an integer")
         if header["tensors"] != _tensor_manifest(config, header["adam"] is not None):
             raise ValueError("tensor list does not match the config")
         layout = header["moe_layout"]
@@ -243,7 +241,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         adam = AdamState(
             m={n: tensors[("adam_m", n)] for n in param_names(config)},
             v={n: tensors[("adam_v", n)] for n in param_names(config)},
-            **{k: header["adam"][k] for k in _ADAM_SCALARS},
+            step_count=header["adam"]["step_count"],
         )
     return Checkpoint(
         config=config, params=params, step=header["step"], rng=header["rng"],

@@ -166,7 +166,7 @@ def cmd_analyze(args) -> int:
         rng = make_rng(args.seed)
         batches = [rng.integers(0, ckpt_a.config.vocab_size, size=(8, args.seq_len + 1))
                    for _ in range(16)]
-    report = pattern_similarity(ckpt_a, ckpt_b, args.experts, make_rng(args.seed))
+    report = pattern_similarity(ckpt_a, ckpt_b, args.experts, args.seed)
 
     def sparsity_of(ckpt):
         model = ckpt.build_model()

@@ -14,7 +14,7 @@ sparse forward equal the dense one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -160,33 +160,50 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
 
 @dataclass
+class OptimizerConfig:
+    """Adam and the noam schedule; the one home of the Adam hyperparameters."""
+
+    base_lr: float = 0.5
+    warmup: int = 2000
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    def __post_init__(self):
+        if not self.base_lr > 0.0:
+            raise ValueError("base_lr must be > 0")
+        if self.warmup < 1:
+            raise ValueError("warmup must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.eps > 0.0:
+            raise ValueError("eps must be > 0")
+
+    def to_dict(self):
+        return asdict(self)
+
+
+@dataclass
 class AdamState:
     """First/second moment accumulators keyed like the parameter dict."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step_count=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_params(cls, params):
+        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
+                   v={k: np.zeros_like(p) for k, p in params.items()})
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, opt: OptimizerConfig,
+              lr: float) -> None:
     """One bias-corrected Adam update, in place."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = opt.beta1, opt.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for k, p in params.items():
@@ -199,7 +216,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
 
 
 def noam_lr(step: int, warmup: int = 2000, d_model: int = 128, base: float = 0.5) -> float:

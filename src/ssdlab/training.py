@@ -34,6 +34,7 @@ from ssdlab.moe import attach_experts
 from ssdlab.numerics import (
     SEED_TAG_SMOE_INIT,
     AdamState,
+    OptimizerConfig,
     adam_step,
     derived_rng,
     make_rng,
@@ -54,29 +55,6 @@ from ssdlab.scheduler import (
     transition_dense_to_sparse,
     transition_sparse_to_dense,
 )
-
-
-@dataclass
-class OptimizerConfig:
-    base_lr: float = 0.5
-    warmup: int = 2000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not self.base_lr > 0.0:
-            raise ValueError("base_lr must be > 0")
-        if self.warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _check_expert_counts(mode):
@@ -236,6 +214,9 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
     resume_from picks up bit-exactly where the checkpoint left off: the tail
     of a resumed run is identical to the same steps of an uninterrupted one.
+    It reads the checkpoint's params, Adam moments, RNG and scheduler
+    snapshot, and rebuilds the expert layouts from the mode, the seed and the
+    scheduler chain as a fresh run builds them; a stored moe_layout is not read.
     """
     opt = opt or OptimizerConfig()
     run = run or RunConfig()
@@ -257,19 +238,13 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
     if resume_from is None:
         rng = make_rng(seed)
         model = GPT.init(model_cfg, rng)
-        adam = AdamState.for_params(model.params, opt.beta1, opt.beta2, opt.eps)
+        adam = AdamState.for_params(model.params)
         start_step = 0
         cumulative_flops = 0
         state = SchedulerState.fresh(model_cfg.n_layers) if is_ssd else None
         if is_ssd:
             # seed the per-layer partition chain on the initial weights
             monitor_similarity(model, state, mode.num_experts, seed, step=0)
-        if mode.kind == "smoe":
-            partitions = [_random_balanced_partition(
-                model_cfg.d_ff, mode.num_experts,
-                derived_rng(seed, SEED_TAG_SMOE_INIT, layer))
-                for layer in range(model_cfg.n_layers)]
-            attach_experts(model, partitions, mode.active_experts)
     else:
         ckpt = resume_from
         if ckpt.config.to_dict() != model_cfg.to_dict():
@@ -282,15 +257,32 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
                              f"total_steps {planned}, not {run.total_steps}")
         if ckpt.run_info.get("optimizer") != opt.to_dict():
             raise ValueError("checkpoint was trained with a different optimizer config")
+        # smoe layouts and ssd monitors draw from the seed
+        if ckpt.run_info.get("seed") != seed:
+            raise ValueError(f"checkpoint was trained with seed "
+                             f"{ckpt.run_info.get('seed')}, not {seed}")
         if "cumulative_flops" not in ckpt.run_info:
             raise ValueError("checkpoint run_info has no cumulative_flops, "
                              "so it cannot be resumed")
-        model = ckpt.build_model()
-        adam = copy.deepcopy(ckpt.adam)  # the checkpoint stays resumable
+        for name in ("adam", "rng") + (("scheduler",) if is_ssd else ()):
+            if getattr(ckpt, name) is None:
+                raise ValueError(f"checkpoint has no {name} state, so it cannot be resumed")
+        # copies, so the checkpoint stays resumable
+        model = GPT(model_cfg, {k: v.copy() for k, v in ckpt.params.items()})
+        adam = copy.deepcopy(ckpt.adam)
         rng = restore_rng(ckpt.rng)
         start_step = ckpt.step
         cumulative_flops = ckpt.run_info["cumulative_flops"]
         state = deserialize_scheduler(ckpt.scheduler) if is_ssd else None
+        if is_ssd and state.phase == PHASE_SPARSE:
+            transition_dense_to_sparse(model, state, mode.active_experts)
+
+    if mode.kind == "smoe":  # fresh or resumed, the layouts come from the seed
+        partitions = [_random_balanced_partition(
+            model_cfg.d_ff, mode.num_experts,
+            derived_rng(seed, SEED_TAG_SMOE_INIT, layer))
+            for layer in range(model_cfg.n_layers)]
+        attach_experts(model, partitions, mode.active_experts)
 
     if run.out_dir:
         os.makedirs(run.out_dir, exist_ok=True)
@@ -321,7 +313,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
             # checkpoint stays the newest loadable state
             raise ValueError(f"loss is not finite at step {step}: {loss}")
         lr = noam_lr(step + 1, opt.warmup, model_cfg.d_model, opt.base_lr)
-        adam_step(model.params, grads, adam, lr)
+        adam_step(model.params, grads, adam, opt, lr)
 
         if phase == PHASE_SPARSE:
             step_mode = SmoeMode(mode.num_experts, mode.active_experts)

@@ -10,9 +10,10 @@ from ssdlab.analysis import (
     pattern_similarity,
 )
 from ssdlab.checkpoint import Checkpoint
-from ssdlab.clustering import Partition
+from ssdlab.clustering import Partition, cluster_with_warmstart
 from ssdlab.model import ModelConfig, init_params
-from ssdlab.numerics import make_rng
+from ssdlab.numerics import SEED_TAG_CLUSTER, derived_rng, make_rng
+from ssdlab.training import moefy_checkpoint
 
 
 def ari_pair_counting(a, b):
@@ -121,9 +122,26 @@ class TestPatternSimilarity:
         params = init_params(self.CFG, make_rng(3))
         a = _checkpoint_with_params(self.CFG, params)
         b = _checkpoint_with_params(self.CFG, {k: v.copy() for k, v in params.items()})
-        report = pattern_similarity(a, b, num_experts=8, rng=make_rng(4))
+        report = pattern_similarity(a, b, num_experts=8, seed=4)
         assert report.mean_ari == 1.0
         assert report.per_layer_ari == [1.0, 1.0]
+
+    def test_each_layer_uses_moefys_seed(self):
+        """Layer i of both checkpoints is clustered from derived_rng(seed,
+        SEED_TAG_CLUSTER, 0, i), b warm-started from a: checkpoint a is
+        grouped as moefy_checkpoint with the same seed groups it."""
+        a = _checkpoint_with_params(self.CFG, init_params(self.CFG, make_rng(3)))
+        b = _checkpoint_with_params(self.CFG, init_params(self.CFG, make_rng(4)))
+        report = pattern_similarity(a, b, 8, seed=11)
+        moefied = moefy_checkpoint(a, 8, seed=11).moe_layout["partitions"]
+        for i, got in enumerate(report.per_layer_ari):
+            key = f"block{i}.ffn_w_in"
+            want_a = cluster_with_warmstart(a.params[key], 8, None,
+                                            derived_rng(11, SEED_TAG_CLUSTER, 0, i))
+            want_b = cluster_with_warmstart(b.params[key], 8, want_a.partition,
+                                            derived_rng(11, SEED_TAG_CLUSTER, 0, i))
+            assert want_a.partition.assignment.tolist() == moefied[i]
+            assert got == adjusted_rand_index(want_a.partition, want_b.partition)
 
     def test_rerandomized_weights_score_near_zero(self):
         cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=128,
@@ -134,7 +152,7 @@ class TestPatternSimilarity:
             0.0, 0.02, size=params_b["block0.ffn_w_in"].shape)
         report = pattern_similarity(_checkpoint_with_params(cfg, params_a),
                                     _checkpoint_with_params(cfg, params_b),
-                                    num_experts=8, rng=make_rng(6))
+                                    num_experts=8, seed=6)
         assert abs(report.mean_ari) < 0.1
 
     def test_config_mismatch_rejected(self):
@@ -143,4 +161,4 @@ class TestPatternSimilarity:
         a = _checkpoint_with_params(self.CFG, init_params(self.CFG, make_rng(7)))
         b = _checkpoint_with_params(other, init_params(other, make_rng(8)))
         with pytest.raises(ValueError, match="config"):
-            pattern_similarity(a, b, 8, make_rng(9))
+            pattern_similarity(a, b, 8, seed=9)

@@ -175,6 +175,23 @@ class TestSsdConfigKey:
         assert checkpoint_to_bytes(checkpoint_from_bytes(older)) == blob
 
 
+class TestAdamEntry:
+    # beta1, beta2 and eps live in run_info's optimizer config; the header's
+    # adam entry holds only the step count
+    def test_header_adam_is_the_step_count(self):
+        assert header_of(checkpoint_to_bytes(make_checkpoint()))["adam"] == {"step_count": 17}
+
+    def test_older_header_with_adam_scalars_loads(self):
+        blob = checkpoint_to_bytes(make_checkpoint())
+        older = with_header(blob, lambda h: h["adam"].update(beta1=0.9, beta2=0.999,
+                                                             eps=1e-8))
+        assert header_of(older)["adam"] == {"step_count": 17, "beta1": 0.9,
+                                            "beta2": 0.999, "eps": 1e-8}
+        loaded = checkpoint_from_bytes(older)
+        assert loaded.adam.step_count == 17
+        assert checkpoint_to_bytes(loaded) == blob
+
+
 class TestRejection:
     @pytest.mark.parametrize("key", ["tensors", "rng", "config", "run_info"])
     def test_missing_header_key(self, key):
@@ -188,7 +205,11 @@ class TestRejection:
         (lambda h: h["config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
         (lambda h: h["config"].update(d_model=16.0), "config values must be integers"),
         (lambda h: h.update(step="33"), "'step' has type str"),
-        (lambda h: h["adam"].pop("eps"), "missing key 'eps'"),
+        (lambda h: h.update(step=True), "'step' has type bool"),
+        (lambda h: h["config"].update(n_layers=True), "config values must be integers"),
+        (lambda h: h["adam"].pop("step_count"), "missing key 'step_count'"),
+        (lambda h: h["adam"].update(step_count=True),
+         "adam 'step_count' must be an integer"),
         (lambda h: h["tensors"][0].__setitem__(1, "bogus"),
          "tensor list does not match the config"),
         (lambda h: h["moe_layout"].pop("partitions"), "missing key 'partitions'"),
@@ -211,8 +232,9 @@ class TestRejection:
          "partition assignment is not integer"),
         (lambda h: h["scheduler"]["partitions"][0].update(assignment=[True, False] * 16),
          r"partition assignment is not integer \(dtype bool\)"),
-    ], ids=["unknown-config-key", "float-config-value", "string-step",
-            "adam-without-eps", "unknown-tensor-name", "layout-without-partitions",
+    ], ids=["unknown-config-key", "float-config-value", "string-step", "bool-step",
+            "bool-config-value", "adam-without-step_count", "bool-adam-step_count",
+            "unknown-tensor-name", "layout-without-partitions",
             "layout-short-assignments", "layout-missing-layer", "layout-unbalanced",
             "layout-active-above-experts", "scheduler-without-phase",
             "scheduler-short-assignment", "layout-float-assignments",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -86,6 +87,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: checkpoint run_info has no cumulative_flops" in err
         assert err.count("\n") == 1
+
+    def test_resume_with_other_seed_exits_nonzero(self, workspace, trained_run,
+                                                  tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
+                   "--steps", "80", "--out", str(out),
+                   "--resume", str(trained_run / "ckpt_00000040.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: checkpoint was trained with "
+                                           "seed 3, not 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["adam", "rng"])
+    def test_resume_without_state_exits_nonzero(self, workspace, tmp_path, capsys,
+                                                missing):
+        smoe = ["train", "--config", str(workspace["config"]), "--mode", "smoe",
+                "--experts", "8", "--k", "2"]
+        assert main(smoe + ["--steps", "10", "--out", str(tmp_path / "s")]) == 0
+        ckpt = load_checkpoint(tmp_path / "s" / "final.bin")
+        save_checkpoint(dataclasses.replace(ckpt, **{missing: None}), tmp_path / "x.bin")
+        capsys.readouterr()
+        rc = main(smoe + ["--steps", "20", "--resume", str(tmp_path / "x.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: checkpoint has no {missing} "
+                                           "state, so it cannot be resumed\n")
 
     def test_missing_corpus_exits_nonzero(self, capsys):
         rc = main(["train", "--corpus", "/nonexistent/corpus.txt", "--steps", "1"])

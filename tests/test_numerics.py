@@ -206,14 +206,14 @@ class TestAdam:
     def test_zero_grad_fresh_state_leaves_params(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
         state = nx.AdamState.for_params(params)
-        nx.adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
+        nx.adam_step(params, {"w": np.zeros(3)}, state, nx.OptimizerConfig(), lr=0.1)
         assert params["w"].tolist() == [1.0, -2.0, 3.0]
 
     def test_first_step_closed_form(self):
         lr = 0.01
         params = {"w": np.array([0.0])}
         state = nx.AdamState.for_params(params)
-        nx.adam_step(params, {"w": np.array([1.0])}, state, lr=lr)
+        nx.adam_step(params, {"w": np.array([1.0])}, state, nx.OptimizerConfig(), lr=lr)
         assert abs(params["w"][0] + lr) < 1e-6 * lr
 
     def test_determinism(self):
@@ -222,7 +222,8 @@ class TestAdam:
             params = {"w": rng.standard_normal((3, 3))}
             state = nx.AdamState.for_params(params)
             for _ in range(10):
-                nx.adam_step(params, {"w": rng.standard_normal((3, 3))}, state, 0.05)
+                nx.adam_step(params, {"w": rng.standard_normal((3, 3))}, state,
+                             nx.OptimizerConfig(), 0.05)
             return params["w"]
 
         assert np.array_equal(run(), run())
@@ -231,7 +232,7 @@ class TestAdam:
         params = {"w": np.zeros((2, 2))}
         state = nx.AdamState.for_params(params)
         with pytest.raises(ValueError, match="shape"):
-            nx.adam_step(params, {"w": np.zeros(3)}, state, 0.1)
+            nx.adam_step(params, {"w": np.zeros(3)}, state, nx.OptimizerConfig(), 0.1)
 
 
 class TestNoamSchedule:

@@ -5,7 +5,14 @@ import pytest
 
 from ssdlab.clustering import cluster_with_warmstart
 from ssdlab.model import GPT, ModelConfig
-from ssdlab.numerics import SEED_TAG_CLUSTER, AdamState, adam_step, derived_rng, make_rng
+from ssdlab.numerics import (
+    SEED_TAG_CLUSTER,
+    AdamState,
+    OptimizerConfig,
+    adam_step,
+    derived_rng,
+    make_rng,
+)
 from ssdlab.scheduler import (
     PHASE_DENSE,
     PHASE_FINAL_DENSE,
@@ -207,7 +214,7 @@ class TestModelConversions:
         adam = AdamState.for_params(model.params)
         for _ in range(3):  # make the moments non-trivial
             _, grads, _ = lm_loss(model, ids)
-            adam_step(model.params, grads, adam, lr=0.01)
+            adam_step(model.params, grads, adam, OptimizerConfig(), lr=0.01)
 
         twin = GPT(model.config, {k: v.copy() for k, v in model.params.items()})
         twin_adam = AdamState(m={k: v.copy() for k, v in adam.m.items()},
@@ -217,10 +224,10 @@ class TestModelConversions:
         state = seeded_state(model, step=3)
         transition_dense_to_sparse(model, state, 2, adam=adam)
         _, sparse_grads, _ = lm_loss(model, ids)
-        adam_step(model.params, sparse_grads, adam, lr=0.01)
+        adam_step(model.params, sparse_grads, adam, OptimizerConfig(), lr=0.01)
 
         # oracle: same elementwise update applied in the never-split layout
-        adam_step(twin.params, sparse_grads, twin_adam, lr=0.01)
+        adam_step(twin.params, sparse_grads, twin_adam, OptimizerConfig(), lr=0.01)
         assert all(np.array_equal(model.params[k], twin.params[k])
                    for k in model.params)
 

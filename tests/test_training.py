@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ssdlab.flops import ssd_total_train_flops
 from ssdlab.metrics import MetricsRecord, csv_header, export_metrics, load_metrics_jsonl
 from ssdlab.model import ModelConfig, init_params
 from ssdlab.numerics import make_rng
-from ssdlab.scheduler import PHASE_SPARSE, SSDConfig
+from ssdlab.scheduler import PHASE_DENSE, PHASE_SPARSE, SSDConfig
 from ssdlab.training import (
     DenseTrain,
     OptimizerConfig,
@@ -110,6 +111,45 @@ class TestDeterminism:
         assert mid.adam.step_count == 30
         assert runs[0][1] == runs[1][1]
         assert checkpoint_to_bytes(runs[0][0]) == checkpoint_to_bytes(runs[1][0])
+
+    @pytest.mark.parametrize("mode", [DenseTrain(), SmoeTrain(num_experts=8, active_experts=2),
+                                      short_ssd_mode()], ids=["dense", "smoe", "ssd"])
+    def test_resume_from_moefied_checkpoint(self, toy_corpus, tmp_path, mode):
+        # moefy stores a K = N expert layout; resume rebuilds the layouts from
+        # the mode and the scheduler chain, so the run goes on as the one the
+        # checkpoint came from
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        final_full, rec_full = train(cfg, toy_corpus, mode, OPT, seed=5,
+                                     run=short_run(out_dir=str(tmp_path)))
+        mid = load_checkpoint(tmp_path / "ckpt_00000030.bin")
+        if mode.kind == "ssd":
+            assert mid.scheduler["phase"] == PHASE_DENSE
+            assert any(r.phase == PHASE_SPARSE for r in rec_full[30:])
+        moefied = moefy_checkpoint(mid, 4, seed=1)
+        assert moefied.moe_layout["active_experts"] == 4
+        final_res, rec_res = train(cfg, toy_corpus, mode, OPT, seed=5, run=short_run(),
+                                   resume_from=moefied)
+        assert rec_res == rec_full[30:]
+        assert checkpoint_to_bytes(final_res) == checkpoint_to_bytes(final_full)
+
+    def test_resume_rejects_other_seed(self, toy_corpus):
+        # smoe layouts and ssd monitors draw from the seed
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        ckpt, _ = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=7, run=short_run(20))
+        with pytest.raises(ValueError) as e:
+            train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=0, run=short_run(20),
+                  resume_from=ckpt)
+        assert str(e.value) == "checkpoint was trained with seed 7, not 0"
+
+    @pytest.mark.parametrize("missing", ["adam", "rng", "scheduler"])
+    def test_resume_without_state_rejected(self, toy_corpus, missing):
+        # a header may hold null there, but a resume cannot go on without it
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        ckpt, _ = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=1, run=short_run(20))
+        with pytest.raises(ValueError) as e:
+            train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=1, run=short_run(20),
+                  resume_from=replace(ckpt, **{missing: None}))
+        assert str(e.value) == f"checkpoint has no {missing} state, so it cannot be resumed"
 
     def test_resume_rejects_other_mode_or_config(self, toy_corpus, tmp_path):
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
@@ -382,8 +422,8 @@ class TestSimilarityTrend:
         ck500 = load_checkpoint(os.path.join(out_dir, "ckpt_00000500.bin"))
         ck1500 = load_checkpoint(os.path.join(out_dir, "ckpt_00001500.bin"))
         ck_final = toy_ssd_run["final"]
-        early = pattern_similarity(ck0, ck500, 8, make_rng(0)).mean_ari
-        late = pattern_similarity(ck1500, ck_final, 8, make_rng(0)).mean_ari
+        early = pattern_similarity(ck0, ck500, 8, seed=0).mean_ari
+        late = pattern_similarity(ck1500, ck_final, 8, seed=0).mean_ari
         assert late > early
 
     def test_monitor_similarities_recorded_in_metrics(self, toy_ssd_run):
