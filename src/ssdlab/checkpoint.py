@@ -10,12 +10,14 @@ Layout (little-endian):
                   in the header's "tensors" order
 
 The header carries the model config, step counter, RNG state, the Adam
-step count, the active expert layout (per-layer partitions), the scheduler
+step count, a fixed expert layout (moe_layout, written by moefy and smoe
+runs; an ssd checkpoint's grouping is its scheduler chain), the scheduler
 snapshot, and run metadata (run_info: mode, optimizer and run configs); the
 payload carries model parameters in canonical order followed by Adam
 first/second moments in the same order. Unread header keys are ignored, so
 older files that also stored an "ssd_config" copy of run_info's, or copies
-of the optimizer config's Adam scalars, still load.
+of the optimizer config's Adam scalars, still load; so do older ssd files
+whose moe_layout repeats the chain. This module builds no model.
 Loading a truncated file, a wrong magic, or a different version is rejected;
 a non-finite tensor is rejected on save and load. Saves are atomic.
 """
@@ -30,10 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ssdlab.clustering import Partition
-from ssdlab.model import GPT, ModelConfig, param_names, param_shape
-from ssdlab.moe import attach_experts
-from ssdlab.numerics import AdamState
-from ssdlab.scheduler import SchedulerState
+from ssdlab.model import ModelConfig, param_names, param_shape
+from ssdlab.numerics import AdamState, restore_rng
+from ssdlab.scheduler import PHASES, SchedulerState
 
 MAGIC = b"SSD1"
 VERSION = 1
@@ -56,17 +57,9 @@ class Checkpoint:
     step: int = 0
     rng: "dict | None" = None
     adam: "AdamState | None" = None
-    moe_layout: "dict | None" = None   # {"num_experts", "active_experts", "partitions"}
+    moe_layout: "dict | None" = None   # encode_moe_layout's entry
     scheduler: "dict | None" = None    # serialized SchedulerState
     run_info: dict = field(default_factory=dict)
-
-    def build_model(self) -> GPT:
-        """Model with the checkpoint's expert layouts attached (if any)."""
-        model = GPT(self.config, {k: v.copy() for k, v in self.params.items()})
-        if self.moe_layout is not None:
-            attach_experts(model, decode_partitions(self.moe_layout),
-                           self.moe_layout["active_experts"])
-        return model
 
 
 def _assignment(values: list) -> np.ndarray:
@@ -77,6 +70,13 @@ def _assignment(values: list) -> np.ndarray:
         raise ValueError(f"partition assignment is not integer "
                          f"(dtype {assignment.dtype})")
     return assignment
+
+
+def encode_moe_layout(partitions: list, active_experts: int) -> dict:
+    """The `moe_layout` header entry for per-layer Partitions."""
+    return {"num_experts": partitions[0].num_clusters,
+            "active_experts": active_experts,
+            "partitions": [p.assignment.tolist() for p in partitions]}
 
 
 def decode_partitions(moe_layout: dict) -> list:
@@ -136,16 +136,6 @@ def _tensor_manifest(config: ModelConfig, with_adam: bool) -> list:
     return manifest
 
 
-def _tensor_by_entry(ckpt: Checkpoint, kind: str, name: str) -> np.ndarray:
-    if kind == "param":
-        return ckpt.params[name]
-    if kind == "adam_m":
-        return ckpt.adam.m[name]
-    if kind == "adam_v":
-        return ckpt.adam.v[name]
-    raise CheckpointError(f"unknown tensor kind {kind!r}")
-
-
 def _check_finite(arr: np.ndarray, kind: str, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise CheckpointError(f"non-finite values in tensor {kind}:{name}")
@@ -165,8 +155,11 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     parts = [MAGIC, struct.pack("<I", VERSION),
              struct.pack("<Q", len(header_bytes)), header_bytes]
+    tensors = {"param": ckpt.params}
+    if ckpt.adam is not None:
+        tensors.update(adam_m=ckpt.adam.m, adam_v=ckpt.adam.v)
     for kind, name in header["tensors"]:
-        arr = _tensor_by_entry(ckpt, kind, name)
+        arr = tensors[kind][name]
         expected = param_shape(name, ckpt.config)
         if arr.shape != expected:
             raise CheckpointError(f"tensor {kind}:{name} has shape {arr.shape}, "
@@ -191,6 +184,8 @@ def _parse_header(raw: bytes):
             raise TypeError("config values must be integers")
         if header["adam"] is not None and type(header["adam"]["step_count"]) is not int:
             raise TypeError("adam 'step_count' must be an integer")
+        if header["rng"] is not None:
+            restore_rng(header["rng"])
         if header["tensors"] != _tensor_manifest(config, header["adam"] is not None):
             raise ValueError("tensor list does not match the config")
         layout = header["moe_layout"]
@@ -199,8 +194,17 @@ def _parse_header(raw: bytes):
             if not 1 <= layout["active_experts"] <= layout["num_experts"]:
                 raise ValueError("moe_layout active_experts must be in "
                                  "[1, num_experts]")
-        if header["scheduler"] is not None:
-            _check_partitions(deserialize_scheduler(header["scheduler"]).partitions,
+        scheduler = header["scheduler"]
+        if scheduler is not None:
+            if scheduler["phase"] not in PHASES:
+                raise ValueError(f"scheduler phase {scheduler['phase']!r} is not one "
+                                 f"of {', '.join(map(repr, PHASES))}")
+            for key in ("steps_in_phase", "sparse_budget"):
+                if type(scheduler[key]) is not int or scheduler[key] < 0:
+                    raise TypeError(f"scheduler {key!r} must be an integer >= 0")
+            if type(scheduler["events"]) is not list:
+                raise TypeError("scheduler 'events' must be a list")
+            _check_partitions(deserialize_scheduler(scheduler).partitions,
                               config, "scheduler")
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint header: missing key {e}") from e

@@ -151,7 +151,7 @@ def cmd_analyze(args) -> int:
     from ssdlab.analysis import (ActivationSample, activation_sparsity,
                                  pattern_similarity)
     from ssdlab.data import validation_batches
-    from ssdlab.model import forward_with_cache
+    from ssdlab.model import GPT, forward_with_cache
 
     if args.seq_len < 1:
         raise ValueError(f"--seq-len must be >= 1, got {args.seq_len}")
@@ -168,8 +168,8 @@ def cmd_analyze(args) -> int:
                    for _ in range(16)]
     report = pattern_similarity(ckpt_a, ckpt_b, args.experts, args.seed)
 
-    def sparsity_of(ckpt):
-        model = ckpt.build_model()
+    def sparsity_of(ckpt):  # of the dense weights, whatever layout is stored
+        model = GPT(ckpt.config, ckpt.params)
         per_batch = [forward_with_cache(model, b[:, :-1])[1] for b in batches]
         stacked = [np.vstack(layer) for layer in zip(*per_batch)]
         return activation_sparsity(ActivationSample(stacked, step=ckpt.step))

@@ -1,5 +1,6 @@
-"""Balanced k-means over feed-forward input-weight rows, WCSS scoring, and the
-warm-start-vs-random selection used at every similarity monitor.
+"""Balanced k-means over feed-forward input-weight rows, WCSS scoring, the
+Adjusted Rand Index between two partitions, and the warm-start-vs-random
+selection used at every similarity monitor.
 
 Each monitor clusters the rows of the (d_ff, d_model) input matrix into N
 equal-size groups. It runs the pipeline twice, once from random seeds and
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -123,6 +125,30 @@ def wcss(points: np.ndarray, p: Partition) -> float:
 def _wcss_given_means(points, p: Partition, means) -> float:
     diffs = points - means[p.assignment]
     return float((diffs * diffs).sum())
+
+
+def adjusted_rand_index(a: Partition, b: Partition) -> float:
+    """Hubert-Arabie ARI from the contingency table of the two labelings: 1
+    for identical groupings, about 0 for unrelated ones, -0.5 the floor for
+    balanced ones."""
+    la = np.asarray(a.assignment)
+    lb = np.asarray(b.assignment)
+    if la.shape != lb.shape:
+        raise ValueError("partitions must have equal length")
+    n = la.size
+    if n < 2:
+        raise ValueError("ARI needs at least 2 elements")
+    contingency = np.zeros((la.max() + 1, lb.max() + 1), dtype=np.int64)
+    np.add.at(contingency, (la, lb), 1)
+    sum_cells = sum(comb(int(c), 2) for c in contingency.reshape(-1))
+    sum_a = sum(comb(int(c), 2) for c in contingency.sum(axis=1))
+    sum_b = sum(comb(int(c), 2) for c in contingency.sum(axis=0))
+    expected = sum_a * sum_b / comb(n, 2)
+    denom = 0.5 * (sum_a + sum_b) - expected
+    if denom == 0.0:
+        # both partitions trivial (all-singleton or single-cluster): identical
+        return 1.0
+    return (sum_cells - expected) / denom
 
 
 class _Screen:

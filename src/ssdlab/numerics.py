@@ -259,11 +259,19 @@ def rng_state(rng: np.random.Generator) -> dict:
 
 
 def restore_rng(state: dict) -> np.random.Generator:
+    """Inverse of rng_state; rejects values it could not have written."""
+    if not all(type(state[k]) is int for k in ("state", "inc", "has_uint32", "uinteger")):
+        raise TypeError("rng 'state', 'inc', 'has_uint32', 'uinteger' must be integers")
+    if state["has_uint32"] not in (0, 1):
+        raise ValueError("rng 'has_uint32' must be 0 or 1")
     rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state["state"], "inc": state["inc"]},
-        "has_uint32": state["has_uint32"],
-        "uinteger": state["uinteger"],
-    }
+    try:
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state["state"], "inc": state["inc"]},
+            "has_uint32": state["has_uint32"],
+            "uinteger": state["uinteger"],
+        }
+    except OverflowError as e:
+        raise ValueError(f"rng value out of the generator's range: {e}") from e
     return rng

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ssdlab.analysis import adjusted_rand_index
-from ssdlab.clustering import cluster_with_warmstart
+from ssdlab.clustering import adjusted_rand_index, cluster_with_warmstart
 from ssdlab.model import GPT
 from ssdlab.moe import attach_experts
 from ssdlab.numerics import SEED_TAG_CLUSTER, SEED_TAG_POLICY, AdamState, derived_rng
@@ -33,6 +32,7 @@ from ssdlab.numerics import SEED_TAG_CLUSTER, SEED_TAG_POLICY, AdamState, derive
 PHASE_DENSE = "dense"
 PHASE_SPARSE = "sparse"
 PHASE_FINAL_DENSE = "final_dense"
+PHASES = (PHASE_DENSE, PHASE_SPARSE, PHASE_FINAL_DENSE)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from ssdlab.checkpoint import (
     Checkpoint,
     decode_partitions,
     deserialize_scheduler,
+    encode_moe_layout,
     save_checkpoint,
     serialize_scheduler,
 )
@@ -167,30 +168,15 @@ def _random_balanced_partition(d_ff: int, num_experts: int,
     return Partition(assignment, num_experts)
 
 
-def _active_moe_layout(model: GPT) -> "dict | None":
-    layouts = [lay for lay in model.moe if lay is not None]
-    if not layouts:
-        return None
-    return {
-        "num_experts": layouts[0].num_experts,
-        "active_experts": layouts[0].active_experts,
-        "partitions": [lay.partition.assignment.tolist() for lay in model.moe],
-    }
-
-
-def _make_checkpoint(model, adam, rng, step, scheduler_state, run_info) -> Checkpoint:
+def _make_checkpoint(model, adam, rng, step, moe_layout, scheduler_state,
+                     run_info) -> Checkpoint:
     """Checkpoint sharing the live params and Adam moments: periodic saves
-    serialise it at once, and the final one outlives the model it shares."""
-    return Checkpoint(
-        config=model.config,
-        params=model.params,
-        step=step,
-        rng=rng_state(rng),
-        adam=adam,
-        moe_layout=_active_moe_layout(model),
-        scheduler=None if scheduler_state is None else serialize_scheduler(scheduler_state),
-        run_info=run_info,
-    )
+    serialise it at once, and the final one outlives the model it shares.
+    Only smoe runs pass a moe_layout: an ssd run's grouping is its chain."""
+    return Checkpoint(config=model.config, params=model.params, step=step,
+                      rng=rng_state(rng), adam=adam, moe_layout=moe_layout,
+                      scheduler=None if scheduler_state is None
+                      else serialize_scheduler(scheduler_state), run_info=run_info)
 
 
 def _stored_mode(run_info: dict):
@@ -249,6 +235,8 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         ckpt = resume_from
         if ckpt.config.to_dict() != model_cfg.to_dict():
             raise ValueError("checkpoint model config differs from requested config")
+        if type(ckpt.run_info.get("run", {})) is not dict:
+            raise ValueError("checkpoint run_info 'run' must be an object")
         if _stored_mode(ckpt.run_info) != mode.to_dict():
             raise ValueError("checkpoint was trained in a different mode")
         planned = ckpt.run_info.get("run", {}).get("total_steps")
@@ -261,8 +249,8 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         if ckpt.run_info.get("seed") != seed:
             raise ValueError(f"checkpoint was trained with seed "
                              f"{ckpt.run_info.get('seed')}, not {seed}")
-        if "cumulative_flops" not in ckpt.run_info:
-            raise ValueError("checkpoint run_info has no cumulative_flops, "
+        if type(ckpt.run_info.get("cumulative_flops")) is not int:
+            raise ValueError("checkpoint run_info has no cumulative_flops integer, "
                              "so it cannot be resumed")
         for name in ("adam", "rng") + (("scheduler",) if is_ssd else ()):
             if getattr(ckpt, name) is None:
@@ -277,12 +265,14 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         if is_ssd and state.phase == PHASE_SPARSE:
             transition_dense_to_sparse(model, state, mode.active_experts)
 
+    moe_layout = None
     if mode.kind == "smoe":  # fresh or resumed, the layouts come from the seed
         partitions = [_random_balanced_partition(
             model_cfg.d_ff, mode.num_experts,
             derived_rng(seed, SEED_TAG_SMOE_INIT, layer))
             for layer in range(model_cfg.n_layers)]
         attach_experts(model, partitions, mode.active_experts)
+        moe_layout = encode_moe_layout(partitions, mode.active_experts)
 
     if run.out_dir:
         os.makedirs(run.out_dir, exist_ok=True)
@@ -338,11 +328,11 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
         if run.out_dir and (step + 1) % run.checkpoint_interval == 0 \
                 and step + 1 < run.total_steps:
-            ck = _make_checkpoint(model, adam, rng, step + 1, state,
+            ck = _make_checkpoint(model, adam, rng, step + 1, moe_layout, state,
                                   {**run_info_base, "cumulative_flops": cumulative_flops})
             save_checkpoint(ck, os.path.join(run.out_dir, f"ckpt_{step + 1:08d}.bin"))
 
-    final = _make_checkpoint(model, adam, rng, run.total_steps, state,
+    final = _make_checkpoint(model, adam, rng, run.total_steps, moe_layout, state,
                              {**run_info_base, "cumulative_flops": cumulative_flops})
     if run.out_dir:
         save_checkpoint(final, os.path.join(run.out_dir, "final.bin"))
@@ -364,8 +354,8 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
 
 def _stored_partitions(ckpt: Checkpoint) -> "list | None":
-    """Partitions carried by the checkpoint: the active sparse layout if any,
-    else the scheduler's chain (the structure a switchable run trained with)."""
+    """Partitions carried by the checkpoint: its moe_layout (moefy, smoe) if
+    any, else the scheduler's chain (the grouping of an ssd run)."""
     if ckpt.moe_layout is not None:
         return decode_partitions(ckpt.moe_layout)
     if ckpt.scheduler is not None:
@@ -417,10 +407,6 @@ def moefy_checkpoint(ckpt: Checkpoint, num_experts: int,
     model = GPT(ckpt.config, ckpt.params)  # read only
     outcomes = cluster_all_layers(model, [None] * ckpt.config.n_layers,
                                   num_experts, seed, step=0)
-    layout = {
-        "num_experts": num_experts,
-        "active_experts": num_experts,
-        "partitions": [o.partition.assignment.tolist() for o in outcomes],
-    }
+    layout = encode_moe_layout([o.partition for o in outcomes], num_experts)
     return replace(ckpt, moe_layout=layout,
                    run_info={**ckpt.run_info, "moefied": num_experts})

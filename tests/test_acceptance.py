@@ -260,7 +260,7 @@ def test_criterion_08_sparsity_emerges(toy_corpus):
                         val_sequences=16, sparsity_interval=500)
         opt = OptimizerConfig(base_lr=1.0, warmup=500)
         final, _ = train(cfg, toy_corpus, DenseTrain(), opt, seed=42, run=run)
-        trained = final.build_model()
+        trained = GPT(final.config, final.params)
         val = validation_batches(toy_corpus.val_tokens, toy_corpus.seq_len, 128, 8)
         end = measured_sparsity(trained, val)
         assert end >= initial + 0.1

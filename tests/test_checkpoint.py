@@ -11,13 +11,15 @@ from ssdlab.checkpoint import (
     CheckpointError,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
+    decode_partitions,
     deserialize_scheduler,
+    encode_moe_layout,
     load_checkpoint,
     save_checkpoint,
     serialize_scheduler,
 )
 from ssdlab.clustering import Partition
-from ssdlab.model import GPT, ModelConfig, init_params
+from ssdlab.model import ModelConfig, init_params
 from ssdlab.numerics import AdamState, make_rng, rng_state
 from ssdlab.scheduler import SchedulerState
 
@@ -137,12 +139,10 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert loaded.adam is None and loaded.moe_layout is None
 
-    def test_build_model_attaches_layouts(self):
-        model = make_checkpoint().build_model()
-        assert isinstance(model, GPT)
-        assert model.moe[0] is not None
-        assert model.moe[0].active_experts == 1
-        assert np.array_equal(model.moe[0].partition.assignment, np.array([0, 1] * 16))
+    def test_moe_layout_encoding_round_trips(self):
+        layout = make_checkpoint().moe_layout
+        partitions = decode_partitions(layout)
+        assert encode_moe_layout(partitions, layout["active_experts"]) == layout
 
 
 def with_header(blob: bytes, edit) -> bytes:
@@ -232,6 +232,20 @@ class TestRejection:
          "partition assignment is not integer"),
         (lambda h: h["scheduler"]["partitions"][0].update(assignment=[True, False] * 16),
          r"partition assignment is not integer \(dtype bool\)"),
+        (lambda h: h.update(rng={}), "missing key 'state'"),
+        (lambda h: h["rng"].update(state="x"),
+         "rng 'state', 'inc', 'has_uint32', 'uinteger' must be integers"),
+        (lambda h: h["rng"].update(uinteger=True), "must be integers"),
+        (lambda h: h["rng"].update(inc=2 ** 130), "rng value out of the generator's range"),
+        (lambda h: h["rng"].update(has_uint32=5), "rng 'has_uint32' must be 0 or 1"),
+        (lambda h: h["scheduler"].update(phase="bogus"),
+         "scheduler phase 'bogus' is not one of 'dense', 'sparse', 'final_dense'"),
+        (lambda h: h["scheduler"].update(sparse_budget="x"),
+         "scheduler 'sparse_budget' must be an integer >= 0"),
+        (lambda h: h["scheduler"].update(steps_in_phase=-1),
+         "scheduler 'steps_in_phase' must be an integer >= 0"),
+        (lambda h: h["scheduler"].update(events=None), "scheduler 'events' must be a list"),
+        (lambda h: h["scheduler"].update(events="ab"), "scheduler 'events' must be a list"),
     ], ids=["unknown-config-key", "float-config-value", "string-step", "bool-step",
             "bool-config-value", "adam-without-step_count", "bool-adam-step_count",
             "unknown-tensor-name", "layout-without-partitions",
@@ -239,7 +253,11 @@ class TestRejection:
             "layout-active-above-experts", "scheduler-without-phase",
             "scheduler-short-assignment", "layout-float-assignments",
             "layout-integral-float-assignments", "scheduler-float-assignment",
-            "scheduler-bool-assignment"])
+            "scheduler-bool-assignment", "rng-empty", "rng-string-state",
+            "rng-bool-uinteger", "rng-inc-out-of-range", "rng-has_uint32-above-1",
+            "scheduler-unknown-phase",
+            "scheduler-string-budget", "scheduler-negative-steps",
+            "scheduler-null-events", "scheduler-string-events"])
     def test_malformed_header(self, edit, message):
         blob = with_header(checkpoint_to_bytes(make_checkpoint()), edit)
         with pytest.raises(CheckpointError, match=message) as e:

@@ -7,6 +7,8 @@ from ssdlab.checkpoint import load_checkpoint, save_checkpoint
 from ssdlab.cli import main
 from ssdlab.data import make_toy_corpus, toy_vocab_chars
 
+from test_checkpoint import with_header
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -87,6 +89,39 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: checkpoint run_info has no cumulative_flops" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.update(rng={}), "malformed checkpoint header: missing key 'state'"),
+        (lambda h: h["rng"].update(state="x"), "malformed checkpoint header: rng 'state', "
+         "'inc', 'has_uint32', 'uinteger' must be integers"),
+        (lambda h: h["scheduler"].update(phase="bogus"), "malformed checkpoint header: "
+         "scheduler phase 'bogus' is not one of 'dense', 'sparse', 'final_dense'"),
+        (lambda h: h["scheduler"].update(sparse_budget="x"), "malformed checkpoint "
+         "header: scheduler 'sparse_budget' must be an integer >= 0"),
+        (lambda h: h["scheduler"].update(steps_in_phase=-1), "malformed checkpoint "
+         "header: scheduler 'steps_in_phase' must be an integer >= 0"),
+        (lambda h: h["scheduler"].update(events=None),
+         "malformed checkpoint header: scheduler 'events' must be a list"),
+        (lambda h: h["run_info"].update(run=[]),
+         "checkpoint run_info 'run' must be an object"),
+        (lambda h: h["run_info"].update(cumulative_flops="7"),
+         "checkpoint run_info has no cumulative_flops integer, so it cannot be resumed"),
+        (lambda h: h["run_info"].update(cumulative_flops=7.5),
+         "checkpoint run_info has no cumulative_flops integer, so it cannot be resumed"),
+    ], ids=["rng-empty", "rng-string-state", "scheduler-unknown-phase",
+            "scheduler-string-budget", "scheduler-negative-steps",
+            "scheduler-null-events", "run-list", "flops-string", "flops-float"])
+    def test_resume_from_malformed_checkpoint_exits_nonzero(
+            self, workspace, trained_run, tmp_path, capsys, edit, message):
+        blob = (trained_run / "ckpt_00000040.bin").read_bytes()
+        (tmp_path / "bad.bin").write_bytes(with_header(blob, edit))
+        out = tmp_path / "r"
+        rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
+                   "--seed", "3", "--steps", "80", "--out", str(out),
+                   "--resume", str(tmp_path / "bad.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_resume_with_other_seed_exits_nonzero(self, workspace, trained_run,
                                                   tmp_path, capsys):
@@ -393,6 +428,43 @@ class TestAnalyze:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["similarity"]["mean_ari"] == 1.0
+
+    def test_smoe_sparsity_is_that_of_the_dense_weights(self, workspace, tmp_path,
+                                                        capsys):
+        # the K-of-N mask the run trained with is not applied; metrics.jsonl
+        # keeps the sparsity each step ran with
+        import numpy as np
+
+        from ssdlab.analysis import ActivationSample, activation_sparsity
+        from ssdlab.checkpoint import decode_partitions
+        from ssdlab.model import GPT, forward_with_cache
+        from ssdlab.moe import attach_experts
+        from ssdlab.numerics import make_rng
+
+        out = tmp_path / "s"
+        assert main(["train", "--config", str(workspace["config"]), "--mode", "smoe",
+                     "--experts", "8", "--k", "2", "--steps", "10",
+                     "--out", str(out)]) == 0
+        final = str(out / "final.bin")
+        capsys.readouterr()
+        assert main(["analyze", "--checkpoint-a", final, "--checkpoint-b", final,
+                     "--experts", "8", "--seq-len", "16"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        ckpt = load_checkpoint(final)
+        rng = make_rng(0)
+        batches = [rng.integers(0, ckpt.config.vocab_size, size=(8, 17))
+                   for _ in range(16)]
+
+        def sparsity(model):
+            per_batch = [forward_with_cache(model, b[:, :-1])[1] for b in batches]
+            return activation_sparsity(ActivationSample(
+                [np.vstack(layer) for layer in zip(*per_batch)]))
+
+        model = GPT(ckpt.config, ckpt.params)
+        dense = sparsity(model)
+        assert report["sparsity_a"] == report["sparsity_b"] == dense
+        attach_experts(model, decode_partitions(ckpt.moe_layout), 2)
+        assert all(d < m for d, m in zip(dense, sparsity(model)))
 
     def test_zero_seq_len_exits_nonzero(self, trained_run, capsys):
         final = str(trained_run / "final.bin")

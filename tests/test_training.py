@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssdlab.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes, load_checkpoint
+from ssdlab.checkpoint import (
+    checkpoint_from_bytes,
+    checkpoint_to_bytes,
+    deserialize_scheduler,
+    encode_moe_layout,
+    load_checkpoint,
+)
 from ssdlab.data import TokenizedCorpus, unigram_perplexity
 from ssdlab.flops import ssd_total_train_flops
 from ssdlab.metrics import MetricsRecord, csv_header, export_metrics, load_metrics_jsonl
@@ -79,9 +85,9 @@ class TestDeterminism:
         assert rec_res == rec_full[30:]
 
     def test_resume_from_mid_sparse_checkpoint(self, toy_corpus, tmp_path):
-        # the checkpoint inside a sparse phase carries the active expert
-        # layout; resuming must rebuild it and stay bit-exact through the
-        # following merge
+        # inside a sparse phase the active expert layout is the scheduler
+        # chain, its only copy; resuming must rebuild it and stay bit-exact
+        # through the following merge
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
         ssd = SSDConfig(similarity_threshold=0.05, monitor_interval=10)
         mode = SsdTrain(ssd=ssd, num_experts=8, active_experts=2)
@@ -93,11 +99,32 @@ class TestDeterminism:
 
         final_full, rec_full = run(tmp_path / "full")
         mid = load_checkpoint(tmp_path / "full" / "ckpt_00000016.bin")
-        assert mid.moe_layout is not None  # saved inside a sparse phase
+        assert mid.moe_layout is None
         assert mid.scheduler["phase"] == PHASE_SPARSE
         final_res, rec_res = run(tmp_path / "res", resume=mid)
         assert checkpoint_to_bytes(final_res) == checkpoint_to_bytes(final_full)
         assert rec_res == rec_full[16:]
+
+    def test_mid_sparse_checkpoint_evaluates_as_its_older_form(self, toy_corpus,
+                                                               tmp_path):
+        # older ssd checkpoints also stored the chain as moe_layout; sparse
+        # eval reads the chain now, with the same result
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        mode = SsdTrain(ssd=SSDConfig(similarity_threshold=0.05, monitor_interval=10),
+                        num_experts=8, active_experts=2)
+        train(cfg, toy_corpus, mode, OPT, seed=7,
+              run=short_run(44, checkpoint_interval=16, out_dir=str(tmp_path)))
+        assert all(load_checkpoint(p).moe_layout is None
+                   for p in tmp_path.glob("*.bin"))
+        blob = (tmp_path / "ckpt_00000016.bin").read_bytes()
+        mid = checkpoint_from_bytes(blob)
+        assert mid.scheduler["phase"] == PHASE_SPARSE
+        chain = deserialize_scheduler(mid.scheduler).partitions
+        older = checkpoint_from_bytes(with_header(
+            blob, lambda h: h.update(moe_layout=encode_moe_layout(chain, 2))))
+        assert older.moe_layout["partitions"][0] == chain[0].assignment.tolist()
+        assert (eval_perplexity(mid, toy_corpus, sparse_k=2, val_sequences=8)
+                == eval_perplexity(older, toy_corpus, sparse_k=2, val_sequences=8))
 
     def test_resume_leaves_checkpoint_unchanged(self, toy_corpus, tmp_path):
         # two resumes from one in-memory checkpoint replay each other, and
