@@ -190,6 +190,9 @@ def _parse_header(raw: bytes):
             raise ValueError("tensor list does not match the config")
         layout = header["moe_layout"]
         if layout is not None:
+            for key in ("num_experts", "active_experts"):
+                if type(layout[key]) is not int:
+                    raise TypeError(f"moe_layout {key!r} must be an integer")
             _check_partitions(decode_partitions(layout), config, "moe_layout")
             if not 1 <= layout["active_experts"] <= layout["num_experts"]:
                 raise ValueError("moe_layout active_experts must be in "

@@ -7,11 +7,18 @@ sublayers dispatch to a sparse expert layout when one is attached to the model
 (see ssdlab.moe); otherwise they compute densely:
 
     ffn(x) = w_out @ relu(w_in @ x + b_in) + b_out
+
+Bias adds, ReLU, the attention mask and softmax, and the residual adds run in
+place on arrays the same function has just created, with the same operations
+in the same order as the out-of-place formulas, so results are bit-identical.
+Ownership rule: a function never overwrites an array it was passed, nor one
+it has returned in `hiddens` or stored in a cache tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +31,6 @@ from ssdlab.numerics import (
     matmul,
     matmul_nt,
     matmul_tn,
-    relu,
-    relu_backward,
     softmax_cross_entropy,
 )
 
@@ -161,9 +166,11 @@ def ffn_forward(w: FFNWeights, x: np.ndarray):
     w.validate()
     if x.shape[1] != w.w_in.shape[1]:
         raise ValueError(f"input width {x.shape[1]} != d_model {w.w_in.shape[1]}")
-    pre = matmul_nt(x, w.w_in) + w.b_in
-    hidden = relu(pre)
-    y = matmul_nt(hidden, w.w_out) + w.b_out
+    hidden = matmul_nt(x, w.w_in)
+    hidden += w.b_in
+    np.maximum(hidden, 0.0, out=hidden)  # relu
+    y = matmul_nt(hidden, w.w_out)
+    y += w.b_out
     return y, hidden, (x, hidden)
 
 
@@ -172,8 +179,8 @@ def ffn_backward(w: FFNWeights, cache, d_y: np.ndarray):
     x, hidden = cache
     d_w_out = matmul_tn(d_y, hidden)
     d_b_out = d_y.sum(axis=0)
-    d_hidden = matmul(d_y, w.w_out)
-    d_pre = relu_backward(d_hidden, hidden)  # hidden > 0 exactly where pre > 0
+    d_pre = matmul(d_y, w.w_out)
+    d_pre *= hidden > 0.0  # relu backward: hidden > 0 exactly where pre > 0
     d_w_in = matmul_tn(d_pre, x)
     d_b_in = d_pre.sum(axis=0)
     d_x = matmul(d_pre, w.w_in)
@@ -195,6 +202,14 @@ def _unheads(x4d, batch, seq, d_model):
     return x4d.transpose(0, 2, 1, 3).reshape(batch * seq, d_model)
 
 
+@lru_cache(maxsize=None)
+def _future_mask(seq: int) -> np.ndarray:
+    """Read-only (seq, seq) mask of the positions a causal query must not see."""
+    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
 def attention_forward(p: dict, prefix: str, x2d, batch, seq, n_heads):
     d_model = x2d.shape[1]
     head_dim = d_model // n_heads
@@ -205,12 +220,12 @@ def attention_forward(p: dict, prefix: str, x2d, batch, seq, n_heads):
     q4 = _heads(q, batch, seq, n_heads, head_dim)
     k4 = _heads(k, batch, seq, n_heads, head_dim)
     v4 = _heads(v, batch, seq, n_heads, head_dim)
-    scores = bmm_nt(q4, k4) * scale
-    allowed = np.tril(np.ones((seq, seq), dtype=bool))
-    shifted = np.where(allowed, scores, -np.inf)
-    shifted = shifted - shifted.max(axis=3, keepdims=True)
-    expd = np.exp(shifted)  # exactly 0 on masked positions
-    probs = expd / expd.sum(axis=3, keepdims=True)
+    probs = bmm_nt(q4, k4)
+    probs *= scale
+    np.copyto(probs, -np.inf, where=_future_mask(seq))
+    probs -= probs.max(axis=3, keepdims=True)
+    np.exp(probs, out=probs)  # exactly 0 on masked positions
+    probs /= probs.sum(axis=3, keepdims=True)
     ctx4 = bmm_nn(probs, v4)
     ctx = _unheads(ctx4, batch, seq, d_model)
     out = matmul_nt(ctx, p[prefix + "attn_wo"])
@@ -227,9 +242,14 @@ def attention_backward(p: dict, prefix: str, cache, d_out, batch, seq, n_heads):
     d_ctx4 = _heads(d_ctx, batch, seq, n_heads, head_dim)
     d_probs = bmm_nt(d_ctx4, v4)
     d_v4 = bmm_tn(probs, d_ctx4)
-    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=3, keepdims=True))
-    d_q4 = bmm_nn(d_scores, k4) * scale
-    d_k4 = bmm_tn(d_scores, q4) * scale
+    # d_scores = probs * (d_probs - sum(d_probs * probs))
+    d_scores = d_probs * probs
+    d_probs -= d_scores.sum(axis=3, keepdims=True)
+    np.multiply(probs, d_probs, out=d_scores)
+    d_q4 = bmm_nn(d_scores, k4)
+    d_q4 *= scale
+    d_k4 = bmm_tn(d_scores, q4)
+    d_k4 *= scale
     d_q = _unheads(d_q4, batch, seq, d_model)
     d_k = _unheads(d_k4, batch, seq, d_model)
     d_v = _unheads(d_v4, batch, seq, d_model)
@@ -253,15 +273,16 @@ def _block_forward(model: GPT, layer: int, x2d, batch, seq):
     pre = f"block{layer}."
     h1, ln1_cache = layernorm(x2d, p[pre + "ln1_gain"], p[pre + "ln1_bias"], LN_EPS)
     attn_out, attn_cache = attention_forward(p, pre, h1, batch, seq, model.config.n_heads)
-    x2d = x2d + attn_out
+    attn_out += x2d  # residual
+    x2d = attn_out
     h2, ln2_cache = layernorm(x2d, p[pre + "ln2_gain"], p[pre + "ln2_bias"], LN_EPS)
     layout = model.moe[layer]
     if layout is not None:
         ffn_out, hidden, ffn_cache = layout.forward(h2)
     else:
         ffn_out, hidden, ffn_cache = ffn_forward(model.ffn_weights(layer), h2)
-    y = x2d + ffn_out
-    return y, hidden, (ln1_cache, attn_cache, ln2_cache, ffn_cache)
+    ffn_out += x2d  # residual
+    return ffn_out, hidden, (ln1_cache, attn_cache, ln2_cache, ffn_cache)
 
 
 def _block_backward(model: GPT, layer: int, cache, d_y, batch, seq):
@@ -273,11 +294,11 @@ def _block_backward(model: GPT, layer: int, cache, d_y, batch, seq):
     else:
         d_h2, ffn_grads = ffn_backward(model.ffn_weights(layer), ffn_cache, d_y)
     d_x, d_ln2_gain, d_ln2_bias = layernorm_backward(d_h2, ln2_cache)
-    d_x = d_x + d_y  # residual
+    d_x += d_y  # residual
     d_h1, attn_grads = attention_backward(model.params, pre, attn_cache, d_x,
                                           batch, seq, model.config.n_heads)
     d_x0, d_ln1_gain, d_ln1_bias = layernorm_backward(d_h1, ln1_cache)
-    d_x0 = d_x0 + d_x  # residual
+    d_x0 += d_x  # residual
     grads = {pre + "ln1_gain": d_ln1_gain, pre + "ln1_bias": d_ln1_bias,
              pre + "ln2_gain": d_ln2_gain, pre + "ln2_bias": d_ln2_bias}
     for k, v in attn_grads.items():

@@ -13,6 +13,12 @@ Selected experts contribute with coefficient exactly 1 while keeping a
 derivative path through the raw gate score (forward value 1 + s - stop_grad(s));
 unselected experts contribute exactly 0 with no derivative path, so every
 parameter of an expert no token selected receives an exactly-zero gradient.
+
+The per-neuron coefficients are gathered with np.take, which yields a
+C-ordered array, and the mask multiply, bias add and ReLU run in place on
+arrays the same function has just created, with the same operations in the
+same order as the out-of-place formulas. Ownership rule: a function never
+overwrites an array it was passed, nor one it has returned or cached.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from ssdlab.clustering import Partition
 from ssdlab.model import GPT, FFNWeights
-from ssdlab.numerics import matmul, matmul_nt, matmul_tn, relu, relu_backward
+from ssdlab.numerics import matmul, matmul_nt, matmul_tn
 
 
 @dataclass
@@ -40,7 +46,8 @@ class MoEFFN:
     Weights stay in original neuron order; `partition.assignment[j]` names the
     expert owning neuron j, and within an expert neurons keep ascending
     original index. Centroids are recomputed from the live input weights on
-    every use, never cached.
+    every use, never cached. The partition is fixed for the object's life, so
+    its (d_ff, num_experts) expert indicator is built once, read-only.
     """
 
     def __init__(self, weights: FFNWeights, partition: Partition,
@@ -57,6 +64,10 @@ class MoEFFN:
         self.num_experts = partition.num_clusters
         self.active_experts = active_experts
         self.dynamic_ratio = 0.0  # batch-level candidate truncation, eval-time
+        # entry [j, n] is 1 iff expert n owns neuron j
+        self.indicator = np.zeros((d_ff, self.num_experts))
+        self.indicator[np.arange(d_ff), partition.assignment] = 1.0
+        self.indicator.setflags(write=False)
 
     def forward(self, x):
         """Sublayer interface used by the model: (y, hidden, cache)."""
@@ -74,18 +85,10 @@ def attach_experts(model: GPT, partitions: list, active_experts: int) -> None:
         model.moe[layer] = MoEFFN(model.ffn_weights(layer), p, active_experts)
 
 
-def _expert_indicator(m: MoEFFN) -> np.ndarray:
-    """(d_ff, num_experts) 0/1 matrix: entry [j, n] is 1 iff expert n owns neuron j."""
-    d_ff = m.partition.assignment.size
-    indicator = np.zeros((d_ff, m.num_experts))
-    indicator[np.arange(d_ff), m.partition.assignment] = 1.0
-    return indicator
-
-
 def compute_centroids(m: MoEFFN) -> np.ndarray:
     """Expert gate keys: c_n = (N / d_ff) * sum of expert n's input-weight rows."""
     d_ff = m.weights.w_in.shape[0]
-    sums = matmul_tn(_expert_indicator(m), m.weights.w_in)
+    sums = matmul_tn(m.indicator, m.weights.w_in)
     return (m.num_experts / d_ff) * sums
 
 
@@ -124,10 +127,13 @@ def smoe_forward(m: MoEFFN, x: np.ndarray, decision: "GateDecision | None" = Non
     # exactly 0 (no derivative path) on unselected ones
     coeff = np.where(selected, 1.0 + (scores - frozen_scores), 0.0)
     w = m.weights
-    hidden_full = relu(matmul_nt(x, w.w_in) + w.b_in)
-    neuron_coeff = coeff[:, m.partition.assignment]
-    hidden = hidden_full * neuron_coeff
-    y = matmul_nt(hidden, w.w_out) + w.b_out
+    hidden_full = matmul_nt(x, w.w_in)
+    hidden_full += w.b_in
+    np.maximum(hidden_full, 0.0, out=hidden_full)  # relu
+    hidden = np.take(coeff, m.partition.assignment, axis=1)  # per-neuron coeff
+    hidden *= hidden_full
+    y = matmul_nt(hidden, w.w_out)
+    y += w.b_out
     cache = (x, hidden_full, hidden, coeff, selected, centroids)
     return y, decision, hidden, cache
 
@@ -142,13 +148,14 @@ def smoe_backward(m: MoEFFN, cache, d_y: np.ndarray):
     d_w_out = matmul_tn(d_y, hidden)
     d_b_out = d_y.sum(axis=0)
     d_hidden = matmul(d_y, w.w_out)
+    # hidden path, masked by the exactly-0/1 coefficients, then relu backward
+    d_pre = np.take(coeff, assignment, axis=1)
+    d_pre *= d_hidden
+    d_pre *= hidden_full > 0.0
     # expert-coefficient path: d_coeff[t, n] = sum over n's neurons of
     # d_hidden * hidden_full; only selected (t, n) pairs carry a derivative
-    d_coeff = matmul(d_hidden * hidden_full, _expert_indicator(m))
-    d_scores = np.where(selected, d_coeff, 0.0)
-    # hidden path, masked by the exactly-0/1 coefficients
-    d_hidden_full = d_hidden * coeff[:, assignment]
-    d_pre = relu_backward(d_hidden_full, hidden_full)
+    d_hidden *= hidden_full
+    d_scores = np.where(selected, matmul(d_hidden, m.indicator), 0.0)
     d_w_in = matmul_tn(d_pre, x)
     d_b_in = d_pre.sum(axis=0)
     d_x = matmul(d_pre, w.w_in)

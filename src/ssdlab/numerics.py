@@ -10,6 +10,13 @@ It is deterministic for one machine, numpy/BLAS build and BLAS thread count:
 there, replays and resumes are bit-identical, and two calls on the same
 operand shapes and values return the same bits, which is what makes the K=N
 sparse forward equal the dense one.
+
+Elementwise steps write into arrays the same function has just created
+(`out=` and augmented assignment) instead of making one temporary per
+operator. Each such step performs the same IEEE operations on the same
+values in the same order as the out-of-place formula, so results are
+bit-identical to it. Ownership rule: a function never overwrites an array
+it was passed, nor one it has returned or stored in a cache.
 """
 
 from __future__ import annotations
@@ -105,11 +112,13 @@ def layernorm(x, gain, bias, eps=1e-5):
     if eps <= 0:
         raise ValueError("eps must be > 0")
     mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    xhat = x - mu
+    y = xhat * xhat  # scratch until the affine step
+    var = y.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = xhat * gain + bias
+    xhat *= inv
+    np.multiply(xhat, gain, out=y)
+    y += bias
     return y, (xhat, inv, gain)
 
 
@@ -117,15 +126,19 @@ def layernorm_backward(d_out, cache):
     """Returns (d_x, d_gain, d_bias)."""
     xhat, inv, gain = cache
     n = xhat.shape[1]
-    d_gain = (d_out * xhat).sum(axis=0)
+    scratch = d_out * xhat
+    d_gain = scratch.sum(axis=0)
     d_bias = d_out.sum(axis=0)
     d_xhat = d_out * gain
     # d_x = inv/n * (n*d_xhat - sum(d_xhat) - xhat * sum(d_xhat*xhat))
-    d_x = (inv / n) * (
-        n * d_xhat
-        - d_xhat.sum(axis=1, keepdims=True)
-        - xhat * (d_xhat * xhat).sum(axis=1, keepdims=True)
-    )
+    row_sum = d_xhat.sum(axis=1, keepdims=True)
+    np.multiply(d_xhat, xhat, out=scratch)
+    np.multiply(xhat, scratch.sum(axis=1, keepdims=True), out=scratch)
+    d_x = d_xhat
+    d_x *= n
+    d_x -= row_sum
+    d_x -= scratch
+    d_x *= inv / n
     return d_x, d_gain, d_bias
 
 
@@ -142,14 +155,15 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
         raise ValueError(f"targets shape {targets.shape} != ({rows},)")
     if targets.min() < 0 or targets.max() >= cols:
         raise ValueError("target index out of range")
+    target = (np.arange(rows), targets)
     m = logits.max(axis=1, keepdims=True)
     shifted = logits - m
-    exps = np.exp(shifted)
-    sums = exps.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(sums)
-    loss = -log_probs[np.arange(rows), targets].mean()
-    d_logits = exps / sums
-    d_logits[np.arange(rows), targets] -= 1.0
+    target_shifted = shifted[target]
+    d_logits = np.exp(shifted, out=shifted)
+    sums = d_logits.sum(axis=1, keepdims=True)
+    loss = -(target_shifted - np.log(sums[:, 0])).mean()
+    d_logits /= sums
+    d_logits[target] -= 1.0
     d_logits /= rows
     return loss, d_logits
 
@@ -212,11 +226,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, opt: OptimizerConfig,
             raise ValueError(f"grad shape {g.shape} != param shape {p.shape} for {k}")
         m = state.m[k]
         v = state.v[k]
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), through two buffers
+        scratch = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+        v += scratch
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += opt.eps
+        update = m / c1
+        update *= lr
+        update /= scratch
+        p -= update
 
 
 def noam_lr(step: int, warmup: int = 2000, d_model: int = 128, base: float = 0.5) -> float:

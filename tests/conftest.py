@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -57,6 +58,28 @@ def min_relu_margin(model, token_ids):
     return min(np.abs(matmul_nt(c[3][0], p[f"block{i}.ffn_w_in"])
                       + p[f"block{i}.ffn_b_in"]).min()
                for i, c in enumerate(block_caches))
+
+
+# ---------------------------------------------------------------------------
+# Bitwise comparison of nested results
+# ---------------------------------------------------------------------------
+
+
+def snapshot(obj):
+    """The bytes of every array and float in a nested tuple, list, dict or
+    dataclass. Two snapshots are equal only if every value matches bit for
+    bit, sign of zero included; taken before and after a call, they catch
+    an in-place write to anything the call was given or returned."""
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        return {k: snapshot(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [snapshot(v) for v in obj]
+    if isinstance(obj, (float, np.floating, np.ndarray)):
+        arr = np.asarray(obj)
+        return (arr.dtype.str, arr.shape, arr.tobytes())
+    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,12 @@ class TestRejection:
          "partition is not balanced"),
         (lambda h: h["moe_layout"].update(active_experts=3),
          "active_experts must be in"),
+        (lambda h: h["moe_layout"].update(active_experts=1.5),
+         "moe_layout 'active_experts' must be an integer"),
+        (lambda h: h["moe_layout"].update(active_experts=True),
+         "moe_layout 'active_experts' must be an integer"),
+        (lambda h: h["moe_layout"].update(num_experts=2.0),
+         "moe_layout 'num_experts' must be an integer"),
         (lambda h: h["scheduler"].pop("phase"), "missing key 'phase'"),
         (lambda h: h["scheduler"]["partitions"][0]["assignment"].pop(),
          "scheduler partition covers 31 neurons, not d_ff 32"),
@@ -250,7 +256,9 @@ class TestRejection:
             "bool-config-value", "adam-without-step_count", "bool-adam-step_count",
             "unknown-tensor-name", "layout-without-partitions",
             "layout-short-assignments", "layout-missing-layer", "layout-unbalanced",
-            "layout-active-above-experts", "scheduler-without-phase",
+            "layout-active-above-experts", "layout-float-active-experts",
+            "layout-bool-active-experts", "layout-float-num-experts",
+            "scheduler-without-phase",
             "scheduler-short-assignment", "layout-float-assignments",
             "layout-integral-float-assignments", "scheduler-float-assignment",
             "scheduler-bool-assignment", "rng-empty", "rng-string-state",

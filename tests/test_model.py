@@ -1,19 +1,39 @@
 import numpy as np
 import pytest
 
+from ssdlab.clustering import Partition
 from ssdlab.model import (
     GPT,
     FFNWeights,
     ModelConfig,
+    _block_backward,
+    _block_forward,
+    _heads,
+    _unheads,
+    attention_backward,
+    attention_forward,
     block_forward,
     ffn_backward,
     ffn_forward,
     forward_with_cache,
     lm_loss,
 )
-from ssdlab.numerics import make_rng
+from ssdlab.moe import attach_experts
+from ssdlab.numerics import (
+    bmm_nn,
+    bmm_nt,
+    bmm_tn,
+    layernorm,
+    layernorm_backward,
+    make_rng,
+    matmul,
+    matmul_nt,
+    matmul_tn,
+    relu,
+    relu_backward,
+)
 
-from conftest import max_grad_error, min_relu_margin
+from conftest import max_grad_error, min_relu_margin, snapshot
 
 GRAD_CFG = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24,
                        vocab_size=11, max_seq_len=8)
@@ -167,3 +187,196 @@ class TestLmLoss:
         first = np.mean([r.loss for r in records[:20]])
         last = np.mean([r.loss for r in records[-20:]])
         assert last < first * 0.7
+
+
+# -----------------------------------------------------------------------------
+# The in-place sublayers against their out-of-place formulas
+# -----------------------------------------------------------------------------
+
+
+def ffn_forward_reference(w, x):
+    """One fresh array per operator."""
+    pre = matmul_nt(x, w.w_in) + w.b_in
+    hidden = relu(pre)
+    y = matmul_nt(hidden, w.w_out) + w.b_out
+    return y, hidden, (x, hidden)
+
+
+def ffn_backward_reference(w, cache, d_y):
+    x, hidden = cache
+    d_w_out = matmul_tn(d_y, hidden)
+    d_b_out = d_y.sum(axis=0)
+    d_hidden = matmul(d_y, w.w_out)
+    d_pre = relu_backward(d_hidden, hidden)
+    d_w_in = matmul_tn(d_pre, x)
+    d_b_in = d_pre.sum(axis=0)
+    d_x = matmul(d_pre, w.w_in)
+    return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}
+
+
+def attention_forward_reference(p, prefix, x2d, batch, seq, n_heads):
+    d_model = x2d.shape[1]
+    head_dim = d_model // n_heads
+    scale = 1.0 / np.sqrt(head_dim)
+    q = matmul_nt(x2d, p[prefix + "attn_wq"])
+    k = matmul_nt(x2d, p[prefix + "attn_wk"])
+    v = matmul_nt(x2d, p[prefix + "attn_wv"])
+    q4 = _heads(q, batch, seq, n_heads, head_dim)
+    k4 = _heads(k, batch, seq, n_heads, head_dim)
+    v4 = _heads(v, batch, seq, n_heads, head_dim)
+    scores = bmm_nt(q4, k4) * scale
+    allowed = np.tril(np.ones((seq, seq), dtype=bool))
+    shifted = np.where(allowed, scores, -np.inf)
+    shifted = shifted - shifted.max(axis=3, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=3, keepdims=True)
+    ctx4 = bmm_nn(probs, v4)
+    ctx = _unheads(ctx4, batch, seq, d_model)
+    out = matmul_nt(ctx, p[prefix + "attn_wo"])
+    return out, (x2d, q4, k4, v4, probs, ctx, scale)
+
+
+def attention_backward_reference(p, prefix, cache, d_out, batch, seq, n_heads):
+    x2d, q4, k4, v4, probs, ctx, scale = cache
+    d_model = x2d.shape[1]
+    head_dim = d_model // n_heads
+    d_ctx = matmul(d_out, p[prefix + "attn_wo"])
+    d_wo = matmul_tn(d_out, ctx)
+    d_ctx4 = _heads(d_ctx, batch, seq, n_heads, head_dim)
+    d_probs = bmm_nt(d_ctx4, v4)
+    d_v4 = bmm_tn(probs, d_ctx4)
+    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=3, keepdims=True))
+    d_q4 = bmm_nn(d_scores, k4) * scale
+    d_k4 = bmm_tn(d_scores, q4) * scale
+    d_q = _unheads(d_q4, batch, seq, d_model)
+    d_k = _unheads(d_k4, batch, seq, d_model)
+    d_v = _unheads(d_v4, batch, seq, d_model)
+    d_x = matmul(d_q, p[prefix + "attn_wq"])
+    d_x += matmul(d_k, p[prefix + "attn_wk"])
+    d_x += matmul(d_v, p[prefix + "attn_wv"])
+    return d_x, {"attn_wq": matmul_tn(d_q, x2d), "attn_wk": matmul_tn(d_k, x2d),
+                 "attn_wv": matmul_tn(d_v, x2d), "attn_wo": d_wo}
+
+
+def block_forward_reference(model, layer, x2d, batch, seq):
+    """A dense pre-LN block whose residual adds make fresh arrays."""
+    p = model.params
+    pre = f"block{layer}."
+    h1, ln1_cache = layernorm(x2d, p[pre + "ln1_gain"], p[pre + "ln1_bias"])
+    attn_out, attn_cache = attention_forward_reference(p, pre, h1, batch, seq,
+                                                       model.config.n_heads)
+    x2d = x2d + attn_out
+    h2, ln2_cache = layernorm(x2d, p[pre + "ln2_gain"], p[pre + "ln2_bias"])
+    ffn_out, hidden, ffn_cache = ffn_forward_reference(model.ffn_weights(layer), h2)
+    return x2d + ffn_out, hidden, (ln1_cache, attn_cache, ln2_cache, ffn_cache)
+
+
+def block_backward_reference(model, layer, cache, d_y, batch, seq):
+    ln1_cache, attn_cache, ln2_cache, ffn_cache = cache
+    pre = f"block{layer}."
+    d_h2, ffn_grads = ffn_backward_reference(model.ffn_weights(layer), ffn_cache, d_y)
+    d_x, d_ln2_gain, d_ln2_bias = layernorm_backward(d_h2, ln2_cache)
+    d_x = d_x + d_y
+    d_h1, attn_grads = attention_backward_reference(model.params, pre, attn_cache, d_x,
+                                                    batch, seq, model.config.n_heads)
+    d_x0, d_ln1_gain, d_ln1_bias = layernorm_backward(d_h1, ln1_cache)
+    grads = {pre + "ln1_gain": d_ln1_gain, pre + "ln1_bias": d_ln1_bias,
+             pre + "ln2_gain": d_ln2_gain, pre + "ln2_bias": d_ln2_bias}
+    grads.update({pre + k: v for k, v in attn_grads.items()})
+    grads.update({pre + "ffn_" + k: v for k, v in ffn_grads.items()})
+    return d_x0 + d_x, grads
+
+
+# (batch, seq, ModelConfig fields): the desk and toy shapes, and an odd one
+# with 7 tokens of width 8
+SHAPES = {
+    "desk": (8, 64, dict(n_layers=1, d_model=128, n_heads=4, d_ff=512)),
+    "toy": (4, 32, dict(n_layers=1, d_model=32, n_heads=2, d_ff=64)),
+    "odd": (1, 7, dict(n_layers=1, d_model=8, n_heads=2, d_ff=12)),
+}
+
+
+def perturbed_model(fields, seed, vocab_size=13, max_seq_len=64):
+    """An initialised model with every parameter moved off its init value,
+    so the layernorm gains and the biases take part."""
+    rng = make_rng(seed)
+    model = GPT.init(ModelConfig(**fields, vocab_size=vocab_size,
+                                 max_seq_len=max_seq_len), rng)
+    for p in model.params.values():
+        p += rng.normal(0.0, 0.05, p.shape)
+    return model, rng
+
+
+@pytest.mark.parametrize("batch, seq, fields", SHAPES.values(), ids=SHAPES.keys())
+class TestInPlaceMatchesReference:
+    def test_ffn(self, batch, seq, fields):
+        model, rng = perturbed_model(fields, seq)
+        w = model.ffn_weights(0)
+        x = rng.standard_normal((batch * seq, fields["d_model"]))
+        d_y = rng.standard_normal(x.shape)
+        inputs = snapshot((x, d_y, model.params))
+        y, hidden, cache = ffn_forward(w, x)
+        assert snapshot((y, hidden, cache)) == snapshot(ffn_forward_reference(w, x))
+        returned = snapshot((hidden, cache))
+        out = ffn_backward(w, cache, d_y)
+        assert snapshot(out) == snapshot(ffn_backward_reference(w, cache, d_y))
+        assert snapshot((hidden, cache)) == returned
+        assert snapshot((x, d_y, model.params)) == inputs
+
+    def test_attention(self, batch, seq, fields):
+        model, rng = perturbed_model(fields, seq + 1)
+        p, heads = model.params, fields["n_heads"]
+        x = rng.standard_normal((batch * seq, fields["d_model"]))
+        d_out = rng.standard_normal(x.shape)
+        inputs = snapshot((x, d_out, p))
+        out, cache = attention_forward(p, "block0.", x, batch, seq, heads)
+        assert snapshot((out, cache)) == snapshot(
+            attention_forward_reference(p, "block0.", x, batch, seq, heads))
+        returned = snapshot(cache)
+        grads = attention_backward(p, "block0.", cache, d_out, batch, seq, heads)
+        assert snapshot(grads) == snapshot(
+            attention_backward_reference(p, "block0.", cache, d_out, batch, seq, heads))
+        assert snapshot(cache) == returned
+        assert snapshot((x, d_out, p)) == inputs
+
+    def test_block_residuals(self, batch, seq, fields):
+        model, rng = perturbed_model(fields, seq + 2)
+        x = rng.standard_normal((batch * seq, fields["d_model"]))
+        d_y = rng.standard_normal(x.shape)
+        inputs = snapshot((x, d_y, model.params))
+        y, hidden, cache = _block_forward(model, 0, x, batch, seq)
+        assert snapshot((y, hidden, cache)) == snapshot(
+            block_forward_reference(model, 0, x, batch, seq))
+        returned = snapshot((hidden, cache))
+        out = _block_backward(model, 0, cache, d_y, batch, seq)
+        assert snapshot(out) == snapshot(
+            block_backward_reference(model, 0, cache, d_y, batch, seq))
+        assert snapshot((hidden, cache)) == returned
+        assert snapshot((x, d_y, model.params)) == inputs
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+class TestLmLossAliasing:
+    def model_and_batch(self, sparse):
+        model, rng = perturbed_model(dict(n_layers=2, d_model=16, n_heads=2, d_ff=24),
+                                     seed=9, vocab_size=11, max_seq_len=8)
+        if sparse:
+            parts = [Partition(rng.permutation(np.arange(24) % 4), 4) for _ in range(2)]
+            attach_experts(model, parts, 2)
+        return model, rng.integers(0, 11, size=(3, 8))
+
+    def test_hiddens_do_not_depend_on_want_grads(self, sparse):
+        model, ids = self.model_and_batch(sparse)
+        params = snapshot(model.params)
+        loss, _, hiddens = lm_loss(model, ids)
+        eval_loss, _, eval_hiddens = lm_loss(model, ids, want_grads=False)
+        assert snapshot((loss, hiddens)) == snapshot((eval_loss, eval_hiddens))
+        assert snapshot(model.params) == params
+
+    def test_returned_arrays_share_no_memory(self, sparse):
+        model, ids = self.model_and_batch(sparse)
+        _, grads, hiddens = lm_loss(model, ids)
+        arrays = list(grads.values()) + hiddens + list(model.params.values())
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)

@@ -14,9 +14,9 @@ from ssdlab.moe import (
     smoe_forward,
     topk_mask,
 )
-from ssdlab.numerics import make_rng
+from ssdlab.numerics import make_rng, matmul, matmul_nt, matmul_tn, relu, relu_backward
 
-from conftest import max_grad_error
+from conftest import max_grad_error, snapshot
 
 D_MODEL, D_FF, N = 16, 32, 4
 FIELDS = ("w_in", "b_in", "w_out", "b_out")
@@ -375,3 +375,97 @@ class TestDynamicTopk:
             dynamic_topk(d, 1.0)
         with pytest.raises(ValueError):
             dynamic_topk(d, -0.1)
+
+
+# -----------------------------------------------------------------------------
+# The in-place sparse FFN against its out-of-place formulas
+# -----------------------------------------------------------------------------
+
+
+def expert_indicator_reference(m):
+    d_ff = m.partition.assignment.size
+    indicator = np.zeros((d_ff, m.num_experts))
+    indicator[np.arange(d_ff), m.partition.assignment] = 1.0
+    return indicator
+
+
+def compute_centroids_reference(m):
+    d_ff = m.weights.w_in.shape[0]
+    return (m.num_experts / d_ff) * matmul_tn(expert_indicator_reference(m), m.weights.w_in)
+
+
+def smoe_forward_reference(m, x, decision=None, frozen_scores=None):
+    """One fresh array per operator; the per-neuron coefficients gathered
+    with fancy indexing."""
+    centroids = compute_centroids_reference(m)
+    scores = matmul_nt(x, centroids)
+    if decision is None:
+        decision = GateDecision(scores, topk_mask(scores, m.active_experts))
+        if m.dynamic_ratio > 0.0:
+            decision = dynamic_topk(decision, m.dynamic_ratio)
+    selected = decision.selected
+    if frozen_scores is None:
+        frozen_scores = scores
+    coeff = np.where(selected, 1.0 + (scores - frozen_scores), 0.0)
+    w = m.weights
+    hidden_full = relu(matmul_nt(x, w.w_in) + w.b_in)
+    hidden = hidden_full * coeff[:, m.partition.assignment]
+    y = matmul_nt(hidden, w.w_out) + w.b_out
+    return y, decision, hidden, (x, hidden_full, hidden, coeff, selected, centroids)
+
+
+def smoe_backward_reference(m, cache, d_y):
+    x, hidden_full, hidden, coeff, selected, centroids = cache
+    w = m.weights
+    assignment = m.partition.assignment
+    d_w_out = matmul_tn(d_y, hidden)
+    d_b_out = d_y.sum(axis=0)
+    d_hidden = matmul(d_y, w.w_out)
+    d_coeff = matmul(d_hidden * hidden_full, expert_indicator_reference(m))
+    d_scores = np.where(selected, d_coeff, 0.0)
+    d_pre = relu_backward(d_hidden * coeff[:, assignment], hidden_full)
+    d_w_in = matmul_tn(d_pre, x)
+    d_b_in = d_pre.sum(axis=0)
+    d_x = matmul(d_pre, w.w_in)
+    d_x += matmul(d_scores, centroids)
+    d_centroids = matmul_tn(d_scores, x)
+    d_w_in += (m.num_experts / assignment.size) * d_centroids[assignment]
+    return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}
+
+
+# (tokens, d_model, d_ff, N, K): desk and toy batches, an odd 7x8 one, and
+# K = N at desk shape
+SMOE_SHAPES = {
+    "desk": (512, 128, 512, 32, 6),
+    "toy": (128, 32, 64, 8, 2),
+    "odd": (7, 8, 12, 4, 2),
+    "desk-k-equals-n": (512, 128, 512, 32, 32),
+}
+
+
+@pytest.mark.parametrize("tokens, d_model, d_ff, n, k", SMOE_SHAPES.values(),
+                         ids=SMOE_SHAPES.keys())
+@pytest.mark.parametrize("dynamic_ratio", [0.0, 0.5])
+@pytest.mark.parametrize("frozen", [False, True], ids=["live", "frozen-scores"])
+def test_smoe_matches_reference(tokens, d_model, d_ff, n, k, dynamic_ratio, frozen):
+    rng = make_rng(tokens + d_ff + k)
+    w = FFNWeights(0.1 * rng.standard_normal((d_ff, d_model)), 0.1 * rng.standard_normal(d_ff),
+                   0.1 * rng.standard_normal((d_model, d_ff)), 0.1 * rng.standard_normal(d_model))
+    m = MoEFFN(w, random_partition(rng, d_ff, n), k)
+    m.dynamic_ratio = dynamic_ratio
+    x = rng.standard_normal((tokens, d_model))
+    d_y = rng.standard_normal(x.shape)
+    decision, frozen_scores = None, None
+    if frozen:
+        decision = smoe_forward_reference(m, x)[1]
+        frozen_scores = decision.scores + 0.1 * rng.standard_normal(decision.scores.shape)
+    inputs = snapshot((x, d_y, w, decision, frozen_scores))
+    assert snapshot(compute_centroids(m)) == snapshot(compute_centroids_reference(m))
+    out = smoe_forward(m, x, decision, frozen_scores)
+    assert snapshot(out) == snapshot(smoe_forward_reference(m, x, decision, frozen_scores))
+    y, _, hidden, cache = out
+    returned = snapshot((hidden, cache))
+    grads = smoe_backward(m, cache, d_y)
+    assert snapshot(grads) == snapshot(smoe_backward_reference(m, cache, d_y))
+    assert snapshot((hidden, cache)) == returned
+    assert snapshot((x, d_y, w, decision, frozen_scores)) == inputs

@@ -3,7 +3,7 @@ import pytest
 
 from ssdlab import numerics as nx
 
-from conftest import central_diff, rel_err
+from conftest import central_diff, rel_err, snapshot
 
 
 def triple_loop_matmul(a, b):
@@ -259,3 +259,114 @@ class TestNoamSchedule:
     def test_invalid_step(self):
         with pytest.raises(ValueError):
             nx.noam_lr(0, 2000, 128, 0.5)
+
+
+# -----------------------------------------------------------------------------
+# The in-place primitives against their out-of-place formulas
+# -----------------------------------------------------------------------------
+
+
+def layernorm_reference(x, gain, bias, eps=1e-5):
+    """One fresh array per operator."""
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    y = xhat * gain + bias
+    return y, (xhat, inv, gain)
+
+
+def layernorm_backward_reference(d_out, cache):
+    xhat, inv, gain = cache
+    n = xhat.shape[1]
+    d_gain = (d_out * xhat).sum(axis=0)
+    d_bias = d_out.sum(axis=0)
+    d_xhat = d_out * gain
+    d_x = (inv / n) * (
+        n * d_xhat
+        - d_xhat.sum(axis=1, keepdims=True)
+        - xhat * (d_xhat * xhat).sum(axis=1, keepdims=True)
+    )
+    return d_x, d_gain, d_bias
+
+
+def softmax_cross_entropy_reference(logits, targets):
+    rows = logits.shape[0]
+    m = logits.max(axis=1, keepdims=True)
+    shifted = logits - m
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(sums)
+    loss = -log_probs[np.arange(rows), targets].mean()
+    d_logits = exps / sums
+    d_logits[np.arange(rows), targets] -= 1.0
+    d_logits /= rows
+    return loss, d_logits
+
+
+def adam_step_reference(params, grads, state, opt, lr):
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = opt.beta1, opt.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for k, p in params.items():
+        g = grads[k]
+        m = state.m[k]
+        v = state.v[k]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+
+
+# (rows, cols): a desk batch of tokens by d_model, a toy one, and an odd one
+# whose width is no power of two, so dividing by it rounds
+ROWS_COLS = {"desk": (512, 128), "toy": (128, 32), "odd": (7, 9)}
+LOGITS = {"desk": (512, 257), "toy": (128, 30), "odd": (7, 9)}
+
+
+class TestInPlaceMatchesReference:
+    @pytest.mark.parametrize("shape", ROWS_COLS.values(), ids=ROWS_COLS.keys())
+    def test_layernorm(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = normal_valued(rng, shape) * 3.0 + 1.0
+        gain, bias = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+        d_out = normal_valued(rng, shape)
+        inputs = snapshot((x, gain, bias, d_out))
+        y, cache = nx.layernorm(x, gain, bias)
+        assert snapshot((y, cache)) == snapshot(layernorm_reference(x, gain, bias))
+        returned = snapshot(cache)
+        grads = nx.layernorm_backward(d_out, cache)
+        assert snapshot(grads) == snapshot(layernorm_backward_reference(d_out, cache))
+        assert snapshot(cache) == returned
+        assert snapshot((x, gain, bias, d_out)) == inputs
+
+    @pytest.mark.parametrize("shape", LOGITS.values(), ids=LOGITS.keys())
+    def test_softmax_cross_entropy(self, shape):
+        rng = np.random.default_rng(shape[1])
+        logits = 4.0 * normal_valued(rng, shape)
+        logits[0, 0] = 800.0  # a saturated row
+        targets = rng.integers(0, shape[1], shape[0])
+        inputs = snapshot((logits, targets))
+        out = nx.softmax_cross_entropy(logits, targets)
+        assert snapshot(out) == snapshot(softmax_cross_entropy_reference(logits, targets))
+        assert snapshot((logits, targets)) == inputs
+
+    def test_adam_step_over_several_steps(self):
+        rng = np.random.default_rng(3)
+        shapes = {"desk": (512, 128), "vector": (128,), "odd": (7, 8)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref_params = {k: p.copy() for k, p in params.items()}
+        state = nx.AdamState.for_params(params)
+        ref_state = nx.AdamState.for_params(ref_params)
+        opt = nx.OptimizerConfig()
+        for step in range(1, 6):
+            grads = {k: normal_valued(rng, s) for k, s in shapes.items()}
+            given = snapshot(grads)
+            nx.adam_step(params, grads, state, opt, lr=0.01 * step)
+            adam_step_reference(ref_params, grads, ref_state, opt, lr=0.01 * step)
+            assert snapshot(grads) == given
+            assert snapshot((params, state)) == snapshot((ref_params, ref_state))
