@@ -73,4 +73,8 @@ from ssdlab.training import (
     train,
 )
 
+from ssdlab.numerics import _keep_freed_heap
+
 __version__ = "0.1.0"
+
+_keep_freed_heap()  # the package's one process-wide setting; see numerics

@@ -353,21 +353,31 @@ def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
     Positions 0..seq-1 predict positions 1..seq; loss is the mean NLL over all
     predicted positions. Returns (loss, grads, hiddens); grads is None when
     want_grads is False.
+
+    The backward frees the forward's activations as it consumes them: the
+    logits and the head's cache go before the first block's backward, and
+    each block's cache is popped as its backward runs, so layer i's caches
+    are gone before layer i-1's backward allocates. Only `hiddens` outlive
+    the call.
     """
     token_ids = np.asarray(token_ids)
     inputs = token_ids[:, :-1]
     targets = token_ids[:, 1:].reshape(-1)
     logits, hiddens, cache = forward_with_cache(model, inputs)
     loss, d_logits = softmax_cross_entropy(logits, targets)
+    del logits
     if not want_grads:
         return loss, None, hiddens
     _, batch, seq, block_caches, lnf_cache, h_f = cache
+    del cache
     p = model.params
     grads = {"head": matmul_tn(d_logits, h_f)}
     d_hf = matmul(d_logits, p["head"])
+    del d_logits, h_f
     d_x, grads["ln_f_gain"], grads["ln_f_bias"] = layernorm_backward(d_hf, lnf_cache)
+    del d_hf, lnf_cache
     for layer in range(model.config.n_layers - 1, -1, -1):
-        d_x, block_grads = _block_backward(model, layer, block_caches[layer],
+        d_x, block_grads = _block_backward(model, layer, block_caches.pop(),
                                            d_x, batch, seq)
         grads.update(block_grads)
     d_tok = np.zeros_like(p["tok_emb"])

@@ -133,7 +133,8 @@ class RunConfig:
 def _mean_nll(model: GPT, batches: list) -> float:
     total, count = 0.0, 0
     for b in batches:
-        loss, _, _ = lm_loss(model, b, want_grads=False)
+        # only the loss is kept: held hiddens would live through the next forward
+        loss = lm_loss(model, b, want_grads=False)[0]
         n = b.shape[0] * (b.shape[1] - 1)
         total += loss * n
         count += n
@@ -203,6 +204,10 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
     It reads the checkpoint's params, Adam moments, RNG and scheduler
     snapshot, and rebuilds the expert layouts from the mode, the seed and the
     scheduler chain as a fresh run builds them; a stored moe_layout is not read.
+
+    Each step's grads and hiddens are dropped once Adam and the sparsity
+    sample have read them, so validation, the next monitor and the next
+    forward never run beside them.
     """
     opt = opt or OptimizerConfig()
     run = run or RunConfig()
@@ -304,6 +309,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
             raise ValueError(f"loss is not finite at step {step}: {loss}")
         lr = noam_lr(step + 1, opt.warmup, model_cfg.d_model, opt.base_lr)
         adam_step(model.params, grads, adam, opt, lr)
+        del grads
 
         if phase == PHASE_SPARSE:
             step_mode = SmoeMode(mode.num_experts, mode.active_experts)
@@ -315,6 +321,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         sparsity = None
         if run.sparsity_interval and step % run.sparsity_interval == 0:
             sparsity = [float((h == 0.0).mean()) for h in hiddens]
+        del hiddens
         ppl = None
         if (step + 1) % run.val_interval == 0 or step + 1 == run.total_steps:
             ppl = float(np.exp(_mean_nll(model, val_set)))
@@ -377,6 +384,8 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
     as moefy_checkpoint does, which needs num_experts. dynamic_ratio > 0
     truncates low-score candidates per batch.
     """
+    if not 0.0 <= dynamic_ratio < 1.0:  # also NaN, which would read as 0
+        raise ValueError("truncation ratio must be in [0, 1)")
     if sparse_k is None and (dynamic_ratio != 0.0 or num_experts is not None):
         raise ValueError("dynamic_ratio and num_experts are only read "
                          "with sparse_k (--k)")

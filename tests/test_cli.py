@@ -331,6 +331,17 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("ratio", ["-0.5", "nan"])
+    def test_dynamic_ratio_out_of_range_exits_nonzero(self, workspace, trained_run,
+                                                      capsys, ratio):
+        # a negative or NaN ratio used to print the rho=0 perplexity and exit 0
+        rc = main(["eval", "--checkpoint", str(trained_run / "final.bin"),
+                   "--corpus", str(workspace["corpus"]),
+                   "--tokenizer", str(workspace["vocab"]),
+                   "--seq-len", "32", "--k", "2", "--dynamic-ratio", ratio])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: truncation ratio must be in [0, 1)\n"
+
     def test_corpus_vocab_mismatch_exits_nonzero(self, workspace, trained_run, capsys):
         # the checkpoint was trained on the toy character vocabulary
         rc = main(["eval", "--checkpoint", str(trained_run / "final.bin"),

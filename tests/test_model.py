@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from ssdlab import model as model_module
 from ssdlab.clustering import Partition
 from ssdlab.model import (
     GPT,
@@ -380,3 +383,21 @@ class TestLmLossAliasing:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    def test_block_caches_die_before_the_next_block_backward(self, sparse, monkeypatch):
+        model, ids = self.model_and_batch(sparse)
+        real = model_module._block_backward
+        cached, dead_at_start = {}, {}
+
+        def spy(model, layer, cache, d_y, batch, seq):
+            later = cached.get(layer + 1, [])
+            dead_at_start[layer] = [ref() is None for ref in later]
+            ln1_cache, attn_cache, ln2_cache, _ = cache
+            # attention probs, then each layernorm's xhat
+            cached[layer] = [weakref.ref(attn_cache[4]), weakref.ref(ln1_cache[0]),
+                             weakref.ref(ln2_cache[0])]
+            return real(model, layer, cache, d_y, batch, seq)
+
+        monkeypatch.setattr(model_module, "_block_backward", spy)
+        lm_loss(model, ids)
+        assert dead_at_start == {1: [], 0: [True, True, True]}

@@ -1,3 +1,6 @@
+import os
+import resource
+
 import numpy as np
 import pytest
 
@@ -370,3 +373,58 @@ class TestInPlaceMatchesReference:
             adam_step_reference(ref_params, grads, ref_state, opt, lr=0.01 * step)
             assert snapshot(grads) == given
             assert snapshot((params, state)) == snapshot((ref_params, ref_state))
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestKeepFreedHeap:
+    def test_off_glibc_does_nothing(self, monkeypatch):
+        def no_glibc(name):
+            raise ValueError("unrecognized configuration name")
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("libc was loaded")
+
+        monkeypatch.setattr(nx.os, "confstr", no_glibc)
+        monkeypatch.setattr(nx.ctypes, "CDLL", no_load)
+        assert nx._keep_freed_heap() is None
+
+    def test_sets_mmap_and_trim_thresholds(self, monkeypatch):
+        calls = []
+
+        class FakeLibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 0  # a refusal is ignored
+
+        monkeypatch.setattr(nx.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(nx.ctypes, "CDLL", lambda name: FakeLibc())
+        nx._keep_freed_heap()
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    @pytest.mark.skipif(not _on_glibc(), reason="glibc malloc only")
+    def test_desk_steps_fault_in_no_memory(self):
+        # importing ssdlab kept the freed heap: a desk step used to take
+        # about 15k minor faults, each step re-faulting what the last freed
+        from ssdlab.model import GPT, ModelConfig, lm_loss
+
+        cfg = ModelConfig(n_layers=4, d_model=128, n_heads=4, d_ff=512,
+                          vocab_size=257, max_seq_len=64)
+        rng = nx.make_rng(0)
+        model = GPT.init(cfg, rng)
+        adam = nx.AdamState.for_params(model.params)
+        opt = nx.OptimizerConfig()
+        faults = []
+        for _ in range(5):
+            batch = rng.integers(0, 257, size=(8, 65))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            _, grads, hiddens = lm_loss(model, batch)
+            nx.adam_step(model.params, grads, adam, opt, 1e-3)
+            del grads, hiddens
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults[2:]) < 1000, faults

@@ -1,9 +1,11 @@
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ssdlab import training
 from ssdlab.checkpoint import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
@@ -373,6 +375,28 @@ class TestModesLearn:
             assert records[-1].ppl < baseline, mode.kind
 
 
+@pytest.mark.parametrize("mode", [DenseTrain(), short_ssd_mode()], ids=["dense", "ssd"])
+def test_no_array_of_one_loss_call_lives_into_the_next(toy_corpus, monkeypatch, mode):
+    """A step's grads and hiddens, and a validation batch's hiddens, are
+    dropped before the next forward starts."""
+    real = training.lm_loss
+    previous, calls = [], []
+
+    def spy(model, batch, want_grads=True):
+        calls.append((want_grads, sum(ref() is not None for ref in previous)))
+        loss, grads, hiddens = real(model, batch, want_grads)
+        arrays = list(grads.values()) if grads is not None else []
+        previous[:] = [weakref.ref(a) for a in arrays + hiddens]
+        return loss, grads, hiddens
+
+    monkeypatch.setattr(training, "lm_loss", spy)
+    cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+    train(cfg, toy_corpus, mode, OPT, seed=4,
+          run=short_run(30, val_interval=10, sparsity_interval=1))
+    assert sum(not want for want, _ in calls) >= 3 * 2  # validation ran
+    assert [alive for _, alive in calls] == [0] * len(calls)
+
+
 class TestEvalPerplexity:
     def test_uniform_logit_model_gives_vocab_size(self):
         cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=32,
@@ -414,6 +438,13 @@ class TestEvalPerplexity:
         dyn = eval_perplexity(final, corpus, sparse_k=4, dynamic_ratio=0.5,
                               val_sequences=16)
         assert np.isfinite(dyn) and dyn != base
+
+    @pytest.mark.parametrize("ratio", [-0.5, float("nan"), 1.0, float("inf")])
+    def test_dynamic_ratio_out_of_range_rejected(self, toy_ssd_run, ratio):
+        # a negative or NaN ratio used to skip dynamic_topk and read as 0
+        with pytest.raises(ValueError, match=r"truncation ratio must be in \[0, 1\)"):
+            eval_perplexity(toy_ssd_run["final"], toy_ssd_run["corpus"], sparse_k=4,
+                            dynamic_ratio=ratio, val_sequences=16)
 
     def test_dense_checkpoint_requires_experts_to_moefy(self, toy_corpus):
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
