@@ -6,17 +6,11 @@ mixture-of-experts form; every conversion, gating, clustering, and scheduling
 rule is verifiable by construction.
 """
 
-from ssdlab.analysis import (
-    ActivationSample,
-    SimilarityReport,
-    activation_sparsity,
-    adjusted_rand_index,
-    pattern_similarity,
-)
 from ssdlab.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from ssdlab.clustering import (
     ClusteringOutcome,
     Partition,
+    adjusted_rand_index,
     balanced_kmeans,
     cluster_with_warmstart,
     wcss,
@@ -28,6 +22,7 @@ from ssdlab.model import (
     GPT,
     FFNWeights,
     ModelConfig,
+    activation_sparsity,
     block_forward,
     ffn_backward,
     ffn_forward,
@@ -59,6 +54,7 @@ from ssdlab.scheduler import (
     SSDConfig,
     advance,
     on_monitor,
+    pattern_similarity,
     transition_dense_to_sparse,
     transition_sparse_to_dense,
 )

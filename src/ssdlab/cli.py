@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from ssdlab.checkpoint import load_checkpoint, save_checkpoint
-from ssdlab.data import CorpusConfig, tokenize_corpus
+from ssdlab.data import CorpusConfig, tokenize_corpus, validation_batches
 from ssdlab.metrics import export_metrics, load_metrics_jsonl
-from ssdlab.model import ModelConfig
+from ssdlab.model import GPT, ModelConfig, activation_sparsity, forward_with_cache
 from ssdlab.numerics import make_rng
-from ssdlab.scheduler import SSDConfig
+from ssdlab.scheduler import SSDConfig, pattern_similarity
 from ssdlab.training import (
     DenseTrain,
     OptimizerConfig,
@@ -148,11 +148,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from ssdlab.analysis import (ActivationSample, activation_sparsity,
-                                 pattern_similarity)
-    from ssdlab.data import validation_batches
-    from ssdlab.model import GPT, forward_with_cache
-
+    """Per-layer pattern similarity (scheduler.pattern_similarity) and the
+    activation sparsity of each checkpoint's dense weights
+    (model.activation_sparsity), measured as training measures them, on
+    --corpus validation batches or on random tokens. Each batch's hidden
+    states are counted and dropped before the next forward."""
     if args.seq_len < 1:
         raise ValueError(f"--seq-len must be >= 1, got {args.seq_len}")
     ckpt_a = load_checkpoint(args.checkpoint_a)
@@ -166,17 +166,16 @@ def cmd_analyze(args) -> int:
         rng = make_rng(args.seed)
         batches = [rng.integers(0, ckpt_a.config.vocab_size, size=(8, args.seq_len + 1))
                    for _ in range(16)]
-    report = pattern_similarity(ckpt_a, ckpt_b, args.experts, args.seed)
+    per_layer = pattern_similarity(ckpt_a, ckpt_b, args.experts, args.seed)
 
     def sparsity_of(ckpt):  # of the dense weights, whatever layout is stored
         model = GPT(ckpt.config, ckpt.params)
-        per_batch = [forward_with_cache(model, b[:, :-1])[1] for b in batches]
-        stacked = [np.vstack(layer) for layer in zip(*per_batch)]
-        return activation_sparsity(ActivationSample(stacked, step=ckpt.step))
+        return activation_sparsity(forward_with_cache(model, b[:, :-1])[1]
+                                   for b in batches)
 
     print(json.dumps({
-        "similarity": {"per_layer_ari": report.per_layer_ari,
-                       "mean_ari": report.mean_ari},
+        "similarity": {"per_layer_ari": per_layer,
+                       "mean_ari": float(np.mean(per_layer))},
         "sparsity_a": sparsity_of(ckpt_a),
         "sparsity_b": sparsity_of(ckpt_b),
     }))

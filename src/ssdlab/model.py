@@ -1,10 +1,11 @@
 """Small GPT-style decoder-only LM: pre-LN blocks, causal multi-head attention,
 ReLU feed-forward sublayers, learned positional embeddings, untied output head.
 
-Forward passes return per-layer post-ReLU hidden states so activation sparsity
-can be measured, and caches for the manual backward pass. Feed-forward
-sublayers dispatch to a sparse expert layout when one is attached to the model
-(see ssdlab.moe); otherwise they compute densely:
+Forward passes return per-layer post-ReLU hidden states, whose activation
+sparsity `activation_sparsity` measures for both training and `analyze`, and
+caches for the manual backward pass. Feed-forward sublayers dispatch to a
+sparse expert layout when one is attached to the model (see ssdlab.moe);
+otherwise they compute densely:
 
     ffn(x) = w_out @ relu(w_in @ x + b_in) + b_out
 
@@ -160,8 +161,8 @@ class GPT:
 def ffn_forward(w: FFNWeights, x: np.ndarray):
     """y = w_out @ relu(w_in @ x + b_in) + b_out, rowwise over tokens.
 
-    Returns (y, hidden, cache); hidden is the post-ReLU state used for
-    sparsity analysis.
+    Returns (y, hidden, cache); hidden is the post-ReLU state whose
+    sparsity activation_sparsity measures.
     """
     w.validate()
     if x.shape[1] != w.w_in.shape[1]:
@@ -387,3 +388,23 @@ def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
     d_pos[:seq] = d_x.reshape(batch, seq, -1).sum(axis=0)
     grads["pos_emb"] = d_pos
     return loss, grads, hiddens
+
+
+def activation_sparsity(hidden_batches) -> list:
+    """Per-layer fraction of exactly-zero post-ReLU entries.
+
+    hidden_batches is an iterable of per-layer hidden lists, one per batch,
+    in the form lm_loss and forward_with_cache return them. Zeros and sizes
+    are summed per layer and divided once, so the result does not depend on
+    how the tokens were batched, and a generator keeps only one batch's
+    hiddens alive. No epsilon: ReLU produces exact zeros.
+    """
+    totals = None
+    for hiddens in hidden_batches:
+        counts = [(np.count_nonzero(h == 0.0), h.size) for h in hiddens]
+        del hiddens  # before a generator runs the next batch's forward
+        totals = counts if totals is None else [
+            (z + bz, n + bn) for (z, n), (bz, bn) in zip(totals, counts)]
+    if totals is None:
+        raise ValueError("no hidden states to measure")
+    return [float(z / n) for z, n in totals]

@@ -12,17 +12,17 @@ never crosses into the terminal dense window. The last ceil(final_dense_ratio
 pass the run length total_steps (RunConfig.total_steps) in.
 
 Each monitor clusters every layer, warm-started from the per-layer partition
-chain stored here, scores the result against the chain (ARI) and stores it.
-A dense-to-sparse conversion fires only at a monitor, so it attaches the
-partitions that monitor just chose instead of clustering again.
+chain stored here, scores the result against the chain (one ARI per layer)
+and stores it. A dense-to-sparse conversion fires only at a monitor, so it
+attaches the partitions that monitor just chose instead of clustering again.
+`pattern_similarity` runs two monitors on a fresh chain to compare two
+checkpoints, so training and `analyze` measure similarity one way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ssdlab.clustering import adjusted_rand_index, cluster_with_warmstart
 from ssdlab.model import GPT
@@ -172,20 +172,32 @@ def cluster_all_layers(model: GPT, partitions: list, num_experts: int,
 
 
 def monitor_similarity(model: GPT, state: SchedulerState, num_experts: int,
-                       seed: int, step: int):
+                       seed: int, step: int) -> list:
     """Re-cluster each layer and score it against the stored chain partition.
 
-    Returns the mean per-layer ARI, or None on the very first clustering of a
-    run (no baseline yet). Updates the chain in place.
+    Returns the per-layer ARIs, or [] on the very first clustering of a run
+    (no baseline yet). Updates the chain in place.
     """
     outcomes = cluster_all_layers(model, state.partitions, num_experts, seed, step)
-    aris = []
-    for layer, outcome in enumerate(outcomes):
-        prev = state.partitions[layer]
-        if prev is not None:
-            aris.append(adjusted_rand_index(prev, outcome.partition))
-        state.partitions[layer] = outcome.partition
-    return float(np.mean(aris)) if aris else None
+    aris = [adjusted_rand_index(prev, o.partition)
+            for prev, o in zip(state.partitions, outcomes) if prev is not None]
+    state.partitions[:] = [o.partition for o in outcomes]
+    return aris
+
+
+def pattern_similarity(ckpt_a, ckpt_b, num_experts: int, seed: int) -> list:
+    """Per-layer ARI between two checkpoints' neuron groupings.
+
+    Two monitors at step 0 on a fresh chain: a is clustered from random
+    seeds, as moefy_checkpoint(ckpt_a, num_experts, seed) groups it, and b
+    warm-started from a's result. Identical checkpoints score exactly 1.
+    """
+    if ckpt_a.config.to_dict() != ckpt_b.config.to_dict():
+        raise ValueError("checkpoints have different model configs")
+    state = SchedulerState.fresh(ckpt_a.config.n_layers)
+    monitor_similarity(GPT(ckpt_a.config, ckpt_a.params), state, num_experts, seed, 0)
+    return monitor_similarity(GPT(ckpt_b.config, ckpt_b.params), state,
+                              num_experts, seed, 0)
 
 
 def transition_dense_to_sparse(model: GPT, state: SchedulerState,

@@ -29,8 +29,8 @@ from ssdlab.checkpoint import (
 from ssdlab.clustering import Partition
 from ssdlab.data import TokenizedCorpus, sample_batch, validation_batches
 from ssdlab.flops import DenseMode, SmoeMode, train_step_flops
-from ssdlab.metrics import MetricsRecord, export_metrics
-from ssdlab.model import GPT, ModelConfig, lm_loss
+from ssdlab.metrics import MetricsRecord, export_metrics, load_metrics_jsonl
+from ssdlab.model import GPT, ModelConfig, activation_sparsity, lm_loss
 from ssdlab.moe import attach_experts
 from ssdlab.numerics import (
     SEED_TAG_SMOE_INIT,
@@ -130,6 +130,12 @@ class RunConfig:
         return d
 
 
+def _check_vocab(corpus: TokenizedCorpus, cfg: ModelConfig) -> None:
+    if corpus.manifest["vocab_size"] != cfg.vocab_size:
+        raise ValueError(f"corpus vocab {corpus.manifest['vocab_size']} != "
+                         f"model vocab {cfg.vocab_size}")
+
+
 def _mean_nll(model: GPT, batches: list) -> float:
     total, count = 0.0, 0
     for b in batches:
@@ -204,6 +210,9 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
     It reads the checkpoint's params, Adam moments, RNG and scheduler
     snapshot, and rebuilds the expert layouts from the mode, the seed and the
     scheduler chain as a fresh run builds them; a stored moe_layout is not read.
+    Resumed into a run directory that holds a metrics.jsonl, the run keeps
+    that file's records before the checkpoint's step, read before the first
+    step; the returned metrics hold only the steps run now.
 
     Each step's grads and hiddens are dropped once Adam and the sparsity
     sample have read them, so validation, the next monitor and the next
@@ -213,9 +222,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
     run = run or RunConfig()
     if corpus.seq_len > model_cfg.max_seq_len:
         raise ValueError("corpus seq_len exceeds model max_seq_len")
-    if corpus.manifest["vocab_size"] != model_cfg.vocab_size:
-        raise ValueError(f"corpus vocab {corpus.manifest['vocab_size']} != "
-                         f"model vocab {model_cfg.vocab_size}")
+    _check_vocab(corpus, model_cfg)
     is_ssd = mode.kind == "ssd"
     if mode.kind != "dense" and model_cfg.d_ff % mode.num_experts != 0:
         raise ValueError("d_ff must be divisible by num_experts")
@@ -279,6 +286,10 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         attach_experts(model, partitions, mode.active_experts)
         moe_layout = encode_moe_layout(partitions, mode.active_experts)
 
+    metrics_path = run.out_dir and os.path.join(run.out_dir, "metrics.jsonl")
+    earlier = []  # a resume into its own run directory keeps the records before it
+    if resume_from is not None and metrics_path and os.path.exists(metrics_path):
+        earlier = [r for r in load_metrics_jsonl(metrics_path) if r.step < start_step]
     if run.out_dir:
         os.makedirs(run.out_dir, exist_ok=True)
     val_set = validation_batches(corpus.val_tokens, corpus.seq_len,
@@ -291,8 +302,8 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
             if advance(state, mode.ssd, step, run.total_steps) == "merge":
                 _probed(transition_sparse_to_dense, model, state, probe_batch)
             if monitor_due(state, mode.ssd):
-                similarity = monitor_similarity(model, state, mode.num_experts,
-                                                seed, step)
+                aris = monitor_similarity(model, state, mode.num_experts, seed, step)
+                similarity = float(np.mean(aris)) if aris else None
                 if on_monitor(state, mode.ssd, similarity, step, run.total_steps, seed):
                     _probed(transition_dense_to_sparse, model, state, probe_batch,
                             mode.active_experts, adam=adam,
@@ -320,7 +331,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
         sparsity = None
         if run.sparsity_interval and step % run.sparsity_interval == 0:
-            sparsity = [float((h == 0.0).mean()) for h in hiddens]
+            sparsity = activation_sparsity([hiddens])
         del hiddens
         ppl = None
         if (step + 1) % run.val_interval == 0 or step + 1 == run.total_steps:
@@ -343,8 +354,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
                              {**run_info_base, "cumulative_flops": cumulative_flops})
     if run.out_dir:
         save_checkpoint(final, os.path.join(run.out_dir, "final.bin"))
-        export_metrics(records, os.path.join(run.out_dir, "metrics.jsonl"),
-                       "jsonl", model_cfg.n_layers)
+        export_metrics(earlier + records, metrics_path, "jsonl", model_cfg.n_layers)
         with open(os.path.join(run.out_dir, "run.json"), "w") as f:
             json.dump({**run_info_base, "n_layers": model_cfg.n_layers,
                        "cumulative_flops": cumulative_flops}, f, indent=2)
@@ -389,6 +399,7 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
     if sparse_k is None and (dynamic_ratio != 0.0 or num_experts is not None):
         raise ValueError("dynamic_ratio and num_experts are only read "
                          "with sparse_k (--k)")
+    _check_vocab(corpus, ckpt.config)
     model = GPT(ckpt.config, ckpt.params)  # read only
     if sparse_k is not None:
         partitions = _stored_partitions(ckpt)

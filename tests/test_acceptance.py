@@ -11,15 +11,23 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ssdlab.analysis import (
-    ActivationSample,
-    activation_sparsity,
-    adjusted_rand_index,
-)
 from ssdlab.checkpoint import checkpoint_to_bytes, load_checkpoint
-from ssdlab.clustering import Partition, balanced_kmeans, cluster_with_warmstart
+from ssdlab.clustering import (
+    Partition,
+    adjusted_rand_index,
+    balanced_kmeans,
+    cluster_with_warmstart,
+)
 from ssdlab.flops import dense_ffn_flops_per_token, smoe_ffn_flops_per_token, ssd_speedup
-from ssdlab.model import GPT, FFNWeights, ModelConfig, ffn_backward, ffn_forward, lm_loss
+from ssdlab.model import (
+    GPT,
+    FFNWeights,
+    ModelConfig,
+    activation_sparsity,
+    ffn_backward,
+    ffn_forward,
+    lm_loss,
+)
 from ssdlab.moe import (
     GateDecision,
     MoEFFN,
@@ -251,7 +259,7 @@ def test_criterion_08_sparsity_emerges(toy_corpus):
                 stacked = hiddens if stacked is None else [
                     np.vstack([s, h]) for s, h in zip(stacked, hiddens)]
             assert sum(h.shape[0] for h in stacked[:1]) >= 4096
-            return float(np.mean(activation_sparsity(ActivationSample(stacked))))
+            return float(np.mean(activation_sparsity([stacked])))
 
         initial = measured_sparsity(fresh, random_batches)
         assert abs(initial - 0.5) < 0.05

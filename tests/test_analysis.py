@@ -3,16 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssdlab.analysis import (
-    ActivationSample,
-    activation_sparsity,
-    adjusted_rand_index,
-    pattern_similarity,
-)
 from ssdlab.checkpoint import Checkpoint
-from ssdlab.clustering import Partition, cluster_with_warmstart
-from ssdlab.model import ModelConfig, init_params
+from ssdlab.clustering import Partition, adjusted_rand_index, cluster_with_warmstart
+from ssdlab.model import ModelConfig, activation_sparsity, init_params
 from ssdlab.numerics import SEED_TAG_CLUSTER, derived_rng, make_rng
+from ssdlab.scheduler import pattern_similarity
 from ssdlab.training import moefy_checkpoint
 
 
@@ -39,25 +34,41 @@ def ari_pair_counting(a, b):
 
 class TestActivationSparsity:
     def test_half_zero_row(self):
-        sample = ActivationSample([np.array([[1.0, 0.0, 0.0, 2.0]])])
-        assert activation_sparsity(sample) == [0.5]
+        assert activation_sparsity([[np.array([[1.0, 0.0, 0.0, 2.0]])]]) == [0.5]
 
     def test_all_zero(self):
-        sample = ActivationSample([np.zeros((4, 8))])
-        assert activation_sparsity(sample) == [1.0]
-
-    def test_rejects_negative_activations(self):
-        with pytest.raises(ValueError):
-            ActivationSample([np.array([[-1.0, 0.0]])])
+        assert activation_sparsity([[np.zeros((4, 8))]]) == [1.0]
 
     def test_invariant_to_token_order_and_batching(self):
         rng = make_rng(0)
         h = np.maximum(rng.standard_normal((64, 16)), 0.0)
-        whole = activation_sparsity(ActivationSample([h]))
-        shuffled = activation_sparsity(ActivationSample([h[rng.permutation(64)]]))
-        rebatched = activation_sparsity(
-            ActivationSample([np.vstack([h[32:], h[:32]])]))
+        whole = activation_sparsity([[h]])
+        shuffled = activation_sparsity([[h[rng.permutation(64)]]])
+        rebatched = activation_sparsity([[h[32:]], [h[:32]]])
         assert whole == shuffled == rebatched
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_stacked_mean_over_uneven_batches(self, seed, n_layers, n_tokens):
+        """Summing zeros and sizes per batch matches the mean over the
+        stacked tokens bit for bit, for any split into batches."""
+        rng = np.random.default_rng(seed)
+        layers = []
+        for _ in range(n_layers):
+            h = np.maximum(rng.standard_normal((n_tokens, 8)), 0.0)
+            h[rng.random(h.shape) < rng.random()] = 0.0  # planted exact zeros
+            layers.append(h)
+        cuts = np.sort(rng.integers(0, n_tokens + 1, size=int(rng.integers(0, 5))))
+        bounds = [0, *cuts.tolist(), n_tokens]
+        batches = [[h[lo:hi] for h in layers] for lo, hi in zip(bounds, bounds[1:])
+                   if hi > lo]
+        reference = [float((np.vstack(layer) == 0.0).mean())
+                     for layer in zip(*batches)]
+        assert activation_sparsity(iter(batches)) == reference
+
+    def test_no_batches_rejected(self):
+        with pytest.raises(ValueError, match="no hidden states"):
+            activation_sparsity(iter([]))
 
 
 class TestAdjustedRandIndex:
@@ -122,9 +133,7 @@ class TestPatternSimilarity:
         params = init_params(self.CFG, make_rng(3))
         a = _checkpoint_with_params(self.CFG, params)
         b = _checkpoint_with_params(self.CFG, {k: v.copy() for k, v in params.items()})
-        report = pattern_similarity(a, b, num_experts=8, seed=4)
-        assert report.mean_ari == 1.0
-        assert report.per_layer_ari == [1.0, 1.0]
+        assert pattern_similarity(a, b, num_experts=8, seed=4) == [1.0, 1.0]
 
     def test_each_layer_uses_moefys_seed(self):
         """Layer i of both checkpoints is clustered from derived_rng(seed,
@@ -132,9 +141,10 @@ class TestPatternSimilarity:
         grouped as moefy_checkpoint with the same seed groups it."""
         a = _checkpoint_with_params(self.CFG, init_params(self.CFG, make_rng(3)))
         b = _checkpoint_with_params(self.CFG, init_params(self.CFG, make_rng(4)))
-        report = pattern_similarity(a, b, 8, seed=11)
+        per_layer = pattern_similarity(a, b, 8, seed=11)
         moefied = moefy_checkpoint(a, 8, seed=11).moe_layout["partitions"]
-        for i, got in enumerate(report.per_layer_ari):
+        assert len(per_layer) == self.CFG.n_layers
+        for i, got in enumerate(per_layer):
             key = f"block{i}.ffn_w_in"
             want_a = cluster_with_warmstart(a.params[key], 8, None,
                                             derived_rng(11, SEED_TAG_CLUSTER, 0, i))
@@ -150,10 +160,10 @@ class TestPatternSimilarity:
         params_b = {k: v.copy() for k, v in params_a.items()}
         params_b["block0.ffn_w_in"] = make_rng(99).normal(
             0.0, 0.02, size=params_b["block0.ffn_w_in"].shape)
-        report = pattern_similarity(_checkpoint_with_params(cfg, params_a),
-                                    _checkpoint_with_params(cfg, params_b),
-                                    num_experts=8, seed=6)
-        assert abs(report.mean_ari) < 0.1
+        per_layer = pattern_similarity(_checkpoint_with_params(cfg, params_a),
+                                       _checkpoint_with_params(cfg, params_b),
+                                       num_experts=8, seed=6)
+        assert abs(np.mean(per_layer)) < 0.1
 
     def test_config_mismatch_rejected(self):
         other = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ff=64,

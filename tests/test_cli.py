@@ -446,7 +446,6 @@ class TestAnalyze:
         # keeps the sparsity each step ran with
         import numpy as np
 
-        from ssdlab.analysis import ActivationSample, activation_sparsity
         from ssdlab.checkpoint import decode_partitions
         from ssdlab.model import GPT, forward_with_cache
         from ssdlab.moe import attach_experts
@@ -466,16 +465,34 @@ class TestAnalyze:
         batches = [rng.integers(0, ckpt.config.vocab_size, size=(8, 17))
                    for _ in range(16)]
 
-        def sparsity(model):
+        def sparsity(model):  # over the stacked tokens of every batch
             per_batch = [forward_with_cache(model, b[:, :-1])[1] for b in batches]
-            return activation_sparsity(ActivationSample(
-                [np.vstack(layer) for layer in zip(*per_batch)]))
+            return [float((np.vstack(layer) == 0.0).mean()) for layer in zip(*per_batch)]
 
         model = GPT(ckpt.config, ckpt.params)
         dense = sparsity(model)
         assert report["sparsity_a"] == report["sparsity_b"] == dense
         attach_experts(model, decode_partitions(ckpt.moe_layout), 2)
         assert all(d < m for d, m in zip(dense, sparsity(model)))
+
+    def test_peak_memory_below_the_stacked_hidden_states(self, trained_run, capsys):
+        # sparsity is counted batch by batch, so the hidden states of all 16
+        # random-token batches of 8 sequences are never alive together
+        import tracemalloc
+
+        final = str(trained_run / "final.bin")
+        cfg = load_checkpoint(final).config
+        seq_len = cfg.max_seq_len
+        stacked_bytes = cfg.n_layers * 16 * 8 * seq_len * cfg.d_ff * 8  # float64
+        tracemalloc.start()
+        try:
+            rc = main(["analyze", "--checkpoint-a", final, "--checkpoint-b", final,
+                       "--experts", "8", "--seq-len", str(seq_len)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < stacked_bytes, (peak, stacked_bytes)
 
     def test_zero_seq_len_exits_nonzero(self, trained_run, capsys):
         final = str(trained_run / "final.bin")

@@ -533,7 +533,7 @@ class TestWarmstartSelection:
     def test_frozen_weights_rerun_reproduces_previous_optimum(self):
         # structured rows: the optimum is robust, so a rerun warm-started from
         # it must return it exactly (up to relabeling; here: identically)
-        from ssdlab.analysis import adjusted_rand_index
+        from ssdlab.clustering import adjusted_rand_index
 
         W = separated_blobs(seed=11)
         first = cluster_with_warmstart(W, 8, None, np.random.default_rng(12))

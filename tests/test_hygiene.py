@@ -1,0 +1,72 @@
+"""Source hygiene checked with the standard library's ast: no unused
+top-level import in the package's modules, and a README Layout block that
+lists exactly the package's modules."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ssdlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Top-level import bindings: bound name -> line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg,
+                                                                         args.kwarg]:
+                if arg is not None:
+                    yield arg.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.AST) -> set:
+    """Every name the module reads, counting those inside string annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for n in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used |= used_names(ast.parse(n.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = used_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_used_names_count_string_annotations():
+    tree = ast.parse("from x import A, B, C\n"
+                     "def f(a: 'A | None') -> 'list[B]':\n    pass\n")
+    assert {"A", "B"} <= used_names(tree)
+    assert "C" not in used_names(tree)
+
+
+def test_readme_layout_lists_exactly_the_package_modules():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Layout\n+```\n(.*?)^```", readme, re.S | re.M).group(1)
+    listed = re.findall(r"^  (\w+\.py)\b", block.split("src/ssdlab/\n", 1)[1], re.M)
+    assert sorted(listed) == [p.name for p in MODULES]

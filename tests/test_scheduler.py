@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ssdlab.clustering import cluster_with_warmstart
+from ssdlab.clustering import adjusted_rand_index, cluster_with_warmstart
 from ssdlab.model import GPT, ModelConfig
 from ssdlab.numerics import (
     SEED_TAG_CLUSTER,
@@ -275,6 +275,25 @@ class TestClusterAllLayers:
                                           derived_rng(11, SEED_TAG_CLUSTER, 7, i))
             assert np.array_equal(got.partition.assignment, want.partition.assignment)
             assert got.wcss == want.wcss
+
+
+class TestMonitorSimilarity:
+    def test_first_clustering_has_no_baseline(self):
+        model = toy_model(seed=3)
+        state = SchedulerState.fresh(model.config.n_layers)
+        assert monitor_similarity(model, state, 4, seed=5, step=0) == []
+        assert all(p is not None for p in state.partitions)
+
+    def test_one_ari_per_layer_against_the_chain(self):
+        model = toy_model(seed=3)
+        state = seeded_state(model, seed=5)
+        chain = list(state.partitions)
+        other = toy_model(seed=4)
+        aris = monitor_similarity(other, state, 4, seed=5, step=10)
+        outcomes = cluster_all_layers(other, chain, 4, seed=5, step=10)
+        assert aris == [adjusted_rand_index(prev, o.partition)
+                        for prev, o in zip(chain, outcomes)]
+        assert len(aris) == model.config.n_layers
 
 
 class TestConfigValidation:

@@ -7,6 +7,7 @@ import pytest
 
 from ssdlab import training
 from ssdlab.checkpoint import (
+    Checkpoint,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     deserialize_scheduler,
@@ -127,6 +128,45 @@ class TestDeterminism:
         assert older.moe_layout["partitions"][0] == chain[0].assignment.tolist()
         assert (eval_perplexity(mid, toy_corpus, sparse_k=2, val_sequences=8)
                 == eval_perplexity(older, toy_corpus, sparse_k=2, val_sequences=8))
+
+    def test_resume_in_place_rewrites_the_run_directory_byte_for_byte(
+            self, toy_corpus, tmp_path):
+        # metrics.jsonl keeps the records before the checkpoint's step
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        run = short_run(20, checkpoint_interval=5, out_dir=str(tmp_path))
+        train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5, run=run)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        mid = load_checkpoint(tmp_path / "ckpt_00000010.bin")
+        _, records = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5, run=run,
+                           resume_from=mid)
+        assert [r.step for r in records] == list(range(10, 20))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_extending_a_dense_run_in_place_keeps_its_metrics(self, toy_corpus,
+                                                             tmp_path):
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        train(cfg, toy_corpus, DenseTrain(), OPT, seed=5,
+              run=short_run(10, out_dir=str(tmp_path)))
+        first = (tmp_path / "metrics.jsonl").read_text()
+        final = load_checkpoint(tmp_path / "final.bin")
+        train(cfg, toy_corpus, DenseTrain(), OPT, seed=5,
+              run=short_run(15, out_dir=str(tmp_path)), resume_from=final)
+        extended = (tmp_path / "metrics.jsonl").read_text()
+        assert extended.startswith(first)
+        assert [r.step for r in load_metrics_jsonl(tmp_path / "metrics.jsonl")] \
+            == list(range(15))
+
+    def test_resume_with_malformed_metrics_fails_before_the_first_step(
+            self, toy_corpus, tmp_path, monkeypatch):
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        run = short_run(10, checkpoint_interval=5, out_dir=str(tmp_path))
+        train(cfg, toy_corpus, DenseTrain(), OPT, seed=5, run=run)
+        (tmp_path / "metrics.jsonl").write_text('{"step": "x"}\n')
+        mid = load_checkpoint(tmp_path / "ckpt_00000005.bin")
+        monkeypatch.setattr(training, "lm_loss", None)  # no step may run
+        with pytest.raises(ValueError, match="malformed metrics record on line 1"):
+            train(cfg, toy_corpus, DenseTrain(), OPT, seed=5, run=run,
+                  resume_from=mid)
 
     def test_resume_leaves_checkpoint_unchanged(self, toy_corpus, tmp_path):
         # two resumes from one in-memory checkpoint replay each other, and
@@ -301,6 +341,24 @@ class TestSsdScheduleBehavior:
         monitors = sum(r.similarity is not None for r in records)
         assert len(calls) == cfg.n_layers * (1 + monitors)
 
+    def test_recorded_similarity_is_the_mean_of_the_layer_aris(self, toy_corpus,
+                                                               monkeypatch):
+        returned = []
+        real = training.monitor_similarity
+
+        def recorded(*args, **kwargs):
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(training, "monitor_similarity", recorded)
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        _, records = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=3,
+                           run=short_run(30))
+        assert returned[0] == []  # the step-0 chain seed has no baseline
+        assert all(len(aris) == cfg.n_layers for aris in returned[1:])
+        assert [r.similarity for r in records if r.similarity is not None] \
+            == [float(np.mean(aris)) for aris in returned[1:]]
+
     def test_transitions_happen_and_probe_losses_match(self, toy_ssd_run):
         events = toy_ssd_run["final"].scheduler["events"]
         kinds = [e["kind"] for e in events]
@@ -456,6 +514,15 @@ class TestEvalPerplexity:
                               val_sequences=8)
         assert np.isfinite(ppl)
 
+    def test_corpus_of_another_vocabulary_rejected(self, toy_corpus):
+        # a larger model vocabulary scores the corpus without any token error
+        vocab = toy_corpus.manifest["vocab_size"]
+        cfg = toy_model_config(vocab + 1)
+        ckpt = Checkpoint(config=cfg, params=init_params(cfg, make_rng(0)))
+        with pytest.raises(ValueError,
+                           match=f"^corpus vocab {vocab} != model vocab {vocab + 1}$"):
+            eval_perplexity(ckpt, toy_corpus)
+
     def test_moefied_checkpoint_reuses_stored_structure(self, toy_corpus):
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
         final, _ = train(cfg, toy_corpus, DenseTrain(), OPT, seed=9,
@@ -469,7 +536,7 @@ class TestEvalPerplexity:
 
 class TestSimilarityTrend:
     def test_late_checkpoints_more_similar_than_early(self, toy_ssd_run):
-        from ssdlab.analysis import pattern_similarity
+        from ssdlab.scheduler import pattern_similarity
         from ssdlab.checkpoint import Checkpoint
         from ssdlab.model import GPT
 
@@ -480,8 +547,8 @@ class TestSimilarityTrend:
         ck500 = load_checkpoint(os.path.join(out_dir, "ckpt_00000500.bin"))
         ck1500 = load_checkpoint(os.path.join(out_dir, "ckpt_00001500.bin"))
         ck_final = toy_ssd_run["final"]
-        early = pattern_similarity(ck0, ck500, 8, seed=0).mean_ari
-        late = pattern_similarity(ck1500, ck_final, 8, seed=0).mean_ari
+        early = np.mean(pattern_similarity(ck0, ck500, 8, seed=0))
+        late = np.mean(pattern_similarity(ck1500, ck_final, 8, seed=0))
         assert late > early
 
     def test_monitor_similarities_recorded_in_metrics(self, toy_ssd_run):
