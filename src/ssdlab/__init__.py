@@ -23,7 +23,6 @@ from ssdlab.model import (
     FFNWeights,
     ModelConfig,
     activation_sparsity,
-    block_forward,
     ffn_backward,
     ffn_forward,
     lm_loss,

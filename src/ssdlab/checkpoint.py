@@ -182,11 +182,15 @@ def _parse_header(raw: bytes):
         config = ModelConfig(**header["config"])
         if not all(type(v) is int for v in config.to_dict().values()):
             raise TypeError("config values must be integers")
-        if header["adam"] is not None and type(header["adam"]["step_count"]) is not int:
-            raise TypeError("adam 'step_count' must be an integer")
+        if header["step"] < 0:
+            raise ValueError("'step' must be an integer >= 0")
+        adam = header["adam"]
+        if adam is not None and (type(adam["step_count"]) is not int
+                                 or adam["step_count"] < 0):
+            raise TypeError("adam 'step_count' must be an integer >= 0")
         if header["rng"] is not None:
             restore_rng(header["rng"])
-        if header["tensors"] != _tensor_manifest(config, header["adam"] is not None):
+        if header["tensors"] != _tensor_manifest(config, adam is not None):
             raise ValueError("tensor list does not match the config")
         layout = header["moe_layout"]
         if layout is not None:

@@ -20,7 +20,7 @@ import numpy as np
 from ssdlab.checkpoint import load_checkpoint, save_checkpoint
 from ssdlab.data import CorpusConfig, tokenize_corpus, validation_batches
 from ssdlab.metrics import export_metrics, load_metrics_jsonl
-from ssdlab.model import GPT, ModelConfig, activation_sparsity, forward_with_cache
+from ssdlab.model import GPT, ModelConfig, activation_sparsity, lm_loss
 from ssdlab.numerics import make_rng
 from ssdlab.scheduler import SSDConfig, pattern_similarity
 from ssdlab.training import (
@@ -48,25 +48,33 @@ def _load_config(path):
 SECTIONS = ("model", "corpus", "optimizer", "run", "moe", "ssd")
 # the sections a mode reads besides model/corpus/optimizer/run
 MODE_SECTIONS = {"dense": (), "smoe": ("moe",), "ssd": ("moe", "ssd")}
+# the JSON types a config value may take, by its field's declared type with
+# any quotes stripped (exactly: a JSON true is a bool, not an int)
+_VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+                "str | None": (str, type(None))}
 
 
 def _section(cfg_file: dict, name: str, overrides: dict, cls, derived=None):
     """Build section `name` from the file, with `overrides` applied.
 
     `derived` maps the keys whose value always comes from elsewhere to where
-    it comes from; the file may not set them.
+    it comes from; the file may not set them. Each file value must have its
+    field's declared type.
     """
     merged = cfg_file.get(name, {})
     if not isinstance(merged, dict):
         raise ValueError(f"config section {name!r} must be a JSON object")
     merged = dict(merged)
-    fields = {f.name for f in dataclasses.fields(cls)}
-    for key in merged:
-        if key not in fields:
+    types = {f.name: f.type.strip("'") for f in dataclasses.fields(cls)}
+    for key, value in merged.items():
+        if key not in types:
             raise ValueError(f"unknown key {key!r} in config section {name!r}")
         if derived and key in derived:
             raise ValueError(f"key {key!r} in config section {name!r} cannot be "
                              f"set: it comes from {derived[key]}")
+        if type(value) not in _VALUE_TYPES[types[key]]:
+            raise ValueError(f"bad value in config section {name!r}: {key!r} must "
+                             f"be {types[key]}, got {json.dumps(value)}")
     merged.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**merged)
@@ -152,7 +160,8 @@ def cmd_analyze(args) -> int:
     activation sparsity of each checkpoint's dense weights
     (model.activation_sparsity), measured as training measures them, on
     --corpus validation batches or on random tokens. Each batch's hidden
-    states are counted and dropped before the next forward."""
+    states, from the forward-only lm_loss, are counted and dropped before
+    the next forward."""
     if args.seq_len < 1:
         raise ValueError(f"--seq-len must be >= 1, got {args.seq_len}")
     ckpt_a = load_checkpoint(args.checkpoint_a)
@@ -170,7 +179,7 @@ def cmd_analyze(args) -> int:
 
     def sparsity_of(ckpt):  # of the dense weights, whatever layout is stored
         model = GPT(ckpt.config, ckpt.params)
-        return activation_sparsity(forward_with_cache(model, b[:, :-1])[1]
+        return activation_sparsity(lm_loss(model, b, want_grads=False)[2]
                                    for b in batches)
 
     print(json.dumps({

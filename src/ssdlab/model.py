@@ -1,11 +1,11 @@
 """Small GPT-style decoder-only LM: pre-LN blocks, causal multi-head attention,
 ReLU feed-forward sublayers, learned positional embeddings, untied output head.
 
-Forward passes return per-layer post-ReLU hidden states, whose activation
-sparsity `activation_sparsity` measures for both training and `analyze`, and
-caches for the manual backward pass. Feed-forward sublayers dispatch to a
-sparse expert layout when one is attached to the model (see ssdlab.moe);
-otherwise they compute densely:
+`lm_loss` returns per-layer post-ReLU hidden states, whose activation
+sparsity `activation_sparsity` measures for both training and `analyze`;
+it keeps caches for the manual backward pass only when asked for gradients.
+Feed-forward sublayers dispatch to a sparse expert layout when one is
+attached to the model (see ssdlab.moe); otherwise they compute densely:
 
     ffn(x) = w_out @ relu(w_in @ x + b_in) + b_out
 
@@ -309,20 +309,13 @@ def _block_backward(model: GPT, layer: int, cache, d_y, batch, seq):
     return d_x0, grads
 
 
-def block_forward(model: GPT, layer: int, x: np.ndarray) -> np.ndarray:
-    """One pre-LN block applied to a single sequence (seq, d_model)."""
-    seq = x.shape[0]
-    if seq > model.config.max_seq_len:
-        raise ValueError(f"sequence length {seq} exceeds max_seq_len")
-    y, _, _ = _block_forward(model, layer, x, 1, seq)
-    return y
-
-
-def forward_with_cache(model: GPT, token_ids: np.ndarray):
+def _forward(model: GPT, token_ids: np.ndarray, caches):
     """Runs the full model on (batch, seq) int token ids.
 
-    Returns (logits, hiddens, caches); hiddens are the per-layer post-ReLU
-    feed-forward states, (batch*seq, d_ff) each.
+    Returns (logits, hiddens); hiddens are the per-layer post-ReLU
+    feed-forward states, (batch*seq, d_ff) each. A `caches` list receives
+    each block's backward cache, then the head's (lnf_cache, h_f); with
+    None, each block's cache is dropped before the next block runs.
     """
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
@@ -338,22 +331,25 @@ def forward_with_cache(model: GPT, token_ids: np.ndarray):
     p = model.params
     x = p["tok_emb"][token_ids.reshape(-1)] + np.tile(p["pos_emb"][:seq], (batch, 1))
     hiddens = []
-    block_caches = []
     for layer in range(cfg.n_layers):
         x, hidden, cache = _block_forward(model, layer, x, batch, seq)
         hiddens.append(hidden)
-        block_caches.append(cache)
+        if caches is not None:
+            caches.append(cache)
+        del cache
     h_f, lnf_cache = layernorm(x, p["ln_f_gain"], p["ln_f_bias"], LN_EPS)
     logits = matmul_nt(h_f, p["head"])
-    return logits, hiddens, (token_ids, batch, seq, block_caches, lnf_cache, h_f)
+    if caches is not None:
+        caches.append((lnf_cache, h_f))
+    return logits, hiddens
 
 
 def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
     """Causal LM loss over (batch, seq+1) token ids.
 
     Positions 0..seq-1 predict positions 1..seq; loss is the mean NLL over all
-    predicted positions. Returns (loss, grads, hiddens); grads is None when
-    want_grads is False.
+    predicted positions. Returns (loss, grads, hiddens); grads is None, and
+    no backward cache is kept, when want_grads is False.
 
     The backward frees the forward's activations as it consumes them: the
     logits and the head's cache go before the first block's backward, and
@@ -364,13 +360,14 @@ def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
     token_ids = np.asarray(token_ids)
     inputs = token_ids[:, :-1]
     targets = token_ids[:, 1:].reshape(-1)
-    logits, hiddens, cache = forward_with_cache(model, inputs)
+    block_caches = [] if want_grads else None
+    logits, hiddens = _forward(model, inputs, block_caches)
     loss, d_logits = softmax_cross_entropy(logits, targets)
     del logits
     if not want_grads:
         return loss, None, hiddens
-    _, batch, seq, block_caches, lnf_cache, h_f = cache
-    del cache
+    batch, seq = inputs.shape
+    lnf_cache, h_f = block_caches.pop()
     p = model.params
     grads = {"head": matmul_tn(d_logits, h_f)}
     d_hf = matmul(d_logits, p["head"])
@@ -394,10 +391,10 @@ def activation_sparsity(hidden_batches) -> list:
     """Per-layer fraction of exactly-zero post-ReLU entries.
 
     hidden_batches is an iterable of per-layer hidden lists, one per batch,
-    in the form lm_loss and forward_with_cache return them. Zeros and sizes
-    are summed per layer and divided once, so the result does not depend on
-    how the tokens were batched, and a generator keeps only one batch's
-    hiddens alive. No epsilon: ReLU produces exact zeros.
+    in the form lm_loss returns them. Zeros and sizes are summed per layer
+    and divided once, so the result does not depend on how the tokens were
+    batched, and a generator keeps only one batch's hiddens alive. No
+    epsilon: ReLU produces exact zeros.
     """
     totals = None
     for hiddens in hidden_batches:

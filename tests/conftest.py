@@ -10,7 +10,7 @@ from ssdlab.data import (
     tokenize_corpus,
     toy_vocab_chars,
 )
-from ssdlab.model import GPT, ModelConfig, forward_with_cache
+from ssdlab.model import GPT, ModelConfig, _forward
 from ssdlab.numerics import make_rng, matmul_nt
 from ssdlab.scheduler import SSDConfig
 from ssdlab.training import OptimizerConfig, RunConfig, SsdTrain, train
@@ -53,11 +53,12 @@ def max_grad_error(f, arrays_and_grads, samples=10, h=FD_EPS):
 def min_relu_margin(model, token_ids):
     """Distance of the closest pre-activation to the ReLU kink; gradient
     checks need this comfortably above the FD perturbation."""
-    _, _, (_, _, _, block_caches, _, _) = forward_with_cache(model, token_ids)
+    caches = []
+    _forward(model, token_ids, caches)
     p = model.params
     return min(np.abs(matmul_nt(c[3][0], p[f"block{i}.ffn_w_in"])
                       + p[f"block{i}.ffn_b_in"]).min()
-               for i, c in enumerate(block_caches))
+               for i, c in enumerate(caches[:-1]))  # the last is the head's
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,6 @@ def test_criterion_08_sparsity_emerges(toy_corpus):
     with criterion(8, "initial sparsity ~0.5; +0.1 after 10k toy steps"):
         start = time.time()
         from ssdlab.data import validation_batches
-        from ssdlab.model import forward_with_cache
         from ssdlab.training import DenseTrain
 
         vocab = toy_corpus.manifest["vocab_size"]
@@ -255,7 +254,7 @@ def test_criterion_08_sparsity_emerges(toy_corpus):
         def measured_sparsity(model, batches):
             stacked = None
             for b in batches:
-                _, hiddens, _ = forward_with_cache(model, b[:, :-1])
+                _, _, hiddens = lm_loss(model, b, want_grads=False)
                 stacked = hiddens if stacked is None else [
                     np.vstack([s, h]) for s, h in zip(stacked, hiddens)]
             assert sum(h.shape[0] for h in stacked[:1]) >= 4096

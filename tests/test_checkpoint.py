@@ -206,10 +206,13 @@ class TestRejection:
         (lambda h: h["config"].update(d_model=16.0), "config values must be integers"),
         (lambda h: h.update(step="33"), "'step' has type str"),
         (lambda h: h.update(step=True), "'step' has type bool"),
+        (lambda h: h.update(step=-3), "'step' must be an integer >= 0"),
         (lambda h: h["config"].update(n_layers=True), "config values must be integers"),
         (lambda h: h["adam"].pop("step_count"), "missing key 'step_count'"),
         (lambda h: h["adam"].update(step_count=True),
          "adam 'step_count' must be an integer"),
+        (lambda h: h["adam"].update(step_count=-3),
+         "adam 'step_count' must be an integer >= 0"),
         (lambda h: h["tensors"][0].__setitem__(1, "bogus"),
          "tensor list does not match the config"),
         (lambda h: h["moe_layout"].pop("partitions"), "missing key 'partitions'"),
@@ -253,7 +256,8 @@ class TestRejection:
         (lambda h: h["scheduler"].update(events=None), "scheduler 'events' must be a list"),
         (lambda h: h["scheduler"].update(events="ab"), "scheduler 'events' must be a list"),
     ], ids=["unknown-config-key", "float-config-value", "string-step", "bool-step",
-            "bool-config-value", "adam-without-step_count", "bool-adam-step_count",
+            "negative-step", "bool-config-value", "adam-without-step_count",
+            "bool-adam-step_count", "negative-adam-step_count",
             "unknown-tensor-name", "layout-without-partitions",
             "layout-short-assignments", "layout-missing-layer", "layout-unbalanced",
             "layout-active-above-experts", "layout-float-active-experts",

@@ -182,15 +182,29 @@ class TestTrain:
         assert "Traceback" not in err and err.count("\n") == 1
 
     def test_wrongly_typed_value_exits_nonzero(self, workspace, tmp_path, capsys):
-        for section, key, value, mode in (("run", "batch_size", "x", "dense"),
-                                          ("moe", "num_experts", "8", "smoe"),
-                                          ("optimizer", "base_lr", "x", "dense")):
-            rc = self._train_with_keys(workspace, tmp_path, section, mode,
-                                       **{key: value})
+        # a float where an int is declared is neither truncated nor passed on,
+        # and a string is not read as a bool
+        for section, keys, mode in (
+                ("run", {"batch_size": "x"}, "dense"),
+                ("moe", {"num_experts": "8"}, "smoe"),
+                ("optimizer", {"base_lr": "x"}, "dense"),
+                ("run", {"batch_size": 2.0}, "dense"),
+                ("model", {"n_layers": 1.0}, "dense"),
+                ("run", {"out_dir": 5}, "dense"),
+                ("corpus", {"seq_len": 16.0}, "dense"),
+                ("moe", {"num_experts": 4.0, "active_experts": 2}, "ssd"),
+                ("ssd", {"monitor_interval": 2.5}, "ssd"),
+                ("optimizer", {"warmup": 2.5}, "dense"),
+                ("moe", {"num_experts": 4, "active_experts": 2,
+                         "reset_adam_on_transition": "no"}, "ssd")):
+            rc = self._train_with_keys(workspace, tmp_path, section, mode, **keys)
             assert rc == 2
             err = capsys.readouterr().err
-            assert f"error: bad value in config section {section!r}" in err
-            assert err.count("\n") == 1
+            assert err.startswith(f"error: bad value in config section {section!r}")
+            assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_integer_for_a_float_field_trains(self, workspace, tmp_path):
+        assert self._train_with_keys(workspace, tmp_path, "optimizer", base_lr=1) == 0
 
     @pytest.mark.parametrize("section, keys, mode, message", [
         ("ssd", {"bogus": 1}, "dense", "config section 'ssd' is not read in dense mode"),
@@ -447,7 +461,7 @@ class TestAnalyze:
         import numpy as np
 
         from ssdlab.checkpoint import decode_partitions
-        from ssdlab.model import GPT, forward_with_cache
+        from ssdlab.model import GPT, lm_loss
         from ssdlab.moe import attach_experts
         from ssdlab.numerics import make_rng
 
@@ -466,7 +480,7 @@ class TestAnalyze:
                    for _ in range(16)]
 
         def sparsity(model):  # over the stacked tokens of every batch
-            per_batch = [forward_with_cache(model, b[:, :-1])[1] for b in batches]
+            per_batch = [lm_loss(model, b, want_grads=False)[2] for b in batches]
             return [float((np.vstack(layer) == 0.0).mean()) for layer in zip(*per_batch)]
 
         model = GPT(ckpt.config, ckpt.params)

@@ -1,9 +1,11 @@
 """Source hygiene checked with the standard library's ast: no unused
-top-level import in the package's modules, and a README Layout block that
-lists exactly the package's modules."""
+top-level import in the package's modules, no top-level function or class
+that nothing references, and a README Layout block that lists exactly the
+package's modules."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ssdlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where a definition of the package may be referenced
+SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -63,6 +68,49 @@ def test_used_names_count_string_annotations():
                      "def f(a: 'A | None') -> 'list[B]':\n    pass\n")
     assert {"A", "B"} <= used_names(tree)
     assert "C" not in used_names(tree)
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is read as a Name, an Attribute or an ImportFrom
+    alias."""
+    counts = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            counts[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            counts[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            counts.update(alias.name for alias in n.names)
+    return counts
+
+
+def unreferenced_definitions(modules, sources) -> list:
+    """module:name of each top-level function or class of `modules` that no
+    file of `sources` references outside the definition itself."""
+    total = Counter()
+    for path in sources:
+        total += references(ast.parse(path.read_text()))
+    unreferenced = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if total[node.name] == references(node)[node.name]:
+                    unreferenced.append(f"{path.name}:{node.name}")
+    return unreferenced
+
+
+def test_every_top_level_definition_is_referenced():
+    assert unreferenced_definitions(sorted(PACKAGE.glob("*.py")), SOURCES) == []
+
+
+def test_a_definition_only_its_own_body_references_is_reported(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def used():\n    pass\n\n"
+                      "def leftover(n):\n    return leftover(n - 1) if n else used()\n\n"
+                      "class Kept:\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("import m\nfrom m import Kept\n")
+    assert unreferenced_definitions([module], [module, user]) == ["m.py:leftover"]
 
 
 def test_readme_layout_lists_exactly_the_package_modules():

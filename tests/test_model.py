@@ -11,14 +11,13 @@ from ssdlab.model import (
     ModelConfig,
     _block_backward,
     _block_forward,
+    _forward,
     _heads,
     _unheads,
     attention_backward,
     attention_forward,
-    block_forward,
     ffn_backward,
     ffn_forward,
-    forward_with_cache,
     lm_loss,
 )
 from ssdlab.moe import attach_experts
@@ -115,16 +114,16 @@ class TestBlock:
             if "attn_w" in name or "ffn_w" in name:
                 arr[:] = 0.0
         x = make_rng(0).standard_normal((5, GRAD_CFG.d_model))
-        y = block_forward(model, 0, x)
+        y, _, _ = _block_forward(model, 0, x, 1, 5)
         assert np.array_equal(y, x)
 
     def test_causality(self):
         model, ids = small_model()
-        logits_a, _, _ = forward_with_cache(model, ids)
+        logits_a, _ = _forward(model, ids, None)
         t = 3
         ids_b = ids.copy()
         ids_b[:, t + 1:] = (ids_b[:, t + 1:] + 1) % GRAD_CFG.vocab_size
-        logits_b, _, _ = forward_with_cache(model, ids_b)
+        logits_b, _ = _forward(model, ids_b, None)
         batch, seq = ids.shape
         la = logits_a.reshape(batch, seq, -1)
         lb = logits_b.reshape(batch, seq, -1)
@@ -133,9 +132,9 @@ class TestBlock:
 
     def test_sequence_length_limit(self):
         model, _ = small_model()
-        too_long = np.zeros((1, GRAD_CFG.max_seq_len + 1), dtype=np.int64)
+        too_long = np.zeros((1, GRAD_CFG.max_seq_len + 2), dtype=np.int64)
         with pytest.raises(ValueError, match="max_seq_len"):
-            forward_with_cache(model, too_long)
+            lm_loss(model, too_long, want_grads=False)
 
 
 class TestLmLoss:
@@ -155,7 +154,7 @@ class TestLmLoss:
     def test_empty_sequence_rejected(self):
         model, ids = small_model()
         with pytest.raises(ValueError) as e:
-            forward_with_cache(model, ids[:, :0])
+            lm_loss(model, ids[:, :1], want_grads=False)
         assert str(e.value) == "sequence length must be >= 1, got 0"
 
     def test_gradcheck_end_to_end(self):
@@ -401,3 +400,23 @@ class TestLmLossAliasing:
         monkeypatch.setattr(model_module, "_block_backward", spy)
         lm_loss(model, ids)
         assert dead_at_start == {1: [], 0: [True, True, True]}
+
+    def test_forward_only_keeps_no_block_cache(self, sparse, monkeypatch):
+        model, ids = self.model_and_batch(sparse)
+        real = model_module._block_forward
+        cached, dead_at_start = {}, {}
+
+        def spy(model, layer, x2d, batch, seq):
+            earlier = cached.get(layer - 1, [])
+            dead_at_start[layer] = [ref() is None for ref in earlier]
+            y, hidden, cache = real(model, layer, x2d, batch, seq)
+            ln1_cache, attn_cache, ln2_cache, _ = cache
+            # attention probs, then each layernorm's xhat
+            cached[layer] = [weakref.ref(attn_cache[4]), weakref.ref(ln1_cache[0]),
+                             weakref.ref(ln2_cache[0])]
+            del ln1_cache, attn_cache, ln2_cache
+            return y, hidden, cache
+
+        monkeypatch.setattr(model_module, "_block_forward", spy)
+        lm_loss(model, ids, want_grads=False)
+        assert dead_at_start == {0: [], 1: [True, True, True]}
