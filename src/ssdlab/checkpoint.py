@@ -20,11 +20,18 @@ of the optimizer config's Adam scalars, still load; so do older ssd files
 whose moe_layout repeats the chain. This module builds no model.
 Loading a truncated file, a wrong magic, or a different version is rejected;
 a non-finite tensor is rejected on save and load. Saves are atomic.
+
+One writer and one reader stream the format over a binary file object,
+tensor by tensor: a save holds no copy of the file, and a load holds only
+the arrays it returns. `checkpoint_to_bytes` and `checkpoint_from_bytes`
+run the same two functions over an in-memory file.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -141,7 +148,23 @@ def _check_finite(arr: np.ndarray, kind: str, name: str) -> None:
         raise CheckpointError(f"non-finite values in tensor {kind}:{name}")
 
 
-def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
+def _write(ckpt: Checkpoint, f) -> None:
+    """Write ckpt to the binary file object f. Every tensor's shape and
+    finiteness is checked before the first byte is written; each tensor is
+    then written from its own memory, without a bytes copy."""
+    tensors = {"param": ckpt.params}
+    if ckpt.adam is not None:
+        tensors.update(adam_m=ckpt.adam.m, adam_v=ckpt.adam.v)
+    manifest = _tensor_manifest(ckpt.config, ckpt.adam is not None)
+    arrays = []
+    for kind, name in manifest:
+        arr = tensors[kind][name]
+        expected = param_shape(name, ckpt.config)
+        if arr.shape != expected:
+            raise CheckpointError(f"tensor {kind}:{name} has shape {arr.shape}, "
+                                  f"expected {expected}")
+        _check_finite(arr, kind, name)
+        arrays.append(arr)
     header = {
         "config": ckpt.config.to_dict(),
         "step": ckpt.step,
@@ -150,23 +173,20 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         "moe_layout": ckpt.moe_layout,
         "scheduler": ckpt.scheduler,
         "run_info": ckpt.run_info,
-        "tensors": _tensor_manifest(ckpt.config, ckpt.adam is not None),
+        "tensors": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    parts = [MAGIC, struct.pack("<I", VERSION),
-             struct.pack("<Q", len(header_bytes)), header_bytes]
-    tensors = {"param": ckpt.params}
-    if ckpt.adam is not None:
-        tensors.update(adam_m=ckpt.adam.m, adam_v=ckpt.adam.v)
-    for kind, name in header["tensors"]:
-        arr = tensors[kind][name]
-        expected = param_shape(name, ckpt.config)
-        if arr.shape != expected:
-            raise CheckpointError(f"tensor {kind}:{name} has shape {arr.shape}, "
-                                  f"expected {expected}")
-        _check_finite(arr, kind, name)
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
+    f.write(MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)))
+    f.write(header_bytes)
+    for arr in arrays:
+        # a C-contiguous float64 array passes through ascontiguousarray as is
+        f.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+
+
+def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
+    buf = io.BytesIO()
+    _write(ckpt, buf)
+    return buf.getvalue()
 
 
 def _parse_header(raw: bytes):
@@ -220,32 +240,43 @@ def _parse_header(raw: bytes):
     return header, config
 
 
-def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
-    if len(blob) < 16:
+def _read(f, size: int) -> Checkpoint:
+    """Read a checkpoint of `size` bytes from the binary file object f.
+
+    The header length and the payload the header's tensor list implies are
+    checked against size before any tensor is allocated, so a corrupt
+    length cannot ask for more memory than the file holds. Each tensor is
+    then read straight into its own array.
+    """
+    preamble = f.read(16)
+    if len(preamble) < 16:
         raise CheckpointError("truncated checkpoint: missing header")
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"bad magic {blob[:4]!r}")
-    (version,) = struct.unpack("<I", blob[4:8])
+    if preamble[:4] != MAGIC:
+        raise CheckpointError(f"bad magic {preamble[:4]!r}")
+    version, header_len = struct.unpack("<IQ", preamble[4:])
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    if len(blob) < 16 + header_len:
+    if header_len > size - 16:
         raise CheckpointError("truncated checkpoint: incomplete header")
-    header, config = _parse_header(blob[16:16 + header_len])
+    raw = f.read(header_len)
+    if len(raw) < header_len:
+        raise CheckpointError("truncated checkpoint: incomplete header")
+    header, config = _parse_header(raw)
+    shapes = [(kind, name, param_shape(name, config)) for kind, name in header["tensors"]]
     offset = 16 + header_len
-    tensors = {}
-    for kind, name in header["tensors"]:
-        shape = param_shape(name, config)
-        count = int(np.prod(shape, dtype=np.int64))
-        nbytes = 8 * count
-        if offset + nbytes > len(blob):
+    for kind, name, shape in shapes:
+        offset += 8 * math.prod(shape)
+        if offset > size:
             raise CheckpointError(f"truncated checkpoint: tensor {kind}:{name}")
-        arr = np.frombuffer(blob, "<f8", count, offset).reshape(shape).copy()
+    if offset != size:
+        raise CheckpointError("trailing bytes after tensor payload")
+    tensors = {}
+    for kind, name, shape in shapes:
+        arr = np.empty(shape, dtype="<f8")
+        if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+            raise CheckpointError(f"truncated checkpoint: tensor {kind}:{name}")
         _check_finite(arr, kind, name)
         tensors[(kind, name)] = arr
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError("trailing bytes after tensor payload")
     params = {n: tensors[("param", n)] for n in param_names(config)}
     adam = None
     if header["adam"] is not None:
@@ -261,13 +292,16 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     )
 
 
+def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
+    return _read(io.BytesIO(blob), len(blob))
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write atomically: a failed save leaves any file at path as it was."""
-    blob = checkpoint_to_bytes(ckpt)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(blob)
+            _write(ckpt, f)
         os.replace(tmp, path)
     except OSError as e:
         if e.filename == tmp and e.filename2 is None:
@@ -280,4 +314,4 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        return checkpoint_from_bytes(f.read())
+        return _read(f, os.fstat(f.fileno()).st_size)

@@ -159,9 +159,9 @@ def cmd_analyze(args) -> int:
     """Per-layer pattern similarity (scheduler.pattern_similarity) and the
     activation sparsity of each checkpoint's dense weights
     (model.activation_sparsity), measured as training measures them, on
-    --corpus validation batches or on random tokens. Each batch's hidden
-    states, from the forward-only lm_loss, are counted and dropped before
-    the next forward."""
+    --corpus validation batches or on random tokens. The forward-only
+    lm_loss counts each block's zeros and drops its hidden state before the
+    next block runs."""
     if args.seq_len < 1:
         raise ValueError(f"--seq-len must be >= 1, got {args.seq_len}")
     ckpt_a = load_checkpoint(args.checkpoint_a)

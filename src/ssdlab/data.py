@@ -90,7 +90,11 @@ def split_documents(text: str) -> list:
 
 def tokenize_corpus(cfg: CorpusConfig) -> TokenizedCorpus:
     with open(cfg.path, encoding="utf-8") as f:
-        text = f.read()
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:  # offsets count the file's bytes
+            raise ValueError(f"corpus {cfg.path} is not UTF-8 text: byte "
+                             f"0x{e.object[e.start]:02x} at offset {e.start}") from None
     docs = split_documents(text)
     if not docs:
         raise ValueError(f"empty corpus: {cfg.path}")

@@ -1,8 +1,9 @@
 """Small GPT-style decoder-only LM: pre-LN blocks, causal multi-head attention,
 ReLU feed-forward sublayers, learned positional embeddings, untied output head.
 
-`lm_loss` returns per-layer post-ReLU hidden states, whose activation
-sparsity `activation_sparsity` measures for both training and `analyze`;
+`lm_loss` counts each layer's exactly-zero post-ReLU hidden entries as the
+forward runs and returns the counts, not the hidden states, from which
+`activation_sparsity` measures sparsity for both training and `analyze`;
 it keeps caches for the manual backward pass only when asked for gradients.
 Feed-forward sublayers dispatch to a sparse expert layout when one is
 attached to the model (see ssdlab.moe); otherwise they compute densely:
@@ -13,7 +14,7 @@ Bias adds, ReLU, the attention mask and softmax, and the residual adds run in
 place on arrays the same function has just created, with the same operations
 in the same order as the out-of-place formulas, so results are bit-identical.
 Ownership rule: a function never overwrites an array it was passed, nor one
-it has returned in `hiddens` or stored in a cache tuple.
+it has stored in a cache tuple.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class GPT:
 def ffn_forward(w: FFNWeights, x: np.ndarray):
     """y = w_out @ relu(w_in @ x + b_in) + b_out, rowwise over tokens.
 
-    Returns (y, hidden, cache); hidden is the post-ReLU state whose
-    sparsity activation_sparsity measures.
+    Returns (y, hidden, cache); hidden is the post-ReLU state whose zeros
+    lm_loss counts.
     """
     w.validate()
     if x.shape[1] != w.w_in.shape[1]:
@@ -312,10 +313,12 @@ def _block_backward(model: GPT, layer: int, cache, d_y, batch, seq):
 def _forward(model: GPT, token_ids: np.ndarray, caches):
     """Runs the full model on (batch, seq) int token ids.
 
-    Returns (logits, hiddens); hiddens are the per-layer post-ReLU
-    feed-forward states, (batch*seq, d_ff) each. A `caches` list receives
+    Returns (logits, counts); counts holds one (zeros, size) pair per
+    layer, the exactly-zero entries of its post-ReLU feed-forward state
+    and that state's size, batch*seq*d_ff. A `caches` list receives
     each block's backward cache, then the head's (lnf_cache, h_f); with
-    None, each block's cache is dropped before the next block runs.
+    None, each block's cache, hidden state included, is dropped before the
+    next block runs.
     """
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
@@ -330,42 +333,45 @@ def _forward(model: GPT, token_ids: np.ndarray, caches):
         raise ValueError("token id out of vocabulary")
     p = model.params
     x = p["tok_emb"][token_ids.reshape(-1)] + np.tile(p["pos_emb"][:seq], (batch, 1))
-    hiddens = []
+    counts = []
     for layer in range(cfg.n_layers):
         x, hidden, cache = _block_forward(model, layer, x, batch, seq)
-        hiddens.append(hidden)
+        counts.append((int(np.count_nonzero(hidden == 0.0)), hidden.size))
         if caches is not None:
             caches.append(cache)
-        del cache
+        del hidden, cache
     h_f, lnf_cache = layernorm(x, p["ln_f_gain"], p["ln_f_bias"], LN_EPS)
     logits = matmul_nt(h_f, p["head"])
     if caches is not None:
         caches.append((lnf_cache, h_f))
-    return logits, hiddens
+    return logits, counts
 
 
 def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
     """Causal LM loss over (batch, seq+1) token ids.
 
     Positions 0..seq-1 predict positions 1..seq; loss is the mean NLL over all
-    predicted positions. Returns (loss, grads, hiddens); grads is None, and
-    no backward cache is kept, when want_grads is False.
+    predicted positions. Returns (loss, grads, counts); counts holds each
+    layer's (zeros, size) of its post-ReLU hidden state, which
+    activation_sparsity reads. grads is None, and no backward cache is
+    kept, when want_grads is False: each block's activations, hidden state
+    included, are gone before the next block runs.
 
     The backward frees the forward's activations as it consumes them: the
     logits and the head's cache go before the first block's backward, and
     each block's cache is popped as its backward runs, so layer i's caches
-    are gone before layer i-1's backward allocates. Only `hiddens` outlive
+    are gone before layer i-1's backward allocates. No activation outlives
     the call.
     """
     token_ids = np.asarray(token_ids)
     inputs = token_ids[:, :-1]
     targets = token_ids[:, 1:].reshape(-1)
     block_caches = [] if want_grads else None
-    logits, hiddens = _forward(model, inputs, block_caches)
+    logits, counts = _forward(model, inputs, block_caches)
     loss, d_logits = softmax_cross_entropy(logits, targets)
     del logits
     if not want_grads:
-        return loss, None, hiddens
+        return loss, None, counts
     batch, seq = inputs.shape
     lnf_cache, h_f = block_caches.pop()
     p = model.params
@@ -384,22 +390,19 @@ def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
     d_pos = np.zeros_like(p["pos_emb"])
     d_pos[:seq] = d_x.reshape(batch, seq, -1).sum(axis=0)
     grads["pos_emb"] = d_pos
-    return loss, grads, hiddens
+    return loss, grads, counts
 
 
-def activation_sparsity(hidden_batches) -> list:
+def activation_sparsity(count_batches) -> list:
     """Per-layer fraction of exactly-zero post-ReLU entries.
 
-    hidden_batches is an iterable of per-layer hidden lists, one per batch,
-    in the form lm_loss returns them. Zeros and sizes are summed per layer
-    and divided once, so the result does not depend on how the tokens were
-    batched, and a generator keeps only one batch's hiddens alive. No
-    epsilon: ReLU produces exact zeros.
+    count_batches is an iterable of per-layer (zeros, size) lists, one per
+    batch, in the form lm_loss returns them. Zeros and sizes are summed per
+    layer and divided once, so the result does not depend on how the tokens
+    were batched. No epsilon: ReLU produces exact zeros.
     """
     totals = None
-    for hiddens in hidden_batches:
-        counts = [(np.count_nonzero(h == 0.0), h.size) for h in hiddens]
-        del hiddens  # before a generator runs the next batch's forward
+    for counts in count_batches:
         totals = counts if totals is None else [
             (z + bz, n + bn) for (z, n), (bz, bn) in zip(totals, counts)]
     if totals is None:

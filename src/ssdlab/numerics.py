@@ -30,6 +30,7 @@ computation, so results do not change.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -218,6 +219,10 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        # json reads NaN and Infinity; every range check below fails on NaN
+        for name, value in self.to_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.base_lr > 0.0:
             raise ValueError("base_lr must be > 0")
         if self.warmup < 1:

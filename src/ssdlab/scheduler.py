@@ -44,15 +44,19 @@ class SSDConfig:
     policy: str = "threshold"  # or "random" (fires with p=0.5 at each monitor)
 
     def __post_init__(self):
+        # json reads NaN and Infinity; every range check below fails on NaN
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.similarity_threshold <= 1.0:
             raise ValueError("similarity_threshold must be in (0, 1]")
-        if self.sparse_ratio < 0.0:
+        if not self.sparse_ratio >= 0.0:
             raise ValueError("sparse_ratio must be >= 0")
         if not 0.0 <= self.final_dense_ratio < 1.0:
             raise ValueError("final_dense_ratio must be in [0, 1)")
-        if self.sparse_ratio + self.final_dense_ratio >= 1.0:
+        if not self.sparse_ratio + self.final_dense_ratio < 1.0:
             raise ValueError("sparse_ratio + final_dense_ratio must be < 1")
-        if self.monitor_interval < 1:
+        if not self.monitor_interval >= 1:
             raise ValueError("monitor_interval must be >= 1")
         if self.policy not in ("threshold", "random"):
             raise ValueError("policy must be 'threshold' or 'random'")

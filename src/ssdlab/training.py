@@ -139,7 +139,6 @@ def _check_vocab(corpus: TokenizedCorpus, cfg: ModelConfig) -> None:
 def _mean_nll(model: GPT, batches: list) -> float:
     total, count = 0.0, 0
     for b in batches:
-        # only the loss is kept: held hiddens would live through the next forward
         loss = lm_loss(model, b, want_grads=False)[0]
         n = b.shape[0] * (b.shape[1] - 1)
         total += loss * n
@@ -214,9 +213,9 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
     that file's records before the checkpoint's step, read before the first
     step; the returned metrics hold only the steps run now.
 
-    Each step's grads and hiddens are dropped once Adam and the sparsity
-    sample have read them, so validation, the next monitor and the next
-    forward never run beside them.
+    Each step's grads are dropped once Adam has read them, so validation,
+    the next monitor and the next forward never run beside them; its
+    hidden states are gone once the backward has read them.
     """
     opt = opt or OptimizerConfig()
     run = run or RunConfig()
@@ -313,7 +312,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
             phase = PHASE_SPARSE if mode.kind == "smoe" else PHASE_DENSE
 
         batch = sample_batch(corpus.train_tokens, run.batch_size, corpus.seq_len, rng)
-        loss, grads, hiddens = lm_loss(model, batch)
+        loss, grads, counts = lm_loss(model, batch)
         if not np.isfinite(loss):
             # stop before the update spreads it; the last periodic
             # checkpoint stays the newest loadable state
@@ -331,8 +330,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
         sparsity = None
         if run.sparsity_interval and step % run.sparsity_interval == 0:
-            sparsity = activation_sparsity([hiddens])
-        del hiddens
+            sparsity = activation_sparsity([counts])
         ppl = None
         if (step + 1) % run.val_interval == 0 or step + 1 == run.total_steps:
             ppl = float(np.exp(_mean_nll(model, val_set)))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ def min_relu_margin(model, token_ids):
 # ---------------------------------------------------------------------------
 # Bitwise comparison of nested results
 # ---------------------------------------------------------------------------
+
+
+def traced_peak(call):
+    """(call(), the peak bytes it allocated above what was already live),
+    as tracemalloc sees them; numpy reports its array buffers there."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def snapshot(obj):

@@ -32,19 +32,25 @@ def ari_pair_counting(a, b):
     return 1.0 if den == 0 else num / den
 
 
+def zero_counts(layers):
+    """Per-layer (zeros, size) of hidden arrays, as lm_loss returns them."""
+    return [(int(np.count_nonzero(h == 0.0)), h.size) for h in layers]
+
+
 class TestActivationSparsity:
     def test_half_zero_row(self):
-        assert activation_sparsity([[np.array([[1.0, 0.0, 0.0, 2.0]])]]) == [0.5]
+        assert activation_sparsity([zero_counts([np.array([[1.0, 0.0, 0.0, 2.0]])])]) \
+            == [0.5]
 
     def test_all_zero(self):
-        assert activation_sparsity([[np.zeros((4, 8))]]) == [1.0]
+        assert activation_sparsity([zero_counts([np.zeros((4, 8))])]) == [1.0]
 
     def test_invariant_to_token_order_and_batching(self):
         rng = make_rng(0)
         h = np.maximum(rng.standard_normal((64, 16)), 0.0)
-        whole = activation_sparsity([[h]])
-        shuffled = activation_sparsity([[h[rng.permutation(64)]]])
-        rebatched = activation_sparsity([[h[32:]], [h[:32]]])
+        whole = activation_sparsity([zero_counts([h])])
+        shuffled = activation_sparsity([zero_counts([h[rng.permutation(64)]])])
+        rebatched = activation_sparsity([zero_counts([h[32:]]), zero_counts([h[:32]])])
         assert whole == shuffled == rebatched
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 40))
@@ -64,7 +70,7 @@ class TestActivationSparsity:
                    if hi > lo]
         reference = [float((np.vstack(layer) == 0.0).mean())
                      for layer in zip(*batches)]
-        assert activation_sparsity(iter(batches)) == reference
+        assert activation_sparsity(zero_counts(b) for b in batches) == reference
 
     def test_no_batches_rejected(self):
         with pytest.raises(ValueError, match="no hidden states"):

@@ -23,6 +23,8 @@ from ssdlab.model import ModelConfig, init_params
 from ssdlab.numerics import AdamState, make_rng, rng_state
 from ssdlab.scheduler import SchedulerState
 
+from conftest import traced_peak
+
 CFG = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32,
                   vocab_size=11, max_seq_len=8)
 
@@ -294,6 +296,19 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="truncated"):
             checkpoint_from_bytes(blob[:-100])
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["bytes", "file"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:8] + struct.pack("<Q", 2 ** 62) + blob[16:],
+        lambda blob: with_header(blob, lambda h: h["config"].update(max_seq_len=10 ** 15)),
+    ], ids=["header-length", "max_seq_len"])
+    def test_size_beyond_the_file_is_truncated_not_allocated(self, tmp_path, corrupt,
+                                                             from_file):
+        blob = corrupt(checkpoint_to_bytes(make_checkpoint()))
+        path = tmp_path / "c.bin"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path) if from_file else checkpoint_from_bytes(blob)
+
     def test_truncated_header(self):
         blob = checkpoint_to_bytes(make_checkpoint())
         with pytest.raises(CheckpointError, match="truncated"):
@@ -325,3 +340,34 @@ class TestRejection:
             save_checkpoint(ckpt, tmp_path / "new.bin")
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]
+
+
+def desk_checkpoint() -> Checkpoint:
+    """A desk-shape (4x128x512, 64 positions) checkpoint with Adam moments,
+    19.8 MiB on disk."""
+    cfg = ModelConfig(max_seq_len=64)
+    rng = make_rng(0)
+    params = init_params(cfg, rng)
+    adam = AdamState.for_params(params)
+    for name in params:
+        adam.m[name][...] = rng.standard_normal(params[name].shape)
+        adam.v[name][...] = rng.random(params[name].shape)
+    return Checkpoint(config=cfg, params=params, step=5, rng=rng_state(rng), adam=adam)
+
+
+class TestStreaming:
+    # save and load stream tensor by tensor: neither holds a copy of the file
+    MIB = 1 << 20
+
+    def test_save_holds_no_copy_of_the_file(self, tmp_path):
+        ckpt, path = desk_checkpoint(), tmp_path / "desk.bin"
+        _, peak = traced_peak(lambda: save_checkpoint(ckpt, path))
+        assert path.stat().st_size > 19 * self.MIB
+        assert peak < self.MIB, peak
+
+    def test_load_holds_only_the_arrays_it_returns(self, tmp_path):
+        path = tmp_path / "desk.bin"
+        save_checkpoint(desk_checkpoint(), path)
+        loaded, peak = traced_peak(lambda: load_checkpoint(path))
+        assert peak < path.stat().st_size + self.MIB, peak
+        assert checkpoint_to_bytes(loaded) == path.read_bytes()

@@ -203,6 +203,23 @@ class TestTrain:
             assert err.startswith(f"error: bad value in config section {section!r}")
             assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("section, keys, mode, bad", [
+        ("optimizer", {"eps": float("inf")}, "dense", "eps must be finite, got inf"),
+        ("optimizer", {"base_lr": float("inf")}, "dense",
+         "base_lr must be finite, got inf"),
+        ("ssd", {"sparse_ratio": float("nan"), "monitor_interval": 2,
+                 "similarity_threshold": 0.01}, "ssd",
+         "sparse_ratio must be finite, got nan"),
+    ], ids=["eps-infinity", "base_lr-infinity", "sparse_ratio-nan"])
+    def test_non_finite_value_exits_nonzero(self, workspace, tmp_path, capsys,
+                                            section, keys, mode, bad):
+        # json reads NaN and Infinity: an infinite eps used to freeze every
+        # parameter, an infinite base_lr to blame training for a NaN loss,
+        # and a NaN sparse_ratio to fail at the first conversion
+        rc = self._train_with_keys(workspace, tmp_path, section, mode, **keys)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}\n"
+
     def test_integer_for_a_float_field_trains(self, workspace, tmp_path):
         assert self._train_with_keys(workspace, tmp_path, "optimizer", base_lr=1) == 0
 
@@ -281,12 +298,12 @@ class TestTrain:
         real_loss, step_losses = training.lm_loss, []
 
         def nan_at_step_12(model, batch, want_grads=True):
-            loss, grads, hiddens = real_loss(model, batch, want_grads)
+            loss, grads, counts = real_loss(model, batch, want_grads)
             if want_grads:  # a training step, not a validation pass
                 step_losses.append(loss)
                 if len(step_losses) == 13:
                     loss = float("nan")
-            return loss, grads, hiddens
+            return loss, grads, counts
 
         monkeypatch.setattr(training, "lm_loss", nan_at_step_12)
         cfg = json.loads(workspace["config"].read_text())
@@ -355,6 +372,15 @@ class TestEval:
                    "--seq-len", "32", "--k", "2", "--dynamic-ratio", ratio])
         assert rc == 2
         assert capsys.readouterr().err == "error: truncation ratio must be in [0, 1)\n"
+
+    def test_non_utf8_corpus_names_the_file(self, trained_run, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe abc\n\n def\n")
+        rc = main(["eval", "--checkpoint", str(trained_run / "final.bin"),
+                   "--corpus", str(bad), "--seq-len", "32"])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: corpus {bad} is not UTF-8 text: "
+                                           "byte 0xff at offset 0\n")
 
     def test_corpus_vocab_mismatch_exits_nonzero(self, workspace, trained_run, capsys):
         # the checkpoint was trained on the toy character vocabulary
@@ -458,8 +484,6 @@ class TestAnalyze:
                                                         capsys):
         # the K-of-N mask the run trained with is not applied; metrics.jsonl
         # keeps the sparsity each step ran with
-        import numpy as np
-
         from ssdlab.checkpoint import decode_partitions
         from ssdlab.model import GPT, lm_loss
         from ssdlab.moe import attach_experts
@@ -481,7 +505,8 @@ class TestAnalyze:
 
         def sparsity(model):  # over the stacked tokens of every batch
             per_batch = [lm_loss(model, b, want_grads=False)[2] for b in batches]
-            return [float((np.vstack(layer) == 0.0).mean()) for layer in zip(*per_batch)]
+            return [sum(z for z, _ in layer) / sum(n for _, n in layer)
+                    for layer in zip(*per_batch)]
 
         model = GPT(ckpt.config, ckpt.params)
         dense = sparsity(model)

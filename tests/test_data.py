@@ -83,6 +83,14 @@ class TestTokenizeCorpus:
         with pytest.raises(ValueError, match="empty corpus"):
             tokenize_corpus(CorpusConfig(path))
 
+    def test_non_utf8_byte_named_with_its_file_offset(self, tmp_path):
+        # the offset counts bytes, not decoded characters or translated newlines
+        path = tmp_path / "corpus.txt"
+        path.write_bytes("caf\u00e9\r\n\r\nd".encode() + b"\xe9f\n")
+        with pytest.raises(ValueError) as e:
+            tokenize_corpus(CorpusConfig(str(path)))
+        assert str(e.value) == f"corpus {path} is not UTF-8 text: byte 0xe9 at offset 10"
+
     def test_single_document_cannot_hold_out_validation(self, tmp_path):
         path = self._write(tmp_path, "just one document here")
         with pytest.raises(ValueError, match="2 documents"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssdlab import model as model_module
+from ssdlab import moe as moe_module
 from ssdlab.clustering import Partition
 from ssdlab.model import (
     GPT,
@@ -35,7 +36,7 @@ from ssdlab.numerics import (
     relu_backward,
 )
 
-from conftest import max_grad_error, min_relu_margin, snapshot
+from conftest import max_grad_error, min_relu_margin, snapshot, traced_peak
 
 GRAD_CFG = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24,
                        vocab_size=11, max_seq_len=8)
@@ -169,13 +170,23 @@ class TestLmLoss:
         pairs = [(model.params[k], grads[k]) for k in model.params]
         assert max_grad_error(loss_fn, pairs, samples=8) < 1e-3
 
-    def test_hiddens_exposed_per_layer(self):
+    def test_zero_counts_exposed_per_layer(self):
         model, ids = small_model()
-        _, _, hiddens = lm_loss(model, ids, want_grads=False)
-        assert len(hiddens) == GRAD_CFG.n_layers
+        _, _, counts = lm_loss(model, ids, want_grads=False)
+        assert len(counts) == GRAD_CFG.n_layers
         batch, seq = ids.shape
-        assert hiddens[0].shape == (batch * (seq - 1), GRAD_CFG.d_ff)
-        assert all(h.min() >= 0 for h in hiddens)
+        assert all(n == batch * (seq - 1) * GRAD_CFG.d_ff for _, n in counts)
+        assert all(type(z) is int and 0 < z < n for z, n in counts)
+
+    def test_desk_eval_forward_holds_one_block_at_a_time(self):
+        # desk shape, batch 8x64: every layer's (512, 512) hidden state kept
+        # to the end of the call took 14.6 MiB
+        cfg = ModelConfig(max_seq_len=64)
+        rng = make_rng(0)
+        model = GPT.init(cfg, rng)
+        ids = rng.integers(0, cfg.vocab_size, size=(8, 65))
+        _, peak = traced_peak(lambda: lm_loss(model, ids, want_grads=False))
+        assert peak < 10 * (1 << 20), peak
 
     def test_loss_decreases_on_repetitive_data(self, toy_corpus):
         from ssdlab.training import DenseTrain, OptimizerConfig, RunConfig, train
@@ -368,17 +379,81 @@ class TestLmLossAliasing:
         return model, rng.integers(0, 11, size=(3, 8))
 
     def test_hiddens_do_not_depend_on_want_grads(self, sparse):
+        # through their zero counts, the one thing lm_loss returns of them
         model, ids = self.model_and_batch(sparse)
         params = snapshot(model.params)
-        loss, _, hiddens = lm_loss(model, ids)
-        eval_loss, _, eval_hiddens = lm_loss(model, ids, want_grads=False)
-        assert snapshot((loss, hiddens)) == snapshot((eval_loss, eval_hiddens))
+        loss, _, counts = lm_loss(model, ids)
+        eval_loss, _, eval_counts = lm_loss(model, ids, want_grads=False)
+        assert snapshot((loss, counts)) == snapshot((eval_loss, eval_counts))
         assert snapshot(model.params) == params
+
+    def spy_ffn(self, sparse, monkeypatch) -> list:
+        """Per FFN call, in layer order: the (zeros, size) of the hidden state
+        it returned, counted here, and weak references to the hidden arrays
+        it made (the sparse path also keeps the unmasked one)."""
+        if sparse:
+            module, name, pick = moe_module, "smoe_forward", lambda o: (o[2], o[3][1])
+        else:
+            module, name, pick = model_module, "ffn_forward", lambda o: (o[1],)
+        real, calls = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            hiddens = pick(out)
+            h = hiddens[0]
+            calls.append(((h.size - np.count_nonzero(h), h.size),
+                          [weakref.ref(a) for a in hiddens]))
+            return out
+
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("want_grads", [False, True], ids=["eval", "train"])
+    def test_counts_equal_a_direct_ffn_count(self, sparse, want_grads, monkeypatch):
+        model, ids = self.model_and_batch(sparse)
+        calls = self.spy_ffn(sparse, monkeypatch)
+        _, _, counts = lm_loss(model, ids, want_grads)
+        assert counts == [count for count, _ in calls]
+        assert all(0 < z < n for z, n in counts)
+
+    def test_forward_only_keeps_no_hidden_past_its_block(self, sparse, monkeypatch):
+        model, ids = self.model_and_batch(sparse)
+        calls = self.spy_ffn(sparse, monkeypatch)
+        real = model_module._block_forward
+        alive_at_start = []
+
+        def spy(model, layer, x2d, batch, seq):
+            alive_at_start.append([r() is not None for _, refs in calls for r in refs])
+            return real(model, layer, x2d, batch, seq)
+
+        monkeypatch.setattr(model_module, "_block_forward", spy)
+        lm_loss(model, ids, want_grads=False)
+        n_arrays = 2 if sparse else 1
+        assert alive_at_start == [[], [False] * n_arrays]
+        assert all(r() is None for _, refs in calls for r in refs)
+
+    def test_training_keeps_no_hidden_past_its_block_backward(self, sparse, monkeypatch):
+        model, ids = self.model_and_batch(sparse)
+        calls = self.spy_ffn(sparse, monkeypatch)
+        real = model_module._block_backward
+        alive_at_start = {}
+
+        def spy(model, layer, cache, d_y, batch, seq):
+            alive_at_start[layer] = [[r() is not None for r in refs] for _, refs in calls]
+            return real(model, layer, cache, d_y, batch, seq)
+
+        monkeypatch.setattr(model_module, "_block_backward", spy)
+        lm_loss(model, ids)
+        n_arrays = 2 if sparse else 1
+        # layer 1's hidden is cached for its backward, gone before layer 0's
+        assert alive_at_start == {1: [[True] * n_arrays, [True] * n_arrays],
+                                  0: [[True] * n_arrays, [False] * n_arrays]}
+        assert all(r() is None for _, refs in calls for r in refs)
 
     def test_returned_arrays_share_no_memory(self, sparse):
         model, ids = self.model_and_batch(sparse)
-        _, grads, hiddens = lm_loss(model, ids)
-        arrays = list(grads.values()) + hiddens + list(model.params.values())
+        _, grads, _ = lm_loss(model, ids)
+        arrays = list(grads.values()) + list(model.params.values())
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)

@@ -423,8 +423,8 @@ class TestKeepFreedHeap:
         for _ in range(5):
             batch = rng.integers(0, 257, size=(8, 65))
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            _, grads, hiddens = lm_loss(model, batch)
+            _, grads, _ = lm_loss(model, batch)
             nx.adam_step(model.params, grads, adam, opt, 1e-3)
-            del grads, hiddens
+            del grads
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert max(faults[2:]) < 1000, faults

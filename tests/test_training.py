@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ssdlab import model as model_module
+from ssdlab import moe as moe_module
 from ssdlab import training
 from ssdlab.checkpoint import (
     Checkpoint,
@@ -435,17 +437,32 @@ class TestModesLearn:
 
 @pytest.mark.parametrize("mode", [DenseTrain(), short_ssd_mode()], ids=["dense", "ssd"])
 def test_no_array_of_one_loss_call_lives_into_the_next(toy_corpus, monkeypatch, mode):
-    """A step's grads and hiddens, and a validation batch's hiddens, are
-    dropped before the next forward starts."""
+    """A step's grads and hidden states, and a validation batch's hidden
+    states, are dropped before the next forward starts."""
     real = training.lm_loss
-    previous, calls = [], []
+    previous, hiddens, calls = [], [], []
+
+    def track_hiddens(module, name, index):
+        real_ffn = getattr(module, name)
+
+        def spy_ffn(*args, **kwargs):
+            out = real_ffn(*args, **kwargs)
+            hiddens.append(weakref.ref(out[index]))
+            return out
+
+        monkeypatch.setattr(module, name, spy_ffn)
+
+    track_hiddens(model_module, "ffn_forward", 1)
+    track_hiddens(moe_module, "smoe_forward", 2)
 
     def spy(model, batch, want_grads=True):
         calls.append((want_grads, sum(ref() is not None for ref in previous)))
-        loss, grads, hiddens = real(model, batch, want_grads)
+        hiddens.clear()
+        loss, grads, counts = real(model, batch, want_grads)
         arrays = list(grads.values()) if grads is not None else []
-        previous[:] = [weakref.ref(a) for a in arrays + hiddens]
-        return loss, grads, hiddens
+        previous[:] = [weakref.ref(a) for a in arrays] + hiddens
+        assert len(hiddens) == model.config.n_layers
+        return loss, grads, counts
 
     monkeypatch.setattr(training, "lm_loss", spy)
     cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
