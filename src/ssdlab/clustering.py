@@ -452,35 +452,25 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
         largest = 8.0 * n * np.einsum("ij,ij->i", points, points).max()
     if not np.isfinite(largest):
         raise ValueError("points too large: squared distances overflow float64")
-    if n <= EXACT_ENUMERATION_MAX:
-        if init is not None:
-            init.validate_balanced()
-        assign = _exact_balanced(points, num_clusters)
-        partition = Partition(assign, num_clusters)
-        means = partition_means(points, partition)
-        return ClusteringOutcome(
-            partition=partition,
-            centroids=means,
-            wcss=_wcss_given_means(points, partition, means),
-            init_kind="random" if init is None else "warm-start",
-        )
-    screen = _Screen(points, num_clusters)
-    if init is None:
-        if rng is None:
-            raise ValueError("random initialization requires rng")
-        seeds = rng.choice(n, size=num_clusters, replace=False)
-        centroids = points[np.sort(seeds)].copy()
-        assign, centroids, history = _lloyd(screen, centroids)
-        assign = _greedy_balanced(screen, centroids, n // num_clusters)
-        init_kind = "random"
-    else:
+    if init is not None:
         if init.assignment.size != n or init.num_clusters != num_clusters:
             raise ValueError("init partition inconsistent with points/num_clusters")
         init.validate_balanced()
-        assign = init.assignment.copy()
-        history = []
-        init_kind = "warm-start"
-    assign = _balanced_local_search(screen, assign)
+    history = []
+    if n <= EXACT_ENUMERATION_MAX:
+        assign = _exact_balanced(points, num_clusters)
+    else:
+        screen = _Screen(points, num_clusters)
+        if init is None:
+            if rng is None:
+                raise ValueError("random initialization requires rng")
+            seeds = rng.choice(n, size=num_clusters, replace=False)
+            centroids = points[np.sort(seeds)].copy()
+            assign, centroids, history = _lloyd(screen, centroids)
+            assign = _greedy_balanced(screen, centroids, n // num_clusters)
+        else:
+            assign = init.assignment.copy()
+        assign = _balanced_local_search(screen, assign)
     partition = Partition(assign, num_clusters)
     partition.validate_balanced()
     means = partition_means(points, partition)
@@ -488,7 +478,7 @@ def balanced_kmeans(points: np.ndarray, num_clusters: int,
         partition=partition,
         centroids=means,
         wcss=_wcss_given_means(points, partition, means),
-        init_kind=init_kind,
+        init_kind="random" if init is None else "warm-start",
         lloyd_wcss_history=history,
     )
 

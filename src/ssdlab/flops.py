@@ -30,10 +30,8 @@ class SmoeMode:
 
 @dataclass
 class FlopsReport:
-    per_token_forward: float
     per_sequence_forward: int
     per_step_train: int
-    ffn_per_token_forward: float
     gate_per_token_forward: float
 
 
@@ -71,25 +69,18 @@ def _forward_per_sequence(cfg: ModelConfig, mode, seq_len: int) -> int:
 
 def flops_estimate(cfg: ModelConfig, mode, seq_len: "int | None" = None,
                    batch_size: int = 1) -> FlopsReport:
-    """Forward cost per token/sequence and training cost per step for a mode.
+    """Forward cost per sequence, gate cost per token and training cost per
+    step for a mode.
 
     A dense/sparse mix is priced by ssd_speedup (per-step ratio) and
     ssd_total_train_flops (exact totals over a realized schedule).
     """
     seq_len = cfg.max_seq_len if seq_len is None else seq_len
     per_seq = _forward_per_sequence(cfg, mode, seq_len)
-    if mode.kind == "dense":
-        ffn_tok = float(dense_ffn_flops_per_token(cfg))
-        gate_tok = 0.0
-    else:
-        gate_tok = float(2 * mode.num_experts * cfg.d_model)
-        ffn_tok = smoe_ffn_flops_per_token(
-            cfg, mode.num_experts, mode.active_experts) - gate_tok
+    gate_tok = 0.0 if mode.kind == "dense" else float(2 * mode.num_experts * cfg.d_model)
     return FlopsReport(
-        per_token_forward=per_seq / seq_len,
         per_sequence_forward=per_seq,
         per_step_train=3 * batch_size * per_seq,
-        ffn_per_token_forward=ffn_tok,
         gate_per_token_forward=gate_tok,
     )
 

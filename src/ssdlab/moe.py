@@ -9,16 +9,17 @@ None makes it dense again. Because the dense and sparse paths run the same
 kernels over the same memory, the K=N forward is bit-identical to the dense
 forward and a dense->sparse->dense round trip leaves every parameter as it was.
 
-Selected experts contribute with coefficient exactly 1 while keeping a
-derivative path through the raw gate score (forward value 1 + s - stop_grad(s));
-unselected experts contribute exactly 0 with no derivative path, so every
-parameter of an expert no token selected receives an exactly-zero gradient.
+The sparse forward multiplies the post-ReLU hidden state by the routing mask:
+selected experts contribute with coefficient exactly 1, unselected ones with
+exactly 0. That mask is the forward value of the straight-through coefficient
+1 + s - stop_grad(s); its derivative through the raw gate score s lives in
+smoe_backward, on selected (token, expert) pairs only, so every parameter of
+an expert no token selected receives an exactly-zero gradient.
 
-The per-neuron coefficients are gathered with np.take, which yields a
-C-ordered array, and the mask multiply, bias add and ReLU run in place on
-arrays the same function has just created, with the same operations in the
-same order as the out-of-place formulas. Ownership rule: a function never
-overwrites an array it was passed, nor one it has returned or cached.
+The bias add and ReLU run in place on arrays the same function has just
+created, with the same operations in the same order as the out-of-place
+formulas. Ownership rule: a function never overwrites an array it was
+passed, nor one it has returned or cached.
 """
 
 from __future__ import annotations
@@ -101,40 +102,31 @@ def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def smoe_forward(m: MoEFFN, x: np.ndarray, decision: "GateDecision | None" = None,
-                 frozen_scores: "np.ndarray | None" = None):
-    """Sparse feed-forward: selected experts contribute with coefficient 1.
+def smoe_forward(m: MoEFFN, x: np.ndarray):
+    """Sparse feed-forward: each token runs only its selected experts.
 
-    The coefficient is materialized as 1 + (score - frozen_score), which is
-    exactly 1.0 in the normal path (frozen_scores defaults to the live scores)
-    while keeping the score's derivative alive. Passing explicit
-    frozen_scores evaluates the straight-through surrogate away from its
-    linearization point; gradient checks difference that surrogate.
+    The post-ReLU hidden state is multiplied by the routing mask, which is
+    the straight-through coefficient's forward value: exactly 1 on selected
+    experts and exactly 0 on unselected ones. Its derivative through the raw
+    gate score lives in smoe_backward.
 
     Returns (y, decision, hidden, cache). hidden is (tokens, d_ff) post-ReLU
     with unselected experts' neurons exactly 0.
     """
     centroids = compute_centroids(m)
     scores = matmul_nt(x, centroids)
-    if decision is None:
-        decision = GateDecision(scores, topk_mask(scores, m.active_experts))
-        if m.dynamic_ratio > 0.0:
-            decision = dynamic_topk(decision, m.dynamic_ratio)
+    decision = GateDecision(scores, topk_mask(scores, m.active_experts))
+    if m.dynamic_ratio > 0.0:
+        decision = dynamic_topk(decision, m.dynamic_ratio)
     selected = decision.selected
-    if frozen_scores is None:
-        frozen_scores = scores
-    # (tokens, num_experts): exactly 1 on selected experts in the normal path,
-    # exactly 0 (no derivative path) on unselected ones
-    coeff = np.where(selected, 1.0 + (scores - frozen_scores), 0.0)
     w = m.weights
     hidden_full = matmul_nt(x, w.w_in)
     hidden_full += w.b_in
     np.maximum(hidden_full, 0.0, out=hidden_full)  # relu
-    hidden = np.take(coeff, m.partition.assignment, axis=1)  # per-neuron coeff
-    hidden *= hidden_full
+    hidden = hidden_full * np.take(selected, m.partition.assignment, axis=1)
     y = matmul_nt(hidden, w.w_out)
     y += w.b_out
-    cache = (x, hidden_full, hidden, coeff, selected, centroids)
+    cache = (x, hidden_full, hidden, selected, centroids)
     return y, decision, hidden, cache
 
 
@@ -142,20 +134,19 @@ def smoe_backward(m: MoEFFN, cache, d_y: np.ndarray):
     """Returns (d_x, grads). Gradients of experts selected by no token are
     exactly zero; selected experts' raw scores propagate into x and, through
     the live centroids, into their input-weight rows."""
-    x, hidden_full, hidden, coeff, selected, centroids = cache
+    x, hidden_full, hidden, selected, centroids = cache
     w = m.weights
     assignment = m.partition.assignment
     d_w_out = matmul_tn(d_y, hidden)
     d_b_out = d_y.sum(axis=0)
     d_hidden = matmul(d_y, w.w_out)
-    # hidden path, masked by the exactly-0/1 coefficients, then relu backward
-    d_pre = np.take(coeff, assignment, axis=1)
-    d_pre *= d_hidden
-    d_pre *= hidden_full > 0.0
-    # expert-coefficient path: d_coeff[t, n] = sum over n's neurons of
+    # straight-through gate path: d_scores[t, n] = sum over n's neurons of
     # d_hidden * hidden_full; only selected (t, n) pairs carry a derivative
-    d_hidden *= hidden_full
-    d_scores = np.where(selected, matmul(d_hidden, m.indicator), 0.0)
+    d_scores = np.where(selected, matmul(d_hidden * hidden_full, m.indicator), 0.0)
+    # hidden path as in the dense block: hidden > 0 exactly where the expert
+    # is selected and the relu is on
+    d_pre = d_hidden
+    d_pre *= hidden > 0.0
     d_w_in = matmul_tn(d_pre, x)
     d_b_in = d_pre.sum(axis=0)
     d_x = matmul(d_pre, w.w_in)
@@ -175,8 +166,6 @@ def dynamic_topk(decision: GateDecision, truncation_ratio: float) -> GateDecisio
     """
     if not 0.0 <= truncation_ratio < 1.0:
         raise ValueError("truncation ratio must be in [0, 1)")
-    if truncation_ratio == 0.0:
-        return GateDecision(decision.scores, decision.selected.copy())
     tokens, experts = np.nonzero(decision.selected)
     total = tokens.size
     keep = int(np.ceil((1.0 - truncation_ratio) * total))

@@ -50,6 +50,7 @@ from ssdlab.training import OptimizerConfig, RunConfig, SsdTrain, train
 
 from conftest import max_grad_error, min_relu_margin, toy_model_config
 from test_analysis import ari_pair_counting
+from test_moe import smoe_forward_reference
 
 
 @contextmanager
@@ -165,7 +166,7 @@ def test_criterion_04_gradient_fidelity():
         d_x, grads = smoe_backward(m, cache, d_y)
 
         def smoe_loss():
-            y, _, _, _ = smoe_forward(m, x, decision=decision, frozen_scores=frozen)
+            y, _, _, _ = smoe_forward_reference(m, x, decision, frozen)
             return (y * d_y).sum()
 
         pairs = [(x, d_x)] + [(getattr(m.weights, k), grads[k])

@@ -148,6 +148,13 @@ class TestTrain:
         assert capsys.readouterr().err == (f"error: checkpoint has no {missing} "
                                            "state, so it cannot be resumed\n")
 
+    def test_negative_seed_exits_nonzero(self, workspace, tmp_path, capsys):
+        rc = main(["train", "--config", str(workspace["config"]), "--mode", "dense",
+                   "--seed", "-1", "--steps", "1", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_corpus_exits_nonzero(self, capsys):
         rc = main(["train", "--corpus", "/nonexistent/corpus.txt", "--steps", "1"])
         assert rc == 2
@@ -404,6 +411,13 @@ class TestMoefy:
                      "--seq-len", "32", "--k", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["perplexity"] > 1.0
 
+    def test_negative_seed_exits_nonzero(self, dense_run, tmp_path, capsys):
+        out = tmp_path / "moefied.bin"
+        assert main(["moefy", "--checkpoint", str(dense_run / "final.bin"),
+                     "--experts", "8", "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_output_directory_named(self, dense_run, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "x.bin"
         assert main(["moefy", "--checkpoint", str(dense_run / "final.bin"),
@@ -532,6 +546,13 @@ class TestAnalyze:
             tracemalloc.stop()
         assert rc == 0
         assert peak < stacked_bytes, (peak, stacked_bytes)
+
+    def test_negative_seed_exits_nonzero(self, trained_run, capsys):
+        final = str(trained_run / "final.bin")
+        rc = main(["analyze", "--checkpoint-a", final, "--checkpoint-b", final,
+                   "--experts", "8", "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
     def test_zero_seq_len_exits_nonzero(self, trained_run, capsys):
         final = str(trained_run / "final.bin")

@@ -481,6 +481,15 @@ class TestBalancedKmeans:
         with pytest.raises(ValueError, match="^points too large"):
             balanced_kmeans(pts, 4, init=Partition(np.arange(n) % 4, 4))
 
+    @pytest.mark.parametrize("n", [8, 16], ids=["exact", "heuristic"])
+    @pytest.mark.parametrize("size, k", [(12, 4), (None, 2)], ids=["size", "clusters"])
+    def test_inconsistent_init_rejected(self, n, size, k):
+        pts = np.random.default_rng(13).standard_normal((n, 3))
+        init = Partition(np.arange(size or n) % k, k)
+        with pytest.raises(ValueError, match="^init partition inconsistent "
+                                             "with points/num_clusters$"):
+            balanced_kmeans(pts, 4, init=init)
+
     def test_large_finite_points_clustered(self):
         pts = 1e150 * np.random.default_rng(11).standard_normal((32, 3))
         out = balanced_kmeans(pts, 4, rng=np.random.default_rng(0))
