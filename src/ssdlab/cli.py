@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ssdlab.checkpoint import load_checkpoint, save_checkpoint
-from ssdlab.data import CorpusConfig, tokenize_corpus, validation_batches
+from ssdlab.data import CorpusConfig, read_json, tokenize_corpus, validation_batches
 from ssdlab.metrics import export_metrics, load_metrics_jsonl
 from ssdlab.model import GPT, ModelConfig, activation_sparsity, lm_loss
 from ssdlab.numerics import make_rng
@@ -38,8 +38,7 @@ from ssdlab.training import (
 def _load_config(path):
     if path is None:
         return {}
-    with open(path) as f:
-        cfg = json.load(f)
+    cfg = read_json(path, "config file")
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return cfg
@@ -195,15 +194,15 @@ def cmd_export(args) -> int:
     metrics_path = os.path.join(args.run_dir, "metrics.jsonl")
     run_path = os.path.join(args.run_dir, "run.json")
     records = load_metrics_jsonl(metrics_path)
-    with open(run_path) as f:
-        run_info = json.load(f)
+    run_info = read_json(run_path, "run file")
     n_layers = run_info.get("n_layers") if isinstance(run_info, dict) else None
     if type(n_layers) is not int:
         raise ValueError(f"{run_path} has no integer n_layers")
     out = args.out or os.path.join(args.run_dir, f"metrics.{args.format}")
-    if os.path.exists(out) and os.path.samefile(out, metrics_path):
-        raise ValueError(f"refusing to overwrite the input {metrics_path}: "
-                         "pass another --out")
+    for path in (metrics_path, run_path):
+        if os.path.exists(out) and os.path.samefile(out, path):
+            raise ValueError(f"refusing to overwrite the input {path}: "
+                             "pass another --out")
     export_metrics(records, out, args.format, n_layers)
     print(f"wrote {len(records)} records to {out}")
     return 0

@@ -44,12 +44,21 @@ class ByteTokenizer:
         return bytes(int(i) for i in ids if i != self.doc_sep).decode("utf-8")
 
 
+def read_json(path: str, what: str):
+    """The JSON value in file `path`; a file that does not parse is named
+    as `what` in the error."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise ValueError(f"{what} {path} is not valid JSON: {e}") from None
+
+
 class VocabTokenizer:
     """Character-level tokenizer over a supplied JSON list of characters."""
 
     def __init__(self, vocab_path: str):
-        with open(vocab_path) as f:
-            chars = json.load(f)
+        chars = read_json(vocab_path, "vocabulary file")
         if not isinstance(chars, list) or not all(
                 isinstance(c, str) and len(c) == 1 for c in chars):
             raise ValueError("vocabulary file must be a JSON list of single characters")

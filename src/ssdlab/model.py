@@ -5,10 +5,12 @@ ReLU feed-forward sublayers, learned positional embeddings, untied output head.
 forward runs and returns the counts, not the hidden states, from which
 `activation_sparsity` measures sparsity for both training and `analyze`;
 it keeps caches for the manual backward pass only when asked for gradients.
-Feed-forward sublayers dispatch to a sparse expert layout when one is
-attached to the model (see ssdlab.moe); otherwise they compute densely:
+Feed-forward sublayers compute densely,
 
-    ffn(x) = w_out @ relu(w_in @ x + b_in) + b_out
+    ffn(x) = w_out @ relu(w_in @ x + b_in) + b_out,
+
+unless a sparse expert layout is attached to the model (see ssdlab.moe),
+which runs this module's ffn_hidden and ffn_backward under its routing mask.
 
 Bias adds, ReLU, the attention mask and softmax, and the residual adds run in
 place on arrays the same function has just created, with the same operations
@@ -159,25 +161,32 @@ class GPT:
 # -----------------------------------------------------------------------------
 
 
-def ffn_forward(w: FFNWeights, x: np.ndarray):
-    """y = w_out @ relu(w_in @ x + b_in) + b_out, rowwise over tokens.
-
-    Returns (y, hidden, cache); hidden is the post-ReLU state whose zeros
-    lm_loss counts.
-    """
+def ffn_hidden(w: FFNWeights, x: np.ndarray) -> np.ndarray:
+    """relu(w_in @ x + b_in) rowwise over tokens, in a fresh array."""
     w.validate()
     if x.shape[1] != w.w_in.shape[1]:
         raise ValueError(f"input width {x.shape[1]} != d_model {w.w_in.shape[1]}")
     hidden = matmul_nt(x, w.w_in)
     hidden += w.b_in
     np.maximum(hidden, 0.0, out=hidden)  # relu
+    return hidden
+
+
+def ffn_forward(w: FFNWeights, x: np.ndarray):
+    """y = w_out @ relu(w_in @ x + b_in) + b_out, rowwise over tokens.
+
+    Returns (y, hidden, cache); hidden is the post-ReLU state whose zeros
+    lm_loss counts.
+    """
+    hidden = ffn_hidden(w, x)
     y = matmul_nt(hidden, w.w_out)
     y += w.b_out
     return y, hidden, (x, hidden)
 
 
 def ffn_backward(w: FFNWeights, cache, d_y: np.ndarray):
-    """Returns (d_x, grads) with grads keyed w_in/b_in/w_out/b_out."""
+    """Returns (d_x, grads, d_pre): grads keyed w_in/b_in/w_out/b_out, and
+    the pre-activation gradient, which the sparse layer's gate also reads."""
     x, hidden = cache
     d_w_out = matmul_tn(d_y, hidden)
     d_b_out = d_y.sum(axis=0)
@@ -186,7 +195,7 @@ def ffn_backward(w: FFNWeights, cache, d_y: np.ndarray):
     d_w_in = matmul_tn(d_pre, x)
     d_b_in = d_pre.sum(axis=0)
     d_x = matmul(d_pre, w.w_in)
-    return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}
+    return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}, d_pre
 
 
 # -----------------------------------------------------------------------------
@@ -294,7 +303,7 @@ def _block_backward(model: GPT, layer: int, cache, d_y, batch, seq):
     if layout is not None:
         d_h2, ffn_grads = layout.backward(ffn_cache, d_y)
     else:
-        d_h2, ffn_grads = ffn_backward(model.ffn_weights(layer), ffn_cache, d_y)
+        d_h2, ffn_grads = ffn_backward(model.ffn_weights(layer), ffn_cache, d_y)[:2]
     d_x, d_ln2_gain, d_ln2_bias = layernorm_backward(d_h2, ln2_cache)
     d_x += d_y  # residual
     d_h1, attn_grads = attention_backward(model.params, pre, attn_cache, d_x,
@@ -332,7 +341,9 @@ def _forward(model: GPT, token_ids: np.ndarray, caches):
     if token_ids.min() < 0 or token_ids.max() >= cfg.vocab_size:
         raise ValueError("token id out of vocabulary")
     p = model.params
-    x = p["tok_emb"][token_ids.reshape(-1)] + np.tile(p["pos_emb"][:seq], (batch, 1))
+    x = p["tok_emb"][token_ids]  # a fresh (batch, seq, d_model) gather
+    x += p["pos_emb"][:seq]
+    x = x.reshape(batch * seq, cfg.d_model)
     counts = []
     for layer in range(cfg.n_layers):
         x, hidden, cache = _block_forward(model, layer, x, batch, seq)

@@ -5,21 +5,19 @@ batch-level dynamic top-k truncation.
 A layer becomes sparse in one way only: attach_experts puts a MoEFFN view over
 the model's own feed-forward arrays, which stay in their original neuron order
 with the neuron-to-expert map recorded beside them; setting the layer back to
-None makes it dense again. Because the dense and sparse paths run the same
-kernels over the same memory, the K=N forward is bit-identical to the dense
-forward and a dense->sparse->dense round trip leaves every parameter as it was.
+None makes it dense again. The sparse layer runs the dense layer's own code
+(ssdlab.model's ffn_hidden and ffn_backward) on the same memory and adds only
+the routing mask and the gate, so the K=N forward is bit-identical to the
+dense forward and a dense->sparse->dense round trip leaves every parameter as
+it was.
 
-The sparse forward multiplies the post-ReLU hidden state by the routing mask:
-selected experts contribute with coefficient exactly 1, unselected ones with
-exactly 0. That mask is the forward value of the straight-through coefficient
-1 + s - stop_grad(s); its derivative through the raw gate score s lives in
-smoe_backward, on selected (token, expert) pairs only, so every parameter of
-an expert no token selected receives an exactly-zero gradient.
-
-The bias add and ReLU run in place on arrays the same function has just
-created, with the same operations in the same order as the out-of-place
-formulas. Ownership rule: a function never overwrites an array it was
-passed, nor one it has returned or cached.
+The routing mask multiplies the post-ReLU hidden state in place: selected
+experts keep coefficient exactly 1, unselected ones get exactly 0. It is the
+forward value of the straight-through coefficient 1 + s - stop_grad(s); the
+derivative through the raw gate score s lives in smoe_backward, on selected
+(token, expert) pairs only, so every parameter of an expert no token selected
+receives an exactly-zero gradient. Ownership rule: a function never
+overwrites an array it was passed, nor one it has returned or cached.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssdlab.clustering import Partition
-from ssdlab.model import GPT, FFNWeights
+from ssdlab.model import GPT, FFNWeights, ffn_backward, ffn_hidden
 from ssdlab.numerics import matmul, matmul_nt, matmul_tn
 
 
@@ -105,10 +103,10 @@ def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
 def smoe_forward(m: MoEFFN, x: np.ndarray):
     """Sparse feed-forward: each token runs only its selected experts.
 
-    The post-ReLU hidden state is multiplied by the routing mask, which is
-    the straight-through coefficient's forward value: exactly 1 on selected
-    experts and exactly 0 on unselected ones. Its derivative through the raw
-    gate score lives in smoe_backward.
+    The dense layer's post-ReLU hidden state is multiplied in place by the
+    routing mask, which is the straight-through coefficient's forward value:
+    exactly 1 on selected experts and exactly 0 on unselected ones. Its
+    derivative through the raw gate score lives in smoe_backward.
 
     Returns (y, decision, hidden, cache). hidden is (tokens, d_ff) post-ReLU
     with unselected experts' neurons exactly 0.
@@ -120,41 +118,30 @@ def smoe_forward(m: MoEFFN, x: np.ndarray):
         decision = dynamic_topk(decision, m.dynamic_ratio)
     selected = decision.selected
     w = m.weights
-    hidden_full = matmul_nt(x, w.w_in)
-    hidden_full += w.b_in
-    np.maximum(hidden_full, 0.0, out=hidden_full)  # relu
-    hidden = hidden_full * np.take(selected, m.partition.assignment, axis=1)
+    hidden = ffn_hidden(w, x)
+    hidden *= np.take(selected, m.partition.assignment, axis=1)  # routing mask
     y = matmul_nt(hidden, w.w_out)
     y += w.b_out
-    cache = (x, hidden_full, hidden, selected, centroids)
-    return y, decision, hidden, cache
+    return y, decision, hidden, (x, hidden, selected, centroids)
 
 
 def smoe_backward(m: MoEFFN, cache, d_y: np.ndarray):
     """Returns (d_x, grads). Gradients of experts selected by no token are
     exactly zero; selected experts' raw scores propagate into x and, through
     the live centroids, into their input-weight rows."""
-    x, hidden_full, hidden, selected, centroids = cache
-    w = m.weights
+    x, hidden, selected, centroids = cache
     assignment = m.partition.assignment
-    d_w_out = matmul_tn(d_y, hidden)
-    d_b_out = d_y.sum(axis=0)
-    d_hidden = matmul(d_y, w.w_out)
+    # hidden path: the dense layer's backward over the masked hidden state
+    d_x, grads, d_pre = ffn_backward(m.weights, (x, hidden), d_y)
     # straight-through gate path: d_scores[t, n] = sum over n's neurons of
-    # d_hidden * hidden_full; only selected (t, n) pairs carry a derivative
-    d_scores = np.where(selected, matmul(d_hidden * hidden_full, m.indicator), 0.0)
-    # hidden path as in the dense block: hidden > 0 exactly where the expert
-    # is selected and the relu is on
-    d_pre = d_hidden
-    d_pre *= hidden > 0.0
-    d_w_in = matmul_tn(d_pre, x)
-    d_b_in = d_pre.sum(axis=0)
-    d_x = matmul(d_pre, w.w_in)
+    # d_pre * hidden, which on a selected expert is d_hidden times the
+    # unmasked hidden state; only selected (t, n) pairs carry a derivative
+    d_scores = np.where(selected, matmul(d_pre * hidden, m.indicator), 0.0)
     # straight-through score path: scores = x @ centroids.T
     d_x += matmul(d_scores, centroids)
     d_centroids = matmul_tn(d_scores, x)
-    d_w_in += (m.num_experts / assignment.size) * d_centroids[assignment]
-    return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}
+    grads["w_in"] += (m.num_experts / assignment.size) * d_centroids[assignment]
+    return d_x, grads
 
 
 def dynamic_topk(decision: GateDecision, truncation_ratio: float) -> GateDecision:

@@ -145,7 +145,7 @@ def test_criterion_04_gradient_fidelity():
         x = rng.standard_normal((4, 6))
         d_out = rng.standard_normal((4, 6))
         _, _, cache = ffn_forward(w, x)
-        d_x, grads = ffn_backward(w, cache, d_out)
+        d_x, grads, _ = ffn_backward(w, cache, d_out)
 
         def ffn_loss():
             y, _, _ = ffn_forward(w, x)

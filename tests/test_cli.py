@@ -251,6 +251,14 @@ class TestTrain:
         assert f"error: {message}" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_config_that_does_not_parse_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        assert main(["train", "--config", str(bad), "--mode", "dense"]) == 2
+        assert capsys.readouterr().err == (f"error: config file {bad} is not valid "
+                                           "JSON: Expecting value: line 1 column 1 "
+                                           "(char 0)\n")
+
     def test_expert_flags_in_dense_mode_exit_nonzero(self, workspace, capsys):
         rc = main(["train", "--config", str(workspace["config"]), "--mode", "dense",
                    "--steps", "1", "--experts", "8", "--k", "2"])
@@ -328,6 +336,25 @@ class TestTrain:
 
 
 class TestEval:
+    @pytest.mark.parametrize("given_by", ["eval-flag", "train-config"])
+    def test_vocabulary_that_does_not_parse_is_named(self, workspace, trained_run,
+                                                     tmp_path, capsys, given_by):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        if given_by == "eval-flag":
+            argv = ["eval", "--checkpoint", str(trained_run / "final.bin"),
+                    "--corpus", str(workspace["corpus"]), "--tokenizer", str(bad)]
+        else:
+            cfg = json.loads(workspace["config"].read_text())
+            cfg["corpus"]["tokenizer"] = str(bad)
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(cfg))
+            argv = ["train", "--config", str(config), "--mode", "dense", "--steps", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: vocabulary file {bad} is not "
+                                           "valid JSON: Expecting value: line 1 "
+                                           "column 1 (char 0)\n")
+
     def test_dense_eval_outputs_json(self, workspace, trained_run, capsys):
         rc = main(["eval", "--checkpoint", str(trained_run / "final.bin"),
                    "--corpus", str(workspace["corpus"]),
@@ -669,6 +696,24 @@ class TestExport:
         assert main(["export", "--run-dir", str(d), "--format", "csv"]) == 2
         assert capsys.readouterr().err == (f"error: {d / 'run.json'} has no "
                                            "integer n_layers\n")
+
+    def test_run_json_that_does_not_parse_is_named(self, trained_run, tmp_path,
+                                                   capsys):
+        d = self._run_dir(tmp_path, trained_run, run_json="not json")
+        assert main(["export", "--run-dir", str(d), "--format", "csv"]) == 2
+        assert capsys.readouterr().err == (f"error: run file {d / 'run.json'} is not "
+                                           "valid JSON: Expecting value: line 1 "
+                                           "column 1 (char 0)\n")
+
+    def test_export_onto_its_run_json_refused(self, trained_run, tmp_path, capsys):
+        # it used to overwrite run.json, and every later export then failed
+        d = self._run_dir(tmp_path, trained_run)
+        before = (d / "run.json").read_bytes()
+        assert main(["export", "--run-dir", str(d), "--format", "jsonl",
+                     "--out", str(d / "run.json")]) == 2
+        assert capsys.readouterr().err == (f"error: refusing to overwrite the input "
+                                           f"{d / 'run.json'}: pass another --out\n")
+        assert (d / "run.json").read_bytes() == before
 
     @pytest.mark.parametrize("fmt, out", [("jsonl", None),
                                           ("csv", "./metrics.jsonl")])

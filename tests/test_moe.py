@@ -200,7 +200,7 @@ class TestSparseForwardBackward:
         _, _, _, cache = smoe_forward(m, x)
         _, sparse = smoe_backward(m, cache, d_y)
         _, _, dense_cache = ffn_forward(w, x)
-        _, dense = ffn_backward(w, dense_cache, d_y)
+        _, dense, _ = ffn_backward(w, dense_cache, d_y)
         for k in ("w_out", "b_out", "b_in"):
             assert snapshot(sparse[k]) == snapshot(dense[k])
 
@@ -438,13 +438,15 @@ def smoe_forward_reference(m, x, decision=None, frozen_scores=None):
     hidden_full = relu(matmul_nt(x, w.w_in) + w.b_in)
     hidden = hidden_full * coeff[:, m.partition.assignment]
     y = matmul_nt(hidden, w.w_out) + w.b_out
-    return y, decision, hidden, (x, hidden_full, hidden, selected, centroids)
+    return y, decision, hidden, (x, hidden, selected, centroids)
 
 
 def smoe_backward_reference(m, cache, d_y):
-    x, hidden_full, hidden, selected, centroids = cache
+    """The gate gradient from the unmasked hidden state, recomputed here."""
+    x, hidden, selected, centroids = cache
     w = m.weights
     assignment = m.partition.assignment
+    hidden_full = relu(matmul_nt(x, w.w_in) + w.b_in)
     d_w_out = matmul_tn(d_y, hidden)
     d_b_out = d_y.sum(axis=0)
     d_hidden = matmul(d_y, w.w_out)
@@ -460,24 +462,28 @@ def smoe_backward_reference(m, cache, d_y):
     return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}
 
 
-# (tokens, d_model, d_ff, N, K): desk and toy batches, an odd 7x8 one, and
-# K = N at desk shape
+# (tokens, d_model, d_ff, N, K, b_in shift): desk and toy batches, an odd
+# 7x8 one, K = N at desk shape, and a ReLU-heavy one whose shifted input bias
+# turns every neuron of some selected (token, expert) pairs off, so the gate
+# gradient sums signed zeros
 SMOE_SHAPES = {
-    "desk": (512, 128, 512, 32, 6),
-    "toy": (128, 32, 64, 8, 2),
-    "odd": (7, 8, 12, 4, 2),
-    "desk-k-equals-n": (512, 128, 512, 32, 32),
+    "desk": (512, 128, 512, 32, 6, 0.0),
+    "toy": (128, 32, 64, 8, 2, 0.0),
+    "odd": (7, 8, 12, 4, 2, 0.0),
+    "desk-k-equals-n": (512, 128, 512, 32, 32, 0.0),
+    "relu-heavy": (64, 16, 64, 8, 3, -0.3),
 }
 
 
-@pytest.mark.parametrize("tokens, d_model, d_ff, n, k", SMOE_SHAPES.values(),
+@pytest.mark.parametrize("tokens, d_model, d_ff, n, k, shift", SMOE_SHAPES.values(),
                          ids=SMOE_SHAPES.keys())
 # "live": the reference runs at the live gate scores, where its
 # straight-through coefficient is exactly the routing mask
 @pytest.mark.parametrize("dynamic_ratio", [0.0, 0.5], ids=["live-0.0", "live-0.5"])
-def test_smoe_matches_reference(tokens, d_model, d_ff, n, k, dynamic_ratio):
+def test_smoe_matches_reference(tokens, d_model, d_ff, n, k, shift, dynamic_ratio):
     rng = make_rng(tokens + d_ff + k)
-    w = FFNWeights(0.1 * rng.standard_normal((d_ff, d_model)), 0.1 * rng.standard_normal(d_ff),
+    w = FFNWeights(0.1 * rng.standard_normal((d_ff, d_model)),
+                   0.1 * rng.standard_normal(d_ff) + shift,
                    0.1 * rng.standard_normal((d_model, d_ff)), 0.1 * rng.standard_normal(d_model))
     m = MoEFFN(w, random_partition(rng, d_ff, n), k)
     m.dynamic_ratio = dynamic_ratio
