@@ -314,4 +314,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        return _read(f, os.fstat(f.fileno()).st_size)
+        try:
+            return _read(f, os.fstat(f.fileno()).st_size)
+        except CheckpointError as e:
+            raise CheckpointError(f"checkpoint {path}: {e}") from None

@@ -228,7 +228,7 @@ class _Screen:
         return out
 
 
-def _lloyd(screen, centroids, max_iters=MAX_LLOYD_ITERS):
+def _lloyd(screen, centroids):
     """Plain Lloyd iterations; empty clusters keep their previous centroid.
 
     Returns (assignment, centroids, objective_history) where the objective is
@@ -245,7 +245,7 @@ def _lloyd(screen, centroids, max_iters=MAX_LLOYD_ITERS):
     rows = np.arange(n)
     assign = np.full(n, -1, dtype=np.int64)
     history = []
-    for _ in range(max_iters):
+    for _ in range(MAX_LLOYD_ITERS):
         table, lower, upper = screen.bound(centroids)
         least_upper = upper.min(axis=1)
         cand_point, cand_cluster = np.divmod(

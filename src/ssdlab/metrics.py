@@ -103,5 +103,6 @@ def load_metrics_jsonl(path) -> list:
                 try:
                     records.append(_parse_record(line))
                 except (TypeError, ValueError) as e:
-                    raise ValueError(f"malformed metrics record on line {n}: {e}") from e
+                    raise ValueError(f"malformed metrics record on line {n} of "
+                                     f"{path}: {e}") from e
     return records

@@ -38,7 +38,6 @@ from ssdlab.numerics import (
     softmax_cross_entropy,
 )
 
-LN_EPS = 1e-5
 INIT_STD = 0.02
 
 
@@ -282,11 +281,11 @@ def attention_backward(p: dict, prefix: str, cache, d_out, batch, seq, n_heads):
 def _block_forward(model: GPT, layer: int, x2d, batch, seq):
     p = model.params
     pre = f"block{layer}."
-    h1, ln1_cache = layernorm(x2d, p[pre + "ln1_gain"], p[pre + "ln1_bias"], LN_EPS)
+    h1, ln1_cache = layernorm(x2d, p[pre + "ln1_gain"], p[pre + "ln1_bias"])
     attn_out, attn_cache = attention_forward(p, pre, h1, batch, seq, model.config.n_heads)
     attn_out += x2d  # residual
     x2d = attn_out
-    h2, ln2_cache = layernorm(x2d, p[pre + "ln2_gain"], p[pre + "ln2_bias"], LN_EPS)
+    h2, ln2_cache = layernorm(x2d, p[pre + "ln2_gain"], p[pre + "ln2_bias"])
     layout = model.moe[layer]
     if layout is not None:
         ffn_out, hidden, ffn_cache = layout.forward(h2)
@@ -351,7 +350,7 @@ def _forward(model: GPT, token_ids: np.ndarray, caches):
         if caches is not None:
             caches.append(cache)
         del hidden, cache
-    h_f, lnf_cache = layernorm(x, p["ln_f_gain"], p["ln_f_bias"], LN_EPS)
+    h_f, lnf_cache = layernorm(x, p["ln_f_gain"], p["ln_f_bias"])
     logits = matmul_nt(h_f, p["head"])
     if caches is not None:
         caches.append((lnf_cache, h_f))

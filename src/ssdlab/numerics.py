@@ -250,6 +250,12 @@ class AdamState:
         return cls(m={k: np.zeros_like(p) for k, p in params.items()},
                    v={k: np.zeros_like(p) for k, p in params.items()})
 
+    def reset(self) -> None:
+        """Zero both moments in place and restart the bias correction."""
+        for moment in (*self.m.values(), *self.v.values()):
+            moment.fill(0.0)
+        self.step_count = 0
+
 
 def adam_step(params: dict, grads: dict, state: AdamState, opt: OptimizerConfig,
               lr: float) -> None:

@@ -13,10 +13,10 @@ pass the run length total_steps (RunConfig.total_steps) in.
 
 Each monitor clusters every layer, warm-started from the per-layer partition
 chain stored here, scores the result against the chain (one ARI per layer)
-and stores it. A dense-to-sparse conversion fires only at a monitor, so it
-attaches the partitions that monitor just chose instead of clustering again.
-`pattern_similarity` runs two monitors on a fresh chain to compare two
-checkpoints, so training and `analyze` measure similarity one way.
+and stores it. A dense-to-sparse conversion attaches the partitions the
+monitor that fired it just chose. MoEfication is a fresh chain's first
+monitor, and `pattern_similarity` runs two to compare two checkpoints, so
+training, `moefy` and `analyze` group layers in one place.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from ssdlab.clustering import adjusted_rand_index, cluster_with_warmstart
 from ssdlab.model import GPT
 from ssdlab.moe import attach_experts
-from ssdlab.numerics import SEED_TAG_CLUSTER, SEED_TAG_POLICY, AdamState, derived_rng
+from ssdlab.numerics import SEED_TAG_CLUSTER, SEED_TAG_POLICY, derived_rng
 
 PHASE_DENSE = "dense"
 PHASE_SPARSE = "sparse"
@@ -62,10 +62,10 @@ class SSDConfig:
             raise ValueError("policy must be 'threshold' or 'random'")
 
 
-def _ceil_with_tol(x: float, tol: float = 1e-6) -> int:
+def _ceil_with_tol(x: float) -> int:
     """ceil that forgives float dust (0.1 * 200000 is 20000.000000000004)."""
     nearest = round(x)
-    if abs(x - nearest) < tol:
+    if abs(x - nearest) < 1e-6:
         return int(nearest)
     return int(math.ceil(x))
 
@@ -162,27 +162,20 @@ def on_monitor(state: SchedulerState, cfg: SSDConfig, similarity,
 # -----------------------------------------------------------------------------
 
 
-def cluster_all_layers(model: GPT, partitions: list, num_experts: int,
-                       seed: int, step: int) -> list:
-    """Cluster every layer's input weights, warm-started from `partitions`.
-
-    Layer i draws from derived_rng(seed, SEED_TAG_CLUSTER, step, i), so a
-    replay or a resume reproduces each layer's result.
-    """
-    return [cluster_with_warmstart(model.params[f"block{i}.ffn_w_in"], num_experts,
-                                   partitions[i],
-                                   derived_rng(seed, SEED_TAG_CLUSTER, step, i))
-            for i in range(model.config.n_layers)]
-
-
 def monitor_similarity(model: GPT, state: SchedulerState, num_experts: int,
                        seed: int, step: int) -> list:
-    """Re-cluster each layer and score it against the stored chain partition.
+    """Re-cluster each layer, warm-started from its chain partition, and
+    score the result against that partition.
 
-    Returns the per-layer ARIs, or [] on the very first clustering of a run
-    (no baseline yet). Updates the chain in place.
+    Layer i draws from derived_rng(seed, SEED_TAG_CLUSTER, step, i), so a
+    replay or a resume reproduces each layer's result. Returns the per-layer
+    ARIs, or [] on the first clustering of a fresh chain (no baseline yet).
+    Updates the chain in place.
     """
-    outcomes = cluster_all_layers(model, state.partitions, num_experts, seed, step)
+    outcomes = [cluster_with_warmstart(model.params[f"block{i}.ffn_w_in"], num_experts,
+                                       state.partitions[i],
+                                       derived_rng(seed, SEED_TAG_CLUSTER, step, i))
+                for i in range(model.config.n_layers)]
     aris = [adjusted_rand_index(prev, o.partition)
             for prev, o in zip(state.partitions, outcomes) if prev is not None]
     state.partitions[:] = [o.partition for o in outcomes]
@@ -192,9 +185,10 @@ def monitor_similarity(model: GPT, state: SchedulerState, num_experts: int,
 def pattern_similarity(ckpt_a, ckpt_b, num_experts: int, seed: int) -> list:
     """Per-layer ARI between two checkpoints' neuron groupings.
 
-    Two monitors at step 0 on a fresh chain: a is clustered from random
-    seeds, as moefy_checkpoint(ckpt_a, num_experts, seed) groups it, and b
-    warm-started from a's result. Identical checkpoints score exactly 1.
+    Two monitors at step 0 on a fresh chain: the first groups a exactly as
+    moefy_checkpoint(ckpt_a, num_experts, seed) does, since MoEfication is
+    that same first monitor, and the second groups b warm-started from a's
+    result. Identical checkpoints score exactly 1.
     """
     if ckpt_a.config.to_dict() != ckpt_b.config.to_dict():
         raise ValueError("checkpoints have different model configs")
@@ -205,22 +199,15 @@ def pattern_similarity(ckpt_a, ckpt_b, num_experts: int, seed: int) -> list:
 
 
 def transition_dense_to_sparse(model: GPT, state: SchedulerState,
-                               active_experts: int,
-                               adam: "AdamState | None" = None,
-                               reset_adam: bool = False) -> None:
+                               active_experts: int) -> None:
     """Attach the expert layouts the chain holds, which are the partitions the
     monitor that fired this conversion just chose. Weights stay in place, so
-    optimizer moments already sit next to their parameters; reset_adam
-    instead zeroes them for the ablation."""
+    optimizer moments already sit next to their parameters; the caller
+    resets the optimizer itself for the Adam-reset ablation."""
     if any(p is None for p in state.partitions):
         raise ValueError("the partition chain is not seeded: "
                          "run monitor_similarity first")
     attach_experts(model, state.partitions, active_experts)
-    if reset_adam and adam is not None:
-        for k in adam.m:
-            adam.m[k][:] = 0.0
-            adam.v[k][:] = 0.0
-        adam.step_count = 0
 
 
 def transition_sparse_to_dense(model: GPT, state: SchedulerState) -> None:

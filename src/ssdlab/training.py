@@ -49,7 +49,6 @@ from ssdlab.scheduler import (
     SchedulerState,
     SSDConfig,
     advance,
-    cluster_all_layers,
     monitor_due,
     monitor_similarity,
     on_monitor,
@@ -158,12 +157,11 @@ def _probe_loss(model: GPT, batch: np.ndarray) -> float:
     return loss
 
 
-def _probed(convert, model: GPT, state: SchedulerState, batch: np.ndarray,
-            *args, **kwargs) -> None:
+def _probed(convert, model: GPT, state: SchedulerState, batch: np.ndarray, *args) -> None:
     """Run one conversion between two continuity probes and record both
     losses on the event the conversion logs."""
     before = _probe_loss(model, batch)
-    convert(model, state, *args, **kwargs)
+    convert(model, state, *args)
     state.events[-1].update(loss_before=before, loss_after=_probe_loss(model, batch))
 
 
@@ -305,8 +303,9 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
                 similarity = float(np.mean(aris)) if aris else None
                 if on_monitor(state, mode.ssd, similarity, step, run.total_steps, seed):
                     _probed(transition_dense_to_sparse, model, state, probe_batch,
-                            mode.active_experts, adam=adam,
-                            reset_adam=mode.reset_adam_on_transition)
+                            mode.active_experts)
+                    if mode.reset_adam_on_transition:  # the probes never read Adam
+                        adam.reset()
             phase = state.phase
         else:
             phase = PHASE_SPARSE if mode.kind == "smoe" else PHASE_DENSE
@@ -368,6 +367,13 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 # -----------------------------------------------------------------------------
 
 
+def _moefied_partitions(ckpt: Checkpoint, num_experts: int, seed: int) -> list:
+    """moefy's grouping of the dense weights: a fresh chain's first monitor."""
+    state = SchedulerState.fresh(ckpt.config.n_layers)
+    monitor_similarity(GPT(ckpt.config, ckpt.params), state, num_experts, seed, step=0)
+    return state.partitions
+
+
 def _stored_partitions(ckpt: Checkpoint) -> "list | None":
     """Partitions carried by the checkpoint: its moe_layout (moefy, smoe) if
     any, else the scheduler's chain (the grouping of an ssd run)."""
@@ -388,9 +394,9 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
 
     Without sparse_k the model computes densely. With sparse_k the stored
     expert structure is reused when the checkpoint carries one (num_experts,
-    if given, must match it); a plain dense checkpoint is MoEfied on the fly
-    as moefy_checkpoint does, which needs num_experts. dynamic_ratio > 0
-    truncates low-score candidates per batch.
+    if given, must match it); a plain dense checkpoint is grouped on the fly
+    as moefy_checkpoint groups it with seed 0, which needs num_experts.
+    dynamic_ratio > 0 truncates low-score candidates per batch.
     """
     if not 0.0 <= dynamic_ratio < 1.0:  # also NaN, which would read as 0
         raise ValueError("truncation ratio must be in [0, 1)")
@@ -405,7 +411,7 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
             if num_experts is None:
                 raise ValueError("dense checkpoint carries no expert structure; "
                                  "pass num_experts to MoEfy it")
-            partitions = _stored_partitions(moefy_checkpoint(ckpt, num_experts))
+            partitions = _moefied_partitions(ckpt, num_experts, seed=0)
         n = partitions[0].num_clusters
         if num_experts is not None and num_experts != n:
             raise ValueError(f"checkpoint carries {n} experts, not {num_experts}")
@@ -422,9 +428,6 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
 def moefy_checkpoint(ckpt: Checkpoint, num_experts: int,
                      seed: int = 0) -> Checkpoint:
     """Cluster a dense checkpoint's layers so it carries an expert structure."""
-    model = GPT(ckpt.config, ckpt.params)  # read only
-    outcomes = cluster_all_layers(model, [None] * ckpt.config.n_layers,
-                                  num_experts, seed, step=0)
-    layout = encode_moe_layout([o.partition for o in outcomes], num_experts)
+    layout = encode_moe_layout(_moefied_partitions(ckpt, num_experts, seed), num_experts)
     return replace(ckpt, moe_layout=layout,
                    run_info={**ckpt.run_info, "moefied": num_experts})

@@ -10,6 +10,9 @@ from ssdlab.data import make_toy_corpus, toy_vocab_chars
 from test_checkpoint import with_header
 
 
+LOAD = "checkpoint {bad}: malformed checkpoint header: "
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -90,18 +93,19 @@ class TestTrain:
         assert "error: checkpoint run_info has no cumulative_flops" in err
         assert err.count("\n") == 1
 
+    # the errors the load raises name the file; the rest come from train
     @pytest.mark.parametrize("edit, message", [
-        (lambda h: h.update(rng={}), "malformed checkpoint header: missing key 'state'"),
-        (lambda h: h["rng"].update(state="x"), "malformed checkpoint header: rng 'state', "
+        (lambda h: h.update(rng={}), LOAD + "missing key 'state'"),
+        (lambda h: h["rng"].update(state="x"), LOAD + "rng 'state', "
          "'inc', 'has_uint32', 'uinteger' must be integers"),
-        (lambda h: h["scheduler"].update(phase="bogus"), "malformed checkpoint header: "
+        (lambda h: h["scheduler"].update(phase="bogus"), LOAD +
          "scheduler phase 'bogus' is not one of 'dense', 'sparse', 'final_dense'"),
-        (lambda h: h["scheduler"].update(sparse_budget="x"), "malformed checkpoint "
-         "header: scheduler 'sparse_budget' must be an integer >= 0"),
-        (lambda h: h["scheduler"].update(steps_in_phase=-1), "malformed checkpoint "
-         "header: scheduler 'steps_in_phase' must be an integer >= 0"),
+        (lambda h: h["scheduler"].update(sparse_budget="x"), LOAD +
+         "scheduler 'sparse_budget' must be an integer >= 0"),
+        (lambda h: h["scheduler"].update(steps_in_phase=-1), LOAD +
+         "scheduler 'steps_in_phase' must be an integer >= 0"),
         (lambda h: h["scheduler"].update(events=None),
-         "malformed checkpoint header: scheduler 'events' must be a list"),
+         LOAD + "scheduler 'events' must be a list"),
         (lambda h: h["run_info"].update(run=[]),
          "checkpoint run_info 'run' must be an object"),
         (lambda h: h["run_info"].update(cumulative_flops="7"),
@@ -114,14 +118,41 @@ class TestTrain:
     def test_resume_from_malformed_checkpoint_exits_nonzero(
             self, workspace, trained_run, tmp_path, capsys, edit, message):
         blob = (trained_run / "ckpt_00000040.bin").read_bytes()
-        (tmp_path / "bad.bin").write_bytes(with_header(blob, edit))
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_header(blob, edit))
         out = tmp_path / "r"
         rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
                    "--seed", "3", "--steps", "80", "--out", str(out),
-                   "--resume", str(tmp_path / "bad.bin")])
+                   "--resume", str(bad)])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
         assert not out.exists()
+
+    def test_resume_into_malformed_metrics_names_the_file(self, workspace, trained_run,
+                                                          tmp_path, capsys):
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "metrics.jsonl").write_text("not json\n")
+        rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
+                   "--seed", "3", "--steps", "80", "--out", str(out),
+                   "--resume", str(trained_run / "ckpt_00000040.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed metrics record on line 1 of "
+                              f"{out / 'metrics.jsonl'}: Expecting value")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
+
+    @pytest.mark.parametrize("cut", [10, 100], ids=["missing-header", "incomplete-header"])
+    def test_resume_from_truncated_checkpoint_names_it(self, workspace, trained_run,
+                                                       tmp_path, capsys, cut):
+        bad = tmp_path / "cut.bin"
+        bad.write_bytes((trained_run / "ckpt_00000040.bin").read_bytes()[:cut])
+        rc = main(["train", "--config", str(workspace["ssd_config"]), "--mode", "ssd",
+                   "--seed", "3", "--steps", "80", "--resume", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: checkpoint {bad}: truncated checkpoint: ")
 
     def test_resume_with_other_seed_exits_nonzero(self, workspace, trained_run,
                                                   tmp_path, capsys):
@@ -426,6 +457,21 @@ class TestEval:
                                            f"!= model vocab {vocab}\n")
 
 
+    @pytest.mark.parametrize("command", ["eval", "moefy"])
+    def test_truncated_checkpoint_is_named(self, workspace, dense_run, tmp_path,
+                                           capsys, command):
+        bad = tmp_path / "cut.bin"
+        bad.write_bytes((dense_run / "final.bin").read_bytes()[:100])
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(bad), "--corpus", str(workspace["corpus"])]
+        else:
+            argv = ["moefy", "--checkpoint", str(bad), "--experts", "8",
+                    "--out", str(tmp_path / "m.bin")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: checkpoint {bad}: truncated "
+                                           "checkpoint: incomplete header\n")
+
+
 class TestMoefy:
     def test_moefy_then_eval(self, workspace, dense_run, tmp_path, capsys):
         moefied = tmp_path / "moefied.bin"
@@ -574,6 +620,18 @@ class TestAnalyze:
         assert rc == 0
         assert peak < stacked_bytes, (peak, stacked_bytes)
 
+    @pytest.mark.parametrize("bad_side", ["a", "b"])
+    def test_a_file_that_is_not_a_checkpoint_is_named(self, workspace, trained_run,
+                                                      capsys, bad_side):
+        final, corpus = str(trained_run / "final.bin"), str(workspace["corpus"])
+        a, b = (corpus, final) if bad_side == "a" else (final, corpus)
+        rc = main(["analyze", "--checkpoint-a", a, "--checkpoint-b", b,
+                   "--experts", "8"])
+        assert rc == 2
+        magic = open(corpus, "rb").read(4)
+        assert capsys.readouterr().err == (f"error: checkpoint {corpus}: "
+                                           f"bad magic {magic!r}\n")
+
     def test_negative_seed_exits_nonzero(self, trained_run, capsys):
         final = str(trained_run / "final.bin")
         rc = main(["analyze", "--checkpoint-a", final, "--checkpoint-b", final,
@@ -681,11 +739,21 @@ class TestExport:
         d = self._run_dir(tmp_path, trained_run, metrics=f"{first}\n{line}\n")
         assert main(["export", "--run-dir", str(d), "--format", "csv"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: malformed metrics record on line 2: ")
+        where = f"error: malformed metrics record on line 2 of {d / 'metrics.jsonl'}: "
+        assert err.startswith(where)
         assert err.count("\n") == 1
         if detail is not None:
-            assert err == f"error: malformed metrics record on line 2: {detail}\n"
+            assert err == f"{where}{detail}\n"
         assert not (d / "metrics.csv").exists()
+
+    def test_metrics_file_that_does_not_parse_is_named(self, trained_run, tmp_path,
+                                                       capsys):
+        d = self._run_dir(tmp_path, trained_run, metrics="not json\n")
+        assert main(["export", "--run-dir", str(d), "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed metrics record on line 1 of "
+                              f"{d / 'metrics.jsonl'}: Expecting value")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("run_json", ["{}", "[]", '{"n_layers": "2"}',
                                           '{"n_layers": true}'])

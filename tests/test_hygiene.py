@@ -1,14 +1,18 @@
 """Source hygiene checked with the standard library's ast: no unused
 top-level import in the package's modules, no top-level function or class
-that nothing references, and a README Layout block that lists exactly the
-package's modules."""
+that nothing references, a README Layout block that lists exactly the
+package's modules, and README command-line examples that the parser
+accepts."""
 
 import ast
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from ssdlab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ssdlab"
@@ -118,3 +122,29 @@ def test_readme_layout_lists_exactly_the_package_modules():
     block = re.search(r"^## Layout\n+```\n(.*?)^```", readme, re.S | re.M).group(1)
     listed = re.findall(r"^  (\w+\.py)\b", block.split("src/ssdlab/\n", 1)[1], re.M)
     assert sorted(listed) == [p.name for p in MODULES]
+
+
+def readme_cli_examples() -> list:
+    """Each `ssdlab ...` command of the README's bash blocks, with its
+    backslash continuations joined."""
+    readme = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", readme, re.S | re.M):
+        for command in re.sub(r"\\\n\s*", "", block).splitlines():
+            if command.startswith("ssdlab "):
+                commands.append(command)
+    return commands
+
+
+def test_readme_has_cli_examples():
+    assert {shlex.split(c)[1] for c in readme_cli_examples()} == {
+        "train", "moefy", "eval", "analyze", "export"}
+
+
+@pytest.mark.parametrize("command", readme_cli_examples(),
+                         ids=lambda c: c.split()[1])
+def test_readme_cli_example_parses(command):
+    try:
+        build_parser().parse_args(shlex.split(command)[1:])
+    except SystemExit:
+        pytest.fail(f"the README example does not parse: {command}")

@@ -237,6 +237,22 @@ class TestAdam:
         with pytest.raises(ValueError, match="shape"):
             nx.adam_step(params, {"w": np.zeros(3)}, state, nx.OptimizerConfig(), 0.1)
 
+    def test_reset_zeroes_the_moments_in_place(self):
+        # the reset ablation at a dense-to-sparse conversion: the moments
+        # restart from zero in the arrays checkpoints and adam_step hold
+        params = {"w": np.zeros((2, 2)), "head": np.zeros(3)}
+        state = nx.AdamState.for_params(params)
+        for _ in range(5):
+            nx.adam_step(params, {"w": np.ones((2, 2)), "head": np.ones(3)}, state,
+                         nx.OptimizerConfig(), 0.1)
+        held = {k: (state.m[k], state.v[k]) for k in params}
+        assert state.step_count == 5 and np.all(state.m["head"] != 0.0)
+        state.reset()
+        for k, (m, v) in held.items():
+            assert state.m[k] is m and state.v[k] is v
+            assert np.all(m == 0.0) and np.all(v == 0.0)
+        assert state.step_count == 0
+
 
 class TestNoamSchedule:
     def test_branches_cross_at_warmup(self):

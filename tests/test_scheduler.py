@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ssdlab import scheduler
 from ssdlab.clustering import adjusted_rand_index, cluster_with_warmstart
 from ssdlab.model import GPT, ModelConfig
 from ssdlab.numerics import (
@@ -20,7 +21,6 @@ from ssdlab.scheduler import (
     SchedulerState,
     SSDConfig,
     advance,
-    cluster_all_layers,
     final_dense_start,
     monitor_due,
     monitor_similarity,
@@ -222,7 +222,7 @@ class TestModelConversions:
                               step_count=adam.step_count)
 
         state = seeded_state(model, step=3)
-        transition_dense_to_sparse(model, state, 2, adam=adam)
+        transition_dense_to_sparse(model, state, 2)
         _, sparse_grads, _ = lm_loss(model, ids)
         adam_step(model.params, sparse_grads, adam, OptimizerConfig(), lr=0.01)
 
@@ -230,16 +230,6 @@ class TestModelConversions:
         adam_step(twin.params, sparse_grads, twin_adam, OptimizerConfig(), lr=0.01)
         assert all(np.array_equal(model.params[k], twin.params[k])
                    for k in model.params)
-
-    def test_adam_reset_flag(self):
-        model = toy_model()
-        adam = AdamState.for_params(model.params)
-        adam.m["head"][:] = 1.0
-        adam.step_count = 5
-        state = seeded_state(model)
-        transition_dense_to_sparse(model, state, 2, adam=adam, reset_adam=True)
-        assert np.all(adam.m["head"] == 0.0)
-        assert adam.step_count == 0
 
     def test_transition_reuses_monitor_partition(self):
         # the conversion attaches the partitions the monitor just chose
@@ -258,26 +248,37 @@ class TestModelConversions:
         assert all(lay is None for lay in model.moe)
 
 
-class TestClusterAllLayers:
-    @pytest.mark.parametrize("warm", [False, True], ids=["random-init", "warm-start"])
-    def test_each_layer_uses_its_derived_seed(self, warm):
-        """Layer i is cluster_with_warmstart on its own weights, drawing from
-        derived_rng(seed, SEED_TAG_CLUSTER, step, i): the contract replay and
-        resume rely on."""
-        model = toy_model(seed=3)
-        prev = ([o.partition for o in cluster_all_layers(model, [None, None], 4,
-                                                         seed=5, step=0)]
-                if warm else [None, None])
-        outcomes = cluster_all_layers(model, prev, 4, seed=11, step=7)
-        assert len(outcomes) == 2
-        for i, got in enumerate(outcomes):
-            want = cluster_with_warmstart(model.params[f"block{i}.ffn_w_in"], 4, prev[i],
-                                          derived_rng(11, SEED_TAG_CLUSTER, 7, i))
-            assert np.array_equal(got.partition.assignment, want.partition.assignment)
-            assert got.wcss == want.wcss
+def cluster_oracle(model, prev, num_experts, seed, step):
+    """Layer i is cluster_with_warmstart on its own weights, warm-started
+    from prev[i] and drawing from derived_rng(seed, SEED_TAG_CLUSTER, step, i):
+    the contract replay and resume rely on."""
+    return [cluster_with_warmstart(model.params[f"block{i}.ffn_w_in"], num_experts,
+                                   prev[i], derived_rng(seed, SEED_TAG_CLUSTER, step, i))
+            for i in range(model.config.n_layers)]
 
 
 class TestMonitorSimilarity:
+    @pytest.mark.parametrize("warm", [False, True], ids=["random-init", "warm-start"])
+    def test_each_layer_uses_its_derived_seed(self, warm, monkeypatch):
+        # the monitor clusters through the scheduler module's global, so that
+        # one name sees every clustering a run or a MoEfication does
+        model = toy_model(seed=3)
+        state = seeded_state(model, seed=5) if warm else SchedulerState.fresh(2)
+        prev = list(state.partitions)
+        seen = []
+
+        def recording(*args):
+            seen.append(cluster_with_warmstart(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(scheduler, "cluster_with_warmstart", recording)
+        monitor_similarity(model, state, 4, seed=11, step=7)
+        assert len(seen) == 2
+        for i, (got, want) in enumerate(zip(seen, cluster_oracle(model, prev, 4, 11, 7))):
+            assert np.array_equal(got.partition.assignment, want.partition.assignment)
+            assert got.wcss == want.wcss
+            assert state.partitions[i] is got.partition
+
     def test_first_clustering_has_no_baseline(self):
         model = toy_model(seed=3)
         state = SchedulerState.fresh(model.config.n_layers)
@@ -290,7 +291,7 @@ class TestMonitorSimilarity:
         chain = list(state.partitions)
         other = toy_model(seed=4)
         aris = monitor_similarity(other, state, 4, seed=5, step=10)
-        outcomes = cluster_all_layers(other, chain, 4, seed=5, step=10)
+        outcomes = cluster_oracle(other, chain, 4, seed=5, step=10)
         assert aris == [adjusted_rand_index(prev, o.partition)
                         for prev, o in zip(chain, outcomes)]
         assert len(aris) == model.config.n_layers

@@ -288,6 +288,46 @@ class TestDeterminism:
         assert not out.exists()
 
 
+class TestAblations:
+    """The two ablation knobs of a switchable run, each through train: the
+    Adam reset at every dense-to-sparse conversion and the random policy."""
+
+    MODES = {
+        "reset-adam": SsdTrain(ssd=SSDConfig(similarity_threshold=0.05, monitor_interval=10),
+                               num_experts=8, active_experts=2,
+                               reset_adam_on_transition=True),
+        "random-policy": SsdTrain(ssd=SSDConfig(policy="random", monitor_interval=10),
+                                  num_experts=8, active_experts=2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODES))
+    def test_replay_and_resume_are_bit_identical(self, toy_corpus, tmp_path, name):
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        mode = self.MODES[name]
+
+        def run(out=None, resume=None):
+            rc = short_run(out_dir=out and str(out))
+            return train(cfg, toy_corpus, mode, OPT, seed=7, run=rc, resume_from=resume)
+
+        final, records = run(tmp_path / "full")
+        switches = [e["step"] for e in final.scheduler["events"]
+                    if e["kind"] == "dense_to_sparse"]
+        assert switches  # the ablation acts in this run
+        replay_final, replay_records = run()
+        assert replay_records == records
+        assert checkpoint_to_bytes(replay_final) == checkpoint_to_bytes(final)
+        # params, Adam moments and step count, RNG and scheduler chain
+        mid = load_checkpoint(tmp_path / "full" / "ckpt_00000030.bin")
+        res_final, res_records = run(tmp_path / "res", resume=mid)
+        assert res_records == records[30:]
+        assert checkpoint_to_bytes(res_final) == checkpoint_to_bytes(final)
+        if mode.reset_adam_on_transition:
+            # Adam restarts at each conversion, the last one included
+            assert final.adam.step_count == 60 - switches[-1] < 60
+        else:
+            assert final.adam.step_count == 60
+
+
 class TestConfigForms:
     # resume compares these saved forms with the requested configs
     def test_saved_forms(self):
@@ -539,6 +579,20 @@ class TestEvalPerplexity:
         with pytest.raises(ValueError,
                            match=f"^corpus vocab {vocab} != model vocab {vocab + 1}$"):
             eval_perplexity(ckpt, toy_corpus)
+
+    def test_dense_checkpoint_is_grouped_as_moefy_groups_it(self, toy_corpus,
+                                                          monkeypatch):
+        # on the fly, eval runs moefy's seed-0 grouping without building
+        # and re-reading a MoEfied checkpoint
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        final, _ = train(cfg, toy_corpus, DenseTrain(), OPT, seed=9,
+                         run=short_run(20, checkpoint_interval=100))
+        stored = eval_perplexity(moefy_checkpoint(final, num_experts=8), toy_corpus,
+                                 sparse_k=2, val_sequences=8)
+        for name in ("moefy_checkpoint", "decode_partitions"):
+            monkeypatch.setattr(training, name, None)
+        assert eval_perplexity(final, toy_corpus, sparse_k=2, num_experts=8,
+                               val_sequences=8) == stored
 
     def test_moefied_checkpoint_reuses_stored_structure(self, toy_corpus):
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
