@@ -147,8 +147,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     corpus = _corpus_for(ckpt, args)
     ppl = eval_perplexity(ckpt, corpus, sparse_k=args.k,
-                          dynamic_ratio=args.dynamic_ratio,
-                          num_experts=args.experts)
+                          dynamic_ratio=args.dynamic_ratio)
     mode = "dense" if args.k is None else f"k={args.k}, rho={args.dynamic_ratio}"
     print(json.dumps({"perplexity": ppl, "mode": mode, "step": ckpt.step}))
     return 0
@@ -169,7 +168,8 @@ def cmd_analyze(args) -> int:
     # their configs match)
     if args.corpus:
         corpus = _corpus_for(ckpt_a, args)
-        batches = validation_batches(corpus.val_tokens, corpus.seq_len, 64, 8)
+        batches = validation_batches(corpus.val_tokens, corpus.seq_len,
+                                     RunConfig.val_sequences, RunConfig.val_batch_size)
     else:
         rng = make_rng(args.seed)
         batches = [rng.integers(0, ckpt_a.config.vocab_size, size=(8, args.seq_len + 1))
@@ -240,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seq-len", type=int, dest="seq_len", default=64)
     e.add_argument("--k", type=int, help="sparse evaluation with k experts")
     e.add_argument("--dynamic-ratio", type=float, default=0.0, dest="dynamic_ratio")
-    e.add_argument("--experts", type=int,
-                   help="expert count when MoEfying a plain dense checkpoint")
     e.set_defaults(fn=cmd_eval)
 
     a = sub.add_parser("analyze", help="sparsity and pattern similarity of two checkpoints")

@@ -149,8 +149,8 @@ def sample_batch(tokens: np.ndarray, batch_size: int, seq_len: int,
     return np.stack([tokens[o:o + window] for o in offsets])
 
 
-def validation_batches(tokens: np.ndarray, seq_len: int, n_sequences: int = 64,
-                       batch_size: int = 8) -> list:
+def validation_batches(tokens: np.ndarray, seq_len: int, n_sequences: int,
+                       batch_size: int) -> list:
     """Fixed held-out batch set (constant seed), identical across runs for the
     same corpus and shape, so curves across checkpoints are comparable."""
     rng = derived_rng(0, SEED_TAG_VALIDATION, n_sequences, seq_len)

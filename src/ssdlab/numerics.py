@@ -288,7 +288,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, opt: OptimizerConfig,
         p -= update
 
 
-def noam_lr(step: int, warmup: int = 2000, d_model: int = 128, base: float = 0.5) -> float:
+def noam_lr(step: int, warmup: int, d_model: int, base: float) -> float:
     """base * d_model^-0.5 * min(step^-0.5, step * warmup^-1.5)."""
     if step < 1 or warmup < 1:
         raise ValueError("step and warmup must be >= 1")

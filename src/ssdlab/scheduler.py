@@ -94,10 +94,9 @@ class SchedulerState:
     def fresh(cls, n_layers: int) -> "SchedulerState":
         return cls(partitions=[None] * n_layers)
 
-    def log_event(self, step: int, kind: str, similarity=None,
-                  loss_before=None, loss_after=None):
+    def log_event(self, step: int, kind: str, similarity=None):
         self.events.append({"step": step, "kind": kind, "similarity": similarity,
-                            "loss_before": loss_before, "loss_after": loss_after})
+                            "loss_before": None, "loss_after": None})
 
 
 def advance(state: SchedulerState, cfg: SSDConfig, step: int,
@@ -162,6 +161,13 @@ def on_monitor(state: SchedulerState, cfg: SSDConfig, similarity,
 # -----------------------------------------------------------------------------
 
 
+def check_expert_count(d_ff: int, num_experts: int) -> None:
+    """Every expert count's one rule: it splits d_ff into equal experts."""
+    if num_experts < 1 or d_ff % num_experts != 0:
+        raise ValueError(f"num_experts must be >= 1 and divide d_ff {d_ff}, "
+                         f"got {num_experts}")
+
+
 def monitor_similarity(model: GPT, state: SchedulerState, num_experts: int,
                        seed: int, step: int) -> list:
     """Re-cluster each layer, warm-started from its chain partition, and
@@ -172,6 +178,7 @@ def monitor_similarity(model: GPT, state: SchedulerState, num_experts: int,
     ARIs, or [] on the first clustering of a fresh chain (no baseline yet).
     Updates the chain in place.
     """
+    check_expert_count(model.config.d_ff, num_experts)
     outcomes = [cluster_with_warmstart(model.params[f"block{i}.ffn_w_in"], num_experts,
                                        state.partitions[i],
                                        derived_rng(seed, SEED_TAG_CLUSTER, step, i))

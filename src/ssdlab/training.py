@@ -49,6 +49,7 @@ from ssdlab.scheduler import (
     SchedulerState,
     SSDConfig,
     advance,
+    check_expert_count,
     monitor_due,
     monitor_similarity,
     on_monitor,
@@ -221,8 +222,8 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         raise ValueError("corpus seq_len exceeds model max_seq_len")
     _check_vocab(corpus, model_cfg)
     is_ssd = mode.kind == "ssd"
-    if mode.kind != "dense" and model_cfg.d_ff % mode.num_experts != 0:
-        raise ValueError("d_ff must be divisible by num_experts")
+    if mode.kind != "dense":
+        check_expert_count(model_cfg.d_ff, mode.num_experts)
     if resume_from is not None and resume_from.step > run.total_steps:
         raise ValueError(f"checkpoint is at step {resume_from.step}, "
                          f"past total_steps {run.total_steps}")
@@ -367,13 +368,6 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 # -----------------------------------------------------------------------------
 
 
-def _moefied_partitions(ckpt: Checkpoint, num_experts: int, seed: int) -> list:
-    """moefy's grouping of the dense weights: a fresh chain's first monitor."""
-    state = SchedulerState.fresh(ckpt.config.n_layers)
-    monitor_similarity(GPT(ckpt.config, ckpt.params), state, num_experts, seed, step=0)
-    return state.partitions
-
-
 def _stored_partitions(ckpt: Checkpoint) -> "list | None":
     """Partitions carried by the checkpoint: its moe_layout (moefy, smoe) if
     any, else the scheduler's chain (the grouping of an ssd run)."""
@@ -388,33 +382,28 @@ def _stored_partitions(ckpt: Checkpoint) -> "list | None":
 
 def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
                     sparse_k: "int | None" = None, dynamic_ratio: float = 0.0,
-                    num_experts: "int | None" = None,
-                    val_sequences: int = 64, val_batch_size: int = 8) -> float:
+                    val_sequences: int = RunConfig.val_sequences,
+                    val_batch_size: int = RunConfig.val_batch_size) -> float:
     """exp(mean token NLL) on the fixed validation batches.
 
-    Without sparse_k the model computes densely. With sparse_k the stored
-    expert structure is reused when the checkpoint carries one (num_experts,
-    if given, must match it); a plain dense checkpoint is grouped on the fly
-    as moefy_checkpoint groups it with seed 0, which needs num_experts.
-    dynamic_ratio > 0 truncates low-score candidates per batch.
+    Without sparse_k the model computes densely. With sparse_k it computes
+    with the experts the checkpoint carries: its moe_layout (moefy, smoe),
+    else its ssd scheduler chain. A plain dense checkpoint carries none;
+    moefy_checkpoint gives it some. dynamic_ratio > 0 truncates low-score
+    candidates per batch.
     """
     if not 0.0 <= dynamic_ratio < 1.0:  # also NaN, which would read as 0
         raise ValueError("truncation ratio must be in [0, 1)")
-    if sparse_k is None and (dynamic_ratio != 0.0 or num_experts is not None):
-        raise ValueError("dynamic_ratio and num_experts are only read "
-                         "with sparse_k (--k)")
+    if sparse_k is None and dynamic_ratio != 0.0:
+        raise ValueError("dynamic_ratio is only read with sparse_k (--k)")
     _check_vocab(corpus, ckpt.config)
     model = GPT(ckpt.config, ckpt.params)  # read only
     if sparse_k is not None:
         partitions = _stored_partitions(ckpt)
         if partitions is None:
-            if num_experts is None:
-                raise ValueError("dense checkpoint carries no expert structure; "
-                                 "pass num_experts to MoEfy it")
-            partitions = _moefied_partitions(ckpt, num_experts, seed=0)
+            raise ValueError("checkpoint carries no expert structure: "
+                             "run moefy on it first")
         n = partitions[0].num_clusters
-        if num_experts is not None and num_experts != n:
-            raise ValueError(f"checkpoint carries {n} experts, not {num_experts}")
         if not 1 <= sparse_k <= n:
             raise ValueError(f"sparse_k must be in [1, {n}]")
         attach_experts(model, partitions, sparse_k)
@@ -427,7 +416,10 @@ def eval_perplexity(ckpt: Checkpoint, corpus: TokenizedCorpus,
 
 def moefy_checkpoint(ckpt: Checkpoint, num_experts: int,
                      seed: int = 0) -> Checkpoint:
-    """Cluster a dense checkpoint's layers so it carries an expert structure."""
-    layout = encode_moe_layout(_moefied_partitions(ckpt, num_experts, seed), num_experts)
+    """Cluster a dense checkpoint's layers so it carries an expert structure:
+    the grouping is a fresh chain's first monitor."""
+    state = SchedulerState.fresh(ckpt.config.n_layers)
+    monitor_similarity(GPT(ckpt.config, ckpt.params), state, num_experts, seed, step=0)
+    layout = encode_moe_layout(state.partitions, num_experts)
     return replace(ckpt, moe_layout=layout,
                    run_info={**ckpt.run_info, "moefied": num_experts})

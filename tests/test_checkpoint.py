@@ -39,8 +39,8 @@ def make_checkpoint(seed=0, with_extras=True):
     state.phase = "sparse"
     state.sparse_budget = 40
     state.partitions = [Partition(np.array([0, 1] * 16), 2) for _ in range(2)]
-    state.log_event(30, "dense_to_sparse", similarity=0.93,
-                    loss_before=1.5, loss_after=1.5)
+    state.log_event(30, "dense_to_sparse", similarity=0.93)
+    state.events[-1].update(loss_before=1.5, loss_after=1.5)
     return Checkpoint(
         config=CFG, params=params, step=33, rng=rng_state(rng),
         adam=adam if with_extras else None,

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ssdlab import scheduler
 from ssdlab.checkpoint import load_checkpoint, save_checkpoint
 from ssdlab.cli import main
 from ssdlab.data import make_toy_corpus, toy_vocab_chars
@@ -11,6 +12,10 @@ from test_checkpoint import with_header
 
 
 LOAD = "checkpoint {bad}: malformed checkpoint header: "
+
+
+def no_clustering(*args):
+    raise AssertionError("a layer was clustered")
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +303,17 @@ class TestTrain:
         assert "error: --experts and --k are not read in dense mode" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["smoe", "ssd"])
+    def test_indivisible_expert_count_exits_nonzero(self, workspace, tmp_path, capsys,
+                                                    mode):
+        out = tmp_path / "r"
+        rc = main(["train", "--config", str(workspace["config"]), "--mode", mode,
+                   "--steps", "1", "--experts", "7", "--k", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: num_experts must be >= 1 and "
+                                           "divide d_ff 64, got 7\n")
+        assert not out.exists()
+
     def test_resume_past_total_steps_exits_nonzero(self, workspace, dense_run,
                                                    tmp_path, capsys):
         out = tmp_path / "r"
@@ -412,12 +428,8 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--dynamic-ratio", "0.5"],
-         "dynamic_ratio and num_experts are only read with sparse_k (--k)"),
-        (["--experts", "4"],
-         "dynamic_ratio and num_experts are only read with sparse_k (--k)"),
-        (["--k", "2", "--experts", "4"], "checkpoint carries 8 experts, not 4"),
-    ], ids=["dynamic-ratio-without-k", "experts-without-k", "experts-differ"])
+        (["--dynamic-ratio", "0.5"], "dynamic_ratio is only read with sparse_k (--k)"),
+    ], ids=["dynamic-ratio-without-k"])
     def test_unread_flags_exit_nonzero(self, workspace, trained_run, capsys,
                                        flags, message):
         rc = main(["eval", "--checkpoint", str(trained_run / "final.bin"),
@@ -426,6 +438,27 @@ class TestEval:
                    "--seq-len", "32", *flags])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_dense_checkpoint_needs_moefy_first(self, workspace, dense_run, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(scheduler, "cluster_with_warmstart", no_clustering)
+        rc = main(["eval", "--checkpoint", str(dense_run / "final.bin"),
+                   "--corpus", str(workspace["corpus"]),
+                   "--tokenizer", str(workspace["vocab"]),
+                   "--seq-len", "32", "--k", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: checkpoint carries no expert "
+                                           "structure: run moefy on it first\n")
+
+    def test_experts_flag_rejected_by_the_parser(self, workspace, trained_run, capsys):
+        # eval scores the experts a checkpoint carries; moefy groups a dense one
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--checkpoint", str(trained_run / "final.bin"),
+                  "--corpus", str(workspace["corpus"]),
+                  "--tokenizer", str(workspace["vocab"]),
+                  "--seq-len", "32", "--k", "2", "--experts", "8"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --experts 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ratio", ["-0.5", "nan"])
     def test_dynamic_ratio_out_of_range_exits_nonzero(self, workspace, trained_run,
@@ -499,30 +532,25 @@ class TestMoefy:
                                            f"directory: '{out}'\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("experts, message", [
-        ("7", "rows 64 not divisible by num_clusters 7"),
-        ("0", "num_clusters must be >= 1, got 0"),
-        ("-4", "num_clusters must be >= 1, got -4"),
-    ], ids=["7", "0", "-4"])
-    @pytest.mark.parametrize("command", ["moefy", "eval", "analyze"])
-    def test_indivisible_expert_count_rejected(self, workspace, dense_run, capsys,
-                                               command, experts, message):
-        # a dense checkpoint carries no expert structure, so each command clusters
+    @pytest.mark.parametrize("experts", ["7", "0", "-4"])
+    @pytest.mark.parametrize("command", ["moefy", "analyze"])
+    def test_indivisible_expert_count_rejected(self, dense_run, capsys, monkeypatch,
+                                               command, experts):
+        # both commands group a dense checkpoint; the count is checked first
+        monkeypatch.setattr(scheduler, "cluster_with_warmstart", no_clustering)
         ckpt = str(dense_run / "final.bin")
         argv = {
             "moefy": ["moefy", "--checkpoint", ckpt, "--out", "/dev/null"],
-            "eval": ["eval", "--checkpoint", ckpt, "--corpus", str(workspace["corpus"]),
-                     "--tokenizer", str(workspace["vocab"]), "--seq-len", "32",
-                     "--k", "2"],
             "analyze": ["analyze", "--checkpoint-a", ckpt, "--checkpoint-b", ckpt,
                         "--seq-len", "16"],
         }[command]
         rc = main(argv + ["--experts", experts])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == ("error: num_experts must be >= 1 and "
+                                           f"divide d_ff 64, got {experts}\n")
 
 
-    @pytest.mark.parametrize("command", ["moefy", "eval", "analyze"])
+    @pytest.mark.parametrize("command", ["moefy", "analyze"])
     def test_overflowing_weights_rejected(self, workspace, dense_run, tmp_path, capsys,
                                           command):
         ckpt = load_checkpoint(dense_run / "final.bin")
@@ -531,9 +559,6 @@ class TestMoefy:
         save_checkpoint(ckpt, path)
         argv = {
             "moefy": ["moefy", "--checkpoint", path, "--out", str(tmp_path / "out.bin")],
-            "eval": ["eval", "--checkpoint", path, "--corpus", str(workspace["corpus"]),
-                     "--tokenizer", str(workspace["vocab"]), "--seq-len", "32",
-                     "--k", "2"],
             "analyze": ["analyze", "--checkpoint-a", path, "--checkpoint-b", path,
                         "--seq-len", "16"],
         }[command]

@@ -1,9 +1,11 @@
 """Source hygiene checked with the standard library's ast: no unused
 top-level import in the package's modules, no top-level function or class
 that nothing references, a README Layout block that lists exactly the
-package's modules, and README command-line examples that the parser
-accepts."""
+package's modules, README command-line examples that the parser accepts,
+and a README that names every command-line flag, each example's comment
+naming only flags of its own command."""
 
+import argparse
 import ast
 import re
 import shlex
@@ -124,16 +126,39 @@ def test_readme_layout_lists_exactly_the_package_modules():
     assert sorted(listed) == [p.name for p in MODULES]
 
 
-def readme_cli_examples() -> list:
-    """Each `ssdlab ...` command of the README's bash blocks, with its
-    backslash continuations joined."""
+def readme_cli_blocks() -> list:
+    """(comment, command) for each `ssdlab ...` command of the README's bash
+    blocks, with its backslash continuations joined; comment is the run of
+    `#` lines right above it."""
     readme = (ROOT / "README.md").read_text()
-    commands = []
+    blocks = []
     for block in re.findall(r"^```bash\n(.*?)^```", readme, re.S | re.M):
-        for command in re.sub(r"\\\n\s*", "", block).splitlines():
-            if command.startswith("ssdlab "):
-                commands.append(command)
-    return commands
+        comment = []
+        for line in re.sub(r"\\\n\s*", "", block).splitlines():
+            if line.startswith("#"):
+                comment.append(line)
+                continue
+            if line.startswith("ssdlab "):
+                blocks.append(("\n".join(comment), line))
+            comment = []
+    return blocks
+
+
+def readme_cli_examples() -> list:
+    return [command for _, command in readme_cli_blocks()]
+
+
+def subcommand_flags() -> dict:
+    """Each subcommand of build_parser() -> the option strings it defines."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in parser._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")}
+            for name, parser in sub.choices.items()}
+
+
+def flags_in(text: str) -> set:
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
 
 
 def test_readme_has_cli_examples():
@@ -148,3 +173,18 @@ def test_readme_cli_example_parses(command):
         build_parser().parse_args(shlex.split(command)[1:])
     except SystemExit:
         pytest.fail(f"the README example does not parse: {command}")
+
+
+def test_readme_names_every_cli_flag():
+    documented = flags_in((ROOT / "README.md").read_text())
+    missing = {name: sorted(flags - documented)
+               for name, flags in subcommand_flags().items() if flags - documented}
+    assert not missing, f"flags the README never names: {missing}"
+
+
+@pytest.mark.parametrize("comment, command", readme_cli_blocks(),
+                         ids=[c.split()[1] for _, c in readme_cli_blocks()])
+def test_readme_cli_comment_names_only_its_command_flags(comment, command):
+    name = shlex.split(command)[1]
+    stray = flags_in(comment) - subcommand_flags()[name]
+    assert not stray, f"the comment above `ssdlab {name}` names {sorted(stray)}"

@@ -273,7 +273,7 @@ class TestNoamSchedule:
 
     def test_default_gpt_config(self):
         # warmup 2000, base 0.5 is the decoder-model preset
-        assert nx.noam_lr(2000, 2000, 768) == pytest.approx(0.5 * 768 ** -0.5 * 2000 ** -0.5)
+        assert nx.noam_lr(2000, 2000, 768, 0.5) == pytest.approx(0.5 * 768 ** -0.5 * 2000 ** -0.5)
 
     def test_invalid_step(self):
         with pytest.raises(ValueError):

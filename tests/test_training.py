@@ -565,10 +565,11 @@ class TestEvalPerplexity:
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
         final, _ = train(cfg, toy_corpus, DenseTrain(), OPT, seed=8,
                          run=short_run(20, checkpoint_interval=100))
-        with pytest.raises(ValueError, match="MoEfy"):
+        with pytest.raises(ValueError, match="^checkpoint carries no expert "
+                                             "structure: run moefy on it first$"):
             eval_perplexity(final, toy_corpus, sparse_k=2)
-        ppl = eval_perplexity(final, toy_corpus, sparse_k=2, num_experts=8,
-                              val_sequences=8)
+        ppl = eval_perplexity(moefy_checkpoint(final, num_experts=8), toy_corpus,
+                              sparse_k=2, val_sequences=8)
         assert np.isfinite(ppl)
 
     def test_corpus_of_another_vocabulary_rejected(self, toy_corpus):
@@ -579,20 +580,6 @@ class TestEvalPerplexity:
         with pytest.raises(ValueError,
                            match=f"^corpus vocab {vocab} != model vocab {vocab + 1}$"):
             eval_perplexity(ckpt, toy_corpus)
-
-    def test_dense_checkpoint_is_grouped_as_moefy_groups_it(self, toy_corpus,
-                                                          monkeypatch):
-        # on the fly, eval runs moefy's seed-0 grouping without building
-        # and re-reading a MoEfied checkpoint
-        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
-        final, _ = train(cfg, toy_corpus, DenseTrain(), OPT, seed=9,
-                         run=short_run(20, checkpoint_interval=100))
-        stored = eval_perplexity(moefy_checkpoint(final, num_experts=8), toy_corpus,
-                                 sparse_k=2, val_sequences=8)
-        for name in ("moefy_checkpoint", "decode_partitions"):
-            monkeypatch.setattr(training, name, None)
-        assert eval_perplexity(final, toy_corpus, sparse_k=2, num_experts=8,
-                               val_sequences=8) == stored
 
     def test_moefied_checkpoint_reuses_stored_structure(self, toy_corpus):
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
