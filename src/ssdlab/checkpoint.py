@@ -19,12 +19,16 @@ older files that also stored an "ssd_config" copy of run_info's, or copies
 of the optimizer config's Adam scalars, still load; so do older ssd files
 whose moe_layout repeats the chain. This module builds no model.
 Loading a truncated file, a wrong magic, or a different version is rejected;
-a non-finite tensor is rejected on save and load. Saves are atomic.
+a non-finite tensor is rejected on save and on any load that reads it.
+Saves are atomic.
 
 One writer and one reader stream the format over a binary file object,
 tensor by tensor: a save holds no copy of the file, and a load holds only
-the arrays it returns. `checkpoint_to_bytes` and `checkpoint_from_bytes`
-run the same two functions over an in-memory file.
+the arrays it returns. `load_checkpoint` reads the Adam moments only when
+asked (`adam=True`, for a resume or a rewrite); otherwise it seeks past
+them, so an evaluation holds and checks only the parameters.
+`checkpoint_to_bytes` and `checkpoint_from_bytes` run the same two
+functions over an in-memory file, reading every tensor.
 """
 
 from __future__ import annotations
@@ -240,13 +244,16 @@ def _parse_header(raw: bytes):
     return header, config
 
 
-def _read(f, size: int) -> Checkpoint:
+def _read(f, size: int, adam: bool) -> Checkpoint:
     """Read a checkpoint of `size` bytes from the binary file object f.
 
     The header length and the payload the header's tensor list implies are
     checked against size before any tensor is allocated, so a corrupt
     length cannot ask for more memory than the file holds. Each tensor is
-    then read straight into its own array.
+    then read straight into its own array, except that without `adam` the
+    Adam moments are skipped with f.seek, unread and unchecked, and the
+    result's adam is None. The whole header and the payload's size are
+    checked either way.
     """
     preamble = f.read(16)
     if len(preamble) < 16:
@@ -272,28 +279,31 @@ def _read(f, size: int) -> Checkpoint:
         raise CheckpointError("trailing bytes after tensor payload")
     tensors = {}
     for kind, name, shape in shapes:
+        if kind != "param" and not adam:
+            f.seek(8 * math.prod(shape), io.SEEK_CUR)
+            continue
         arr = np.empty(shape, dtype="<f8")
         if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
             raise CheckpointError(f"truncated checkpoint: tensor {kind}:{name}")
         _check_finite(arr, kind, name)
         tensors[(kind, name)] = arr
     params = {n: tensors[("param", n)] for n in param_names(config)}
-    adam = None
-    if header["adam"] is not None:
-        adam = AdamState(
+    moments = None
+    if adam and header["adam"] is not None:
+        moments = AdamState(
             m={n: tensors[("adam_m", n)] for n in param_names(config)},
             v={n: tensors[("adam_v", n)] for n in param_names(config)},
             step_count=header["adam"]["step_count"],
         )
     return Checkpoint(
         config=config, params=params, step=header["step"], rng=header["rng"],
-        adam=adam, moe_layout=header["moe_layout"], scheduler=header["scheduler"],
+        adam=moments, moe_layout=header["moe_layout"], scheduler=header["scheduler"],
         run_info=header["run_info"],
     )
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
-    return _read(io.BytesIO(blob), len(blob))
+    return _read(io.BytesIO(blob), len(blob), adam=True)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -312,9 +322,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             os.remove(tmp)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, adam: bool = False) -> Checkpoint:
+    """The checkpoint at path. Its Adam moments are read and checked only
+    with adam=True (resuming, or rewriting the file with them); by default
+    they are skipped and the result's adam is None."""
     with open(path, "rb") as f:
         try:
-            return _read(f, os.fstat(f.fileno()).st_size)
+            return _read(f, os.fstat(f.fileno()).st_size, adam)
         except CheckpointError as e:
             raise CheckpointError(f"checkpoint {path}: {e}") from None

@@ -112,7 +112,7 @@ def cmd_train(args) -> int:
         ssd = _section(cfg_file, "ssd", {}, SSDConfig)
         mode = _section(cfg_file, "moe", {**moe_over, "ssd": ssd}, SsdTrain,
                         {"ssd": "the 'ssd' section"})
-    resume = load_checkpoint(args.resume) if args.resume else None
+    resume = load_checkpoint(args.resume, adam=True) if args.resume else None
     final, records = train(model_cfg, corpus, mode, opt, seed=args.seed,
                            run=run, resume_from=resume)
     last = records[-1] if records else None
@@ -124,7 +124,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_moefy(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, adam=True)  # written back unchanged
     out = moefy_checkpoint(ckpt, args.experts, seed=args.seed)
     save_checkpoint(out, args.out)
     print(f"wrote MoEfied checkpoint ({args.experts} experts) to {args.out}")

@@ -266,19 +266,26 @@ def _greedy_balanced(screen, centroids, capacity):
     (distance, point index, cluster index), each placing its point if the
     point is still unplaced and the cluster has room.
 
-    The pairs are sorted by approx, stably, so equal keys stay in flat-index
-    order, which is (point, cluster) order. Between positions s-1 and s that
-    order is already the exact one if the largest upper bound before s is
-    below the least lower bound from s on (from s on, not at s alone: a pair
-    with a wider bound may sort later and still fall below a pair before s).
-    The positions between two such breaks form a chain. Only chains of two
-    or more pairs are computed exactly, and each is re-sorted by (exact
+    The pairs are sorted by approx. Between positions s-1 and s that order
+    is already the exact one if the largest upper bound before s is below the
+    least lower bound from s on (from s on, not at s alone: a pair with a
+    wider bound may sort later and still fall below a pair before s). The
+    positions between two such breaks form a chain. Only chains of two or
+    more pairs are computed exactly, and each is re-sorted by (exact
     distance, flat index), which gives the order of a stable sort of the full
     exact table.
+
+    How the sort orders equal approx keys does not matter, so it need not be
+    stable. A pair's err is more than an ulp of its approx (γ·(‖x‖² + ‖c‖²)
+    is at least 10·eps·|approx|, and τ at least 20 subnormals), so two pairs
+    with equal approx a have upper > a > lower and no break falls between
+    them: they always share a chain. A break can only fall between a smaller
+    and a larger key, where the pairs before it are the same set in any tie
+    order; so the chains are the same sets, each re-sorted by a total order.
     """
     n, k = screen.points.shape[0], centroids.shape[0]
     approx, lower, upper = screen.bound(centroids)
-    order = np.argsort(approx.reshape(-1), kind="stable")
+    order = np.argsort(approx.reshape(-1))
     upper_before = upper.reshape(-1)[order[:-1]]
     lower_from = lower.reshape(-1)[order[:0:-1]]
     np.maximum.accumulate(upper_before, out=upper_before)

@@ -60,9 +60,10 @@ from ssdlab.scheduler import (
 
 def _check_expert_counts(mode):
     if mode.num_experts < 1:
-        raise ValueError("num_experts must be >= 1")
+        raise ValueError(f"num_experts must be >= 1, got {mode.num_experts}")
     if not 1 <= mode.active_experts <= mode.num_experts:
-        raise ValueError("active_experts must be in [1, num_experts]")
+        raise ValueError(f"active_experts must be in [1, {mode.num_experts}], "
+                         f"got {mode.active_experts}")
 
 
 @dataclass
@@ -205,9 +206,10 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
 
     resume_from picks up bit-exactly where the checkpoint left off: the tail
     of a resumed run is identical to the same steps of an uninterrupted one.
-    It reads the checkpoint's params, Adam moments, RNG and scheduler
-    snapshot, and rebuilds the expert layouts from the mode, the seed and the
-    scheduler chain as a fresh run builds them; a stored moe_layout is not read.
+    It reads the checkpoint's params, Adam moments (load it with
+    load_checkpoint(path, adam=True)), RNG and scheduler snapshot, and
+    rebuilds the expert layouts from the mode, the seed and the scheduler
+    chain as a fresh run builds them; a stored moe_layout is not read.
     Resumed into a run directory that holds a metrics.jsonl, the run keeps
     that file's records before the checkpoint's step, read before the first
     step; the returned metrics hold only the steps run now.

@@ -302,7 +302,7 @@ def test_criterion_10_determinism_and_resume(toy_corpus, tmp_path):
         assert checkpoint_to_bytes(final_a) == checkpoint_to_bytes(final_b)
         assert rec_a == rec_b
 
-        mid = load_checkpoint(tmp_path / "a" / "ckpt_00000020.bin")
+        mid = load_checkpoint(tmp_path / "a" / "ckpt_00000020.bin", adam=True)
         final_c, rec_c = run(tmp_path / "c", resume=mid)
         assert checkpoint_to_bytes(final_c) == checkpoint_to_bytes(final_a)
         assert rec_c == rec_a[20:]

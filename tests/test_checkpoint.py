@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -19,7 +20,7 @@ from ssdlab.checkpoint import (
     serialize_scheduler,
 )
 from ssdlab.clustering import Partition
-from ssdlab.model import ModelConfig, init_params
+from ssdlab.model import ModelConfig, init_params, param_names
 from ssdlab.numerics import AdamState, make_rng, rng_state
 from ssdlab.scheduler import SchedulerState
 
@@ -57,7 +58,7 @@ class TestRoundTrip:
         p1 = tmp_path / "a.bin"
         p2 = tmp_path / "b.bin"
         save_checkpoint(ckpt, p1)
-        loaded = load_checkpoint(p1)
+        loaded = load_checkpoint(p1, adam=True)
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -65,7 +66,7 @@ class TestRoundTrip:
         ckpt = make_checkpoint()
         path = tmp_path / "c.bin"
         save_checkpoint(ckpt, path)
-        loaded = load_checkpoint(path)
+        loaded = load_checkpoint(path, adam=True)
         assert loaded.config.to_dict() == CFG.to_dict()
         assert loaded.step == 33
         assert loaded.rng == ckpt.rng
@@ -141,6 +142,14 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert loaded.adam is None and loaded.moe_layout is None
 
+    def test_params_only_load_is_the_full_load_without_moments(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(make_checkpoint(), path)
+        full, params_only = load_checkpoint(path, adam=True), load_checkpoint(path)
+        assert params_only.adam is None
+        assert checkpoint_to_bytes(params_only) == checkpoint_to_bytes(
+            dataclasses.replace(full, adam=None))
+
     def test_moe_layout_encoding_round_trips(self):
         layout = make_checkpoint().moe_layout
         partitions = decode_partitions(layout)
@@ -154,6 +163,12 @@ def with_header(blob: bytes, edit) -> bytes:
     edit(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len:]
+
+
+def payload_start(blob: bytes) -> int:
+    """Offset of the first tensor's bytes."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return 16 + header_len
 
 
 def header_of(blob: bytes) -> dict:
@@ -327,6 +342,30 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="finite"):
             checkpoint_from_bytes(blob)
 
+    @pytest.mark.parametrize("adam", [False, True], ids=["params-only", "with-moments"])
+    @pytest.mark.parametrize("corrupt, message", [
+        # the last tensor is the Adam second moment of head
+        (lambda blob: blob[:-100], "truncated checkpoint: tensor adam_v:head"),
+        (lambda blob: blob + b"x", "trailing bytes after tensor payload"),
+        (lambda blob: blob[:payload_start(blob)] + np.array([np.nan]).tobytes()
+         + blob[payload_start(blob) + 8:],
+         f"non-finite values in tensor param:{param_names(CFG)[0]}"),
+    ], ids=["truncated-in-moments", "trailing-bytes", "non-finite-param"])
+    def test_load_rejects_with_or_without_moments(self, tmp_path, corrupt, message, adam):
+        path = tmp_path / "c.bin"
+        path.write_bytes(corrupt(checkpoint_to_bytes(make_checkpoint())))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path, adam=adam)
+
+    def test_params_only_load_leaves_the_moments_unchecked(self, tmp_path):
+        # a resume reads and checks every moment; an evaluation reads none
+        blob = checkpoint_to_bytes(make_checkpoint())
+        path = tmp_path / "c.bin"
+        path.write_bytes(blob[:-8] + np.array([np.nan]).tobytes())
+        assert load_checkpoint(path).adam is None
+        with pytest.raises(CheckpointError, match="non-finite values in tensor adam_v:head"):
+            load_checkpoint(path, adam=True)
+
     def test_non_finite_tensor_never_saved(self, tmp_path):
         path = tmp_path / "c.bin"
         save_checkpoint(make_checkpoint(), path)
@@ -344,7 +383,7 @@ class TestRejection:
 
 def desk_checkpoint() -> Checkpoint:
     """A desk-shape (4x128x512, 64 positions) checkpoint with Adam moments,
-    19.8 MiB on disk."""
+    19.8 MiB on disk, 6.6 MiB of it parameters."""
     cfg = ModelConfig(max_seq_len=64)
     rng = make_rng(0)
     params = init_params(cfg, rng)
@@ -356,7 +395,8 @@ def desk_checkpoint() -> Checkpoint:
 
 
 class TestStreaming:
-    # save and load stream tensor by tensor: neither holds a copy of the file
+    # save and load stream tensor by tensor: neither holds a copy of the file,
+    # and a params-only load holds no moment
     MIB = 1 << 20
 
     def test_save_holds_no_copy_of_the_file(self, tmp_path):
@@ -368,6 +408,16 @@ class TestStreaming:
     def test_load_holds_only_the_arrays_it_returns(self, tmp_path):
         path = tmp_path / "desk.bin"
         save_checkpoint(desk_checkpoint(), path)
-        loaded, peak = traced_peak(lambda: load_checkpoint(path))
+        loaded, peak = traced_peak(lambda: load_checkpoint(path, adam=True))
         assert peak < path.stat().st_size + self.MIB, peak
         assert checkpoint_to_bytes(loaded) == path.read_bytes()
+
+    def test_params_only_load_holds_only_the_parameters(self, tmp_path):
+        ckpt, path = desk_checkpoint(), tmp_path / "desk.bin"
+        save_checkpoint(ckpt, path)
+        param_bytes = sum(a.nbytes for a in ckpt.params.values())
+        loaded, peak = traced_peak(lambda: load_checkpoint(path))
+        assert peak < param_bytes + self.MIB, (peak, param_bytes)
+        assert loaded.adam is None
+        assert all(loaded.params[n].tobytes() == ckpt.params[n].tobytes()
+                   for n in ckpt.params)

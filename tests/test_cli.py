@@ -176,7 +176,7 @@ class TestTrain:
         smoe = ["train", "--config", str(workspace["config"]), "--mode", "smoe",
                 "--experts", "8", "--k", "2"]
         assert main(smoe + ["--steps", "10", "--out", str(tmp_path / "s")]) == 0
-        ckpt = load_checkpoint(tmp_path / "s" / "final.bin")
+        ckpt = load_checkpoint(tmp_path / "s" / "final.bin", adam=True)
         save_checkpoint(dataclasses.replace(ckpt, **{missing: None}), tmp_path / "x.bin")
         capsys.readouterr()
         rc = main(smoe + ["--steps", "20", "--resume", str(tmp_path / "x.bin")])
@@ -312,6 +312,18 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err == ("error: num_experts must be >= 1 and "
                                            "divide d_ff 64, got 7\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experts, k, message", [
+        ("0", "2", "num_experts must be >= 1, got 0"),
+        ("8", "9", "active_experts must be in [1, 8], got 9"),
+    ], ids=["no-experts", "k-above-experts"])
+    def test_expert_counts_named(self, workspace, tmp_path, capsys, experts, k, message):
+        out = tmp_path / "r"
+        rc = main(["train", "--config", str(workspace["config"]), "--mode", "smoe",
+                   "--steps", "1", "--experts", experts, "--k", k, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_resume_past_total_steps_exits_nonzero(self, workspace, dense_run,
@@ -516,6 +528,16 @@ class TestMoefy:
                      "--tokenizer", str(workspace["vocab"]),
                      "--seq-len", "32", "--k", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["perplexity"] > 1.0
+
+    def test_output_carries_the_moments_bit_for_bit(self, dense_run, tmp_path):
+        src, out = dense_run / "final.bin", tmp_path / "moefied.bin"
+        assert main(["moefy", "--checkpoint", str(src), "--experts", "8",
+                     "--out", str(out)]) == 0
+        before, after = load_checkpoint(src, adam=True), load_checkpoint(out, adam=True)
+        assert after.adam.step_count == before.adam.step_count == 20
+        for name in before.params:
+            assert after.adam.m[name].tobytes() == before.adam.m[name].tobytes()
+            assert after.adam.v[name].tobytes() == before.adam.v[name].tobytes()
 
     def test_negative_seed_exits_nonzero(self, dense_run, tmp_path, capsys):
         out = tmp_path / "moefied.bin"

@@ -81,7 +81,7 @@ class TestDeterminism:
         part_dir = tmp_path / "part"
         train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
               run=short_run(out_dir=str(part_dir)))
-        mid = load_checkpoint(part_dir / "ckpt_00000030.bin")
+        mid = load_checkpoint(part_dir / "ckpt_00000030.bin", adam=True)
         assert mid.step == 30
         final_res, rec_res = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
                                    run=short_run(out_dir=str(tmp_path / "res")),
@@ -103,7 +103,7 @@ class TestDeterminism:
                          resume_from=resume)
 
         final_full, rec_full = run(tmp_path / "full")
-        mid = load_checkpoint(tmp_path / "full" / "ckpt_00000016.bin")
+        mid = load_checkpoint(tmp_path / "full" / "ckpt_00000016.bin", adam=True)
         assert mid.moe_layout is None
         assert mid.scheduler["phase"] == PHASE_SPARSE
         final_res, rec_res = run(tmp_path / "res", resume=mid)
@@ -138,7 +138,7 @@ class TestDeterminism:
         run = short_run(20, checkpoint_interval=5, out_dir=str(tmp_path))
         train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5, run=run)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        mid = load_checkpoint(tmp_path / "ckpt_00000010.bin")
+        mid = load_checkpoint(tmp_path / "ckpt_00000010.bin", adam=True)
         _, records = train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5, run=run,
                            resume_from=mid)
         assert [r.step for r in records] == list(range(10, 20))
@@ -150,7 +150,7 @@ class TestDeterminism:
         train(cfg, toy_corpus, DenseTrain(), OPT, seed=5,
               run=short_run(10, out_dir=str(tmp_path)))
         first = (tmp_path / "metrics.jsonl").read_text()
-        final = load_checkpoint(tmp_path / "final.bin")
+        final = load_checkpoint(tmp_path / "final.bin", adam=True)
         train(cfg, toy_corpus, DenseTrain(), OPT, seed=5,
               run=short_run(15, out_dir=str(tmp_path)), resume_from=final)
         extended = (tmp_path / "metrics.jsonl").read_text()
@@ -164,7 +164,7 @@ class TestDeterminism:
         run = short_run(10, checkpoint_interval=5, out_dir=str(tmp_path))
         train(cfg, toy_corpus, DenseTrain(), OPT, seed=5, run=run)
         (tmp_path / "metrics.jsonl").write_text('{"step": "x"}\n')
-        mid = load_checkpoint(tmp_path / "ckpt_00000005.bin")
+        mid = load_checkpoint(tmp_path / "ckpt_00000005.bin", adam=True)
         monkeypatch.setattr(training, "lm_loss", None)  # no step may run
         with pytest.raises(ValueError, match="malformed metrics record on line 1"):
             train(cfg, toy_corpus, DenseTrain(), OPT, seed=5, run=run,
@@ -176,7 +176,7 @@ class TestDeterminism:
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
         train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
               run=short_run(out_dir=str(tmp_path)))
-        mid = load_checkpoint(tmp_path / "ckpt_00000030.bin")
+        mid = load_checkpoint(tmp_path / "ckpt_00000030.bin", adam=True)
         runs = [train(cfg, toy_corpus, short_ssd_mode(), OPT, seed=5,
                       run=short_run(), resume_from=mid) for _ in range(2)]
         assert mid.adam.step_count == 30
@@ -192,7 +192,7 @@ class TestDeterminism:
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
         final_full, rec_full = train(cfg, toy_corpus, mode, OPT, seed=5,
                                      run=short_run(out_dir=str(tmp_path)))
-        mid = load_checkpoint(tmp_path / "ckpt_00000030.bin")
+        mid = load_checkpoint(tmp_path / "ckpt_00000030.bin", adam=True)
         if mode.kind == "ssd":
             assert mid.scheduler["phase"] == PHASE_DENSE
             assert any(r.phase == PHASE_SPARSE for r in rec_full[30:])
@@ -317,7 +317,7 @@ class TestAblations:
         assert replay_records == records
         assert checkpoint_to_bytes(replay_final) == checkpoint_to_bytes(final)
         # params, Adam moments and step count, RNG and scheduler chain
-        mid = load_checkpoint(tmp_path / "full" / "ckpt_00000030.bin")
+        mid = load_checkpoint(tmp_path / "full" / "ckpt_00000030.bin", adam=True)
         res_final, res_records = run(tmp_path / "res", resume=mid)
         assert res_records == records[30:]
         assert checkpoint_to_bytes(res_final) == checkpoint_to_bytes(final)
