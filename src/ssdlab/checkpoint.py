@@ -71,6 +71,7 @@ class Checkpoint:
     moe_layout: "dict | None" = None   # encode_moe_layout's entry
     scheduler: "dict | None" = None    # serialized SchedulerState
     run_info: dict = field(default_factory=dict)
+    adam_skipped: bool = False  # loaded without the moments the file holds
 
 
 def _assignment(values: list) -> np.ndarray:
@@ -251,9 +252,9 @@ def _read(f, size: int, adam: bool) -> Checkpoint:
     checked against size before any tensor is allocated, so a corrupt
     length cannot ask for more memory than the file holds. Each tensor is
     then read straight into its own array, except that without `adam` the
-    Adam moments are skipped with f.seek, unread and unchecked, and the
-    result's adam is None. The whole header and the payload's size are
-    checked either way.
+    Adam moments are skipped with f.seek, unread and unchecked, the
+    result's adam is None and, if the file holds moments, its adam_skipped
+    is True. The whole header and the payload's size are checked either way.
     """
     preamble = f.read(16)
     if len(preamble) < 16:
@@ -298,7 +299,7 @@ def _read(f, size: int, adam: bool) -> Checkpoint:
     return Checkpoint(
         config=config, params=params, step=header["step"], rng=header["rng"],
         adam=moments, moe_layout=header["moe_layout"], scheduler=header["scheduler"],
-        run_info=header["run_info"],
+        run_info=header["run_info"], adam_skipped=not adam and header["adam"] is not None,
     )
 
 

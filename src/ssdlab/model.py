@@ -16,7 +16,9 @@ Bias adds, ReLU, the attention mask and softmax, and the residual adds run in
 place on arrays the same function has just created, with the same operations
 in the same order as the out-of-place formulas, so results are bit-identical.
 Ownership rule: a function never overwrites an array it was passed, nor one
-it has stored in a cache tuple.
+it has stored in a cache tuple. A backward may drop the cache it is handed,
+deleting each array after its last read, so a caller that keeps no
+reference to the cache frees it as the backward runs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ssdlab.numerics import (
     bmm_tn,
     layernorm,
     layernorm_backward,
+    layernorm_output,
     matmul,
     matmul_nt,
     matmul_tn,
@@ -187,11 +190,14 @@ def ffn_backward(w: FFNWeights, cache, d_y: np.ndarray):
     """Returns (d_x, grads, d_pre): grads keyed w_in/b_in/w_out/b_out, and
     the pre-activation gradient, which the sparse layer's gate also reads."""
     x, hidden = cache
+    del cache
     d_w_out = matmul_tn(d_y, hidden)
     d_b_out = d_y.sum(axis=0)
     d_pre = matmul(d_y, w.w_out)
     d_pre *= hidden > 0.0  # relu backward: hidden > 0 exactly where pre > 0
+    del hidden
     d_w_in = matmul_tn(d_pre, x)
+    del x
     d_b_in = d_pre.sum(axis=0)
     d_x = matmul(d_pre, w.w_in)
     return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}, d_pre
@@ -245,27 +251,37 @@ def attention_forward(p: dict, prefix: str, x2d, batch, seq, n_heads):
 
 def attention_backward(p: dict, prefix: str, cache, d_out, batch, seq, n_heads):
     x2d, q4, k4, v4, probs, ctx, scale = cache
+    del cache
     d_model = x2d.shape[1]
     head_dim = d_model // n_heads
     d_ctx = matmul(d_out, p[prefix + "attn_wo"])
     d_wo = matmul_tn(d_out, ctx)
+    del ctx
     d_ctx4 = _heads(d_ctx, batch, seq, n_heads, head_dim)
+    del d_ctx
     d_probs = bmm_nt(d_ctx4, v4)
     d_v4 = bmm_tn(probs, d_ctx4)
+    del d_ctx4, v4
+    d_v = _unheads(d_v4, batch, seq, d_model)
+    del d_v4
     # d_scores = probs * (d_probs - sum(d_probs * probs))
     d_scores = d_probs * probs
     d_probs -= d_scores.sum(axis=3, keepdims=True)
     np.multiply(probs, d_probs, out=d_scores)
+    del probs, d_probs
     d_q4 = bmm_nn(d_scores, k4)
     d_q4 *= scale
     d_k4 = bmm_tn(d_scores, q4)
     d_k4 *= scale
+    del d_scores, k4, q4
     d_q = _unheads(d_q4, batch, seq, d_model)
+    del d_q4
     d_k = _unheads(d_k4, batch, seq, d_model)
-    d_v = _unheads(d_v4, batch, seq, d_model)
+    del d_k4
     d_wq = matmul_tn(d_q, x2d)
     d_wk = matmul_tn(d_k, x2d)
     d_wv = matmul_tn(d_v, x2d)
+    del x2d
     d_x = matmul(d_q, p[prefix + "attn_wq"])
     d_x += matmul(d_k, p[prefix + "attn_wk"])
     d_x += matmul(d_v, p[prefix + "attn_wv"])
@@ -279,6 +295,9 @@ def attention_backward(p: dict, prefix: str, cache, d_out, batch, seq, n_heads):
 
 
 def _block_forward(model: GPT, layer: int, x2d, batch, seq):
+    """Returns (y, hidden, cache). cache is (ln1_cache, ln2_cache,
+    attention cache, FFN cache), each sublayer's cache without the
+    layernorm output it read, which _block_backward rebuilds."""
     p = model.params
     pre = f"block{layer}."
     h1, ln1_cache = layernorm(x2d, p[pre + "ln1_gain"], p[pre + "ln1_bias"])
@@ -292,21 +311,39 @@ def _block_forward(model: GPT, layer: int, x2d, batch, seq):
     else:
         ffn_out, hidden, ffn_cache = ffn_forward(model.ffn_weights(layer), h2)
     ffn_out += x2d  # residual
-    return ffn_out, hidden, (ln1_cache, attn_cache, ln2_cache, ffn_cache)
+    return ffn_out, hidden, (ln1_cache, ln2_cache, attn_cache[1:], ffn_cache[1:])
+
+
+def _sublayer_cache(ln_cache, bias, caches: list):
+    """Pops the last of caches, a sublayer cache without its input, and
+    puts the input back in front: the layernorm output rebuilt from
+    ln_cache and bias. Passed straight to the sublayer's backward, the
+    returned tuple is held by nothing else."""
+    return (layernorm_output(ln_cache, bias), *caches.pop())
 
 
 def _block_backward(model: GPT, layer: int, cache, d_y, batch, seq):
-    ln1_cache, attn_cache, ln2_cache, ffn_cache = cache
+    """Returns (d_x, grads). Each sublayer's cache is handed to its backward
+    and kept nowhere here, so when the caller keeps no reference to cache,
+    each activation is freed at its last read."""
+    ln1_cache, ln2_cache, *sublayer_caches = cache
+    del cache
+    p = model.params
     pre = f"block{layer}."
     layout = model.moe[layer]
     if layout is not None:
-        d_h2, ffn_grads = layout.backward(ffn_cache, d_y)
+        d_h2, ffn_grads = layout.backward(
+            _sublayer_cache(ln2_cache, p[pre + "ln2_bias"], sublayer_caches), d_y)
     else:
-        d_h2, ffn_grads = ffn_backward(model.ffn_weights(layer), ffn_cache, d_y)[:2]
+        d_h2, ffn_grads = ffn_backward(
+            model.ffn_weights(layer),
+            _sublayer_cache(ln2_cache, p[pre + "ln2_bias"], sublayer_caches), d_y)[:2]
     d_x, d_ln2_gain, d_ln2_bias = layernorm_backward(d_h2, ln2_cache)
+    del d_h2, ln2_cache
     d_x += d_y  # residual
-    d_h1, attn_grads = attention_backward(model.params, pre, attn_cache, d_x,
-                                          batch, seq, model.config.n_heads)
+    d_h1, attn_grads = attention_backward(
+        p, pre, _sublayer_cache(ln1_cache, p[pre + "ln1_bias"], sublayer_caches),
+        d_x, batch, seq, model.config.n_heads)
     d_x0, d_ln1_gain, d_ln1_bias = layernorm_backward(d_h1, ln1_cache)
     d_x0 += d_x  # residual
     grads = {pre + "ln1_gain": d_ln1_gain, pre + "ln1_bias": d_ln1_bias,
@@ -369,9 +406,12 @@ def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
 
     The backward frees the forward's activations as it consumes them: the
     logits and the head's cache go before the first block's backward, and
-    each block's cache is popped as its backward runs, so layer i's caches
-    are gone before layer i-1's backward allocates. No activation outlives
-    the call.
+    each block's cache is popped into its backward, which drops each array
+    at its last read, so block i's FFN activations are gone before its
+    attention backward allocates and all of its caches before block i-1's
+    backward does. The blocks cache no layernorm output; the backward
+    rebuilds each from its layernorm's cache. No activation outlives the
+    call.
     """
     token_ids = np.asarray(token_ids)
     inputs = token_ids[:, :-1]

@@ -17,12 +17,15 @@ forward value of the straight-through coefficient 1 + s - stop_grad(s); the
 derivative through the raw gate score s lives in smoe_backward, on selected
 (token, expert) pairs only, so every parameter of an expert no token selected
 receives an exactly-zero gradient. Ownership rule: a function never
-overwrites an array it was passed, nor one it has returned or cached.
+overwrites an array it was passed, nor one it has returned or cached; a
+backward may drop the cache it is handed, deleting each array after its
+last read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MethodType
 
 import numpy as np
 
@@ -73,8 +76,12 @@ class MoEFFN:
         y, _, hidden, cache = smoe_forward(self, x)
         return y, hidden, cache
 
-    def backward(self, cache, d_y):
-        return smoe_backward(self, cache, d_y)
+    @property
+    def backward(self):
+        """smoe_backward bound to this layer: (cache, d_y) -> (d_x, grads).
+        A bound method calls it with no frame of its own in between, so
+        the cache handed over is smoe_backward's alone to drop."""
+        return MethodType(smoe_backward, self)
 
 
 def attach_experts(model: GPT, partitions: list, active_experts: int) -> None:
@@ -130,17 +137,23 @@ def smoe_backward(m: MoEFFN, cache, d_y: np.ndarray):
     exactly zero; selected experts' raw scores propagate into x and, through
     the live centroids, into their input-weight rows."""
     x, hidden, selected, centroids = cache
+    del cache
     assignment = m.partition.assignment
     # hidden path: the dense layer's backward over the masked hidden state
     d_x, grads, d_pre = ffn_backward(m.weights, (x, hidden), d_y)
     # straight-through gate path: d_scores[t, n] = sum over n's neurons of
     # d_pre * hidden, which on a selected expert is d_hidden times the
     # unmasked hidden state; only selected (t, n) pairs carry a derivative
-    d_scores = np.where(selected, matmul(d_pre * hidden, m.indicator), 0.0)
+    d_pre *= hidden
+    del hidden
+    d_scores = np.where(selected, matmul(d_pre, m.indicator), 0.0)
+    del d_pre, selected
     # straight-through score path: scores = x @ centroids.T
     d_x += matmul(d_scores, centroids)
     d_centroids = matmul_tn(d_scores, x)
-    grads["w_in"] += (m.num_experts / assignment.size) * d_centroids[assignment]
+    del x
+    d_centroids *= m.num_experts / assignment.size
+    grads["w_in"] += d_centroids[assignment]
     return d_x, grads
 
 

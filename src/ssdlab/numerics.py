@@ -152,9 +152,21 @@ def layernorm(x, gain, bias, eps=1e-5):
     var = y.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gain, out=y)
-    y += bias
-    return y, (xhat, inv, gain)
+    return _affine(xhat, gain, bias, y), (xhat, inv, gain)
+
+
+def _affine(xhat, gain, bias, out):
+    """layernorm's output step, out = xhat * gain + bias."""
+    np.multiply(xhat, gain, out=out)
+    out += bias
+    return out
+
+
+def layernorm_output(cache, bias):
+    """layernorm's output rebuilt from its cache and bias, in a fresh array,
+    by layernorm's own affine step, so bit for bit the array it returned."""
+    xhat, _, gain = cache
+    return _affine(xhat, gain, bias, np.empty_like(xhat))
 
 
 def layernorm_backward(d_out, cache):

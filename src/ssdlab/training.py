@@ -264,6 +264,9 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         if type(ckpt.run_info.get("cumulative_flops")) is not int:
             raise ValueError("checkpoint run_info has no cumulative_flops integer, "
                              "so it cannot be resumed")
+        if ckpt.adam_skipped:
+            raise ValueError("checkpoint was loaded without its adam state, so it cannot "
+                             "be resumed (load it with load_checkpoint(path, adam=True))")
         for name in ("adam", "rng") + (("scheduler",) if is_ssd else ()):
             if getattr(ckpt, name) is None:
                 raise ValueError(f"checkpoint has no {name} state, so it cannot be resumed")

@@ -12,7 +12,7 @@ from ssdlab.data import (
     toy_vocab_chars,
 )
 from ssdlab.model import GPT, ModelConfig, _forward
-from ssdlab.numerics import make_rng, matmul_nt
+from ssdlab.numerics import layernorm_output, make_rng, matmul_nt
 from ssdlab.scheduler import SSDConfig
 from ssdlab.training import OptimizerConfig, RunConfig, SsdTrain, train
 
@@ -57,7 +57,9 @@ def min_relu_margin(model, token_ids):
     caches = []
     _forward(model, token_ids, caches)
     p = model.params
-    return min(np.abs(matmul_nt(c[3][0], p[f"block{i}.ffn_w_in"])
+    # each block's FFN input, rebuilt from its ln2 cache (the cache's second)
+    return min(np.abs(matmul_nt(layernorm_output(c[1], p[f"block{i}.ln2_bias"]),
+                                p[f"block{i}.ffn_w_in"])
                       + p[f"block{i}.ffn_b_in"]).min()
                for i, c in enumerate(caches[:-1]))  # the last is the head's
 

@@ -188,6 +188,16 @@ class TestLmLoss:
         _, peak = traced_peak(lambda: lm_loss(model, ids, want_grads=False))
         assert peak < 10 * (1 << 20), peak
 
+    def test_desk_training_pass_frees_each_activation_at_its_last_read(self):
+        # desk shape, batch 8x64: caching both layernorm outputs per block,
+        # and freeing nothing inside a block's backward, peaked at 38.3 MiB
+        cfg = ModelConfig(max_seq_len=64)
+        rng = make_rng(0)
+        model = GPT.init(cfg, rng)
+        ids = rng.integers(0, cfg.vocab_size, size=(8, 65))
+        _, peak = traced_peak(lambda: lm_loss(model, ids))
+        assert peak < 30 * (1 << 20), peak
+
     def test_desk_sparse_training_pass_holds_what_the_dense_one_does(self):
         # desk shape, batch 8x64, N 32, K 6: a second, unmasked (512, 512)
         # hidden state cached per layer for the gate took 8.2 MiB more
@@ -296,12 +306,19 @@ def block_forward_reference(model, layer, x2d, batch, seq):
     x2d = x2d + attn_out
     h2, ln2_cache = layernorm(x2d, p[pre + "ln2_gain"], p[pre + "ln2_bias"])
     ffn_out, hidden, ffn_cache = ffn_forward_reference(model.ffn_weights(layer), h2)
-    return x2d + ffn_out, hidden, (ln1_cache, attn_cache, ln2_cache, ffn_cache)
+    # the sublayer caches without the layernorm outputs h1 and h2
+    return x2d + ffn_out, hidden, (ln1_cache, ln2_cache, attn_cache[1:], ffn_cache[1:])
 
 
 def block_backward_reference(model, layer, cache, d_y, batch, seq):
-    ln1_cache, attn_cache, ln2_cache, ffn_cache = cache
+    """Rebuilds h1 and h2 from the layernorm caches, out of place."""
+    ln1_cache, ln2_cache, attn_cache, ffn_cache = cache
     pre = f"block{layer}."
+    p = model.params
+    xhat, _, gain = ln2_cache
+    ffn_cache = (xhat * gain + p[pre + "ln2_bias"], *ffn_cache)
+    xhat, _, gain = ln1_cache
+    attn_cache = (xhat * gain + p[pre + "ln1_bias"], *attn_cache)
     d_h2, ffn_grads, _ = ffn_backward_reference(model.ffn_weights(layer), ffn_cache, d_y)
     d_x, d_ln2_gain, d_ln2_bias = layernorm_backward(d_h2, ln2_cache)
     d_x = d_x + d_y
@@ -383,6 +400,56 @@ class TestInPlaceMatchesReference:
         assert snapshot((x, d_y, model.params)) == inputs
 
 
+def spy_kernels(monkeypatch, refs: dict, names) -> list:
+    """Per call of model's kernels in `names`, in order: the kernel's name
+    and the names of the arrays in refs (name -> weakref) still alive."""
+    calls = []
+    for name in names:
+        def spy(*args, _real=getattr(model_module, name), _name=name):
+            calls.append((_name, {k for k, r in refs.items() if r() is not None}))
+            return _real(*args)
+
+        monkeypatch.setattr(model_module, name, spy)
+    return calls
+
+
+class TestBackwardDropsItsCache:
+    """Handed a cache nothing else holds, as _block_backward hands them, a
+    sublayer's backward drops each array after its last read."""
+
+    def test_ffn(self, monkeypatch):
+        model, rng = perturbed_model(dict(n_layers=1, d_model=16, n_heads=2, d_ff=24), 5)
+        x = rng.standard_normal((12, 16))
+        caches = [ffn_forward(model.ffn_weights(0), x.copy())[2]]
+        refs = dict(zip(("x", "hidden"), map(weakref.ref, caches[0])))
+        calls = spy_kernels(monkeypatch, refs, ("matmul", "matmul_tn"))
+        ffn_backward(model.ffn_weights(0), caches.pop(), rng.standard_normal(x.shape))
+        both = {"x", "hidden"}
+        # d_w_out, d_pre, d_w_in, d_x
+        assert calls == [("matmul_tn", both), ("matmul", both),
+                         ("matmul_tn", {"x"}), ("matmul", set())]
+
+    def test_attention(self, monkeypatch):
+        model, rng = perturbed_model(dict(n_layers=1, d_model=16, n_heads=2, d_ff=24), 6)
+        p, batch, seq = model.params, 3, 8
+        x = rng.standard_normal((batch * seq, 16))
+        caches = [attention_forward(p, "block0.", x.copy(), batch, seq, 2)[1]]
+        names = ("x2d", "q4", "k4", "v4", "probs", "ctx")
+        refs = dict(zip(names, map(weakref.ref, caches[0])))  # all but the scale
+        calls = spy_kernels(monkeypatch, refs,
+                            ("matmul", "matmul_tn", "bmm_nt", "bmm_nn", "bmm_tn"))
+        attention_backward(p, "block0.", caches.pop(), rng.standard_normal(x.shape),
+                           batch, seq, 2)
+        every = set(names)
+        assert calls == [
+            ("matmul", every), ("matmul_tn", every),                  # d_ctx, d_wo
+            ("bmm_nt", every - {"ctx"}), ("bmm_tn", every - {"ctx"}),  # d_probs, d_v4
+            ("bmm_nn", {"x2d", "q4", "k4"}), ("bmm_tn", {"x2d", "q4", "k4"}),  # d_q4, d_k4
+            ("matmul_tn", {"x2d"}), ("matmul_tn", {"x2d"}), ("matmul_tn", {"x2d"}),
+            ("matmul", set()), ("matmul", set()), ("matmul", set()),   # d_x
+        ]
+
+
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 class TestLmLossAliasing:
     def model_and_batch(self, sparse):
@@ -460,6 +527,21 @@ class TestLmLossAliasing:
         assert alive_at_start == {1: [[True], [True]], 0: [[True], [False]]}
         assert all(r() is None for _, refs in calls for r in refs)
 
+    def test_ffn_hidden_is_gone_before_its_attention_backward(self, sparse, monkeypatch):
+        model, ids = self.model_and_batch(sparse)
+        calls = self.spy_ffn(sparse, monkeypatch)
+        real = model_module.attention_backward
+        alive_at_start = {}
+
+        def spy(p, prefix, cache, d_out, batch, seq, n_heads):
+            layer = int(prefix[len("block"):-1])
+            alive_at_start[layer] = calls[layer][1][0]() is not None
+            return real(p, prefix, cache, d_out, batch, seq, n_heads)
+
+        monkeypatch.setattr(model_module, "attention_backward", spy)
+        lm_loss(model, ids)
+        assert alive_at_start == {1: False, 0: False}
+
     def test_returned_arrays_share_no_memory(self, sparse):
         model, ids = self.model_and_batch(sparse)
         _, grads, _ = lm_loss(model, ids)
@@ -476,9 +558,9 @@ class TestLmLossAliasing:
         def spy(model, layer, cache, d_y, batch, seq):
             later = cached.get(layer + 1, [])
             dead_at_start[layer] = [ref() is None for ref in later]
-            ln1_cache, attn_cache, ln2_cache, _ = cache
+            ln1_cache, ln2_cache, attn_cache, _ = cache
             # attention probs, then each layernorm's xhat
-            cached[layer] = [weakref.ref(attn_cache[4]), weakref.ref(ln1_cache[0]),
+            cached[layer] = [weakref.ref(attn_cache[3]), weakref.ref(ln1_cache[0]),
                              weakref.ref(ln2_cache[0])]
             return real(model, layer, cache, d_y, batch, seq)
 
@@ -495,9 +577,9 @@ class TestLmLossAliasing:
             earlier = cached.get(layer - 1, [])
             dead_at_start[layer] = [ref() is None for ref in earlier]
             y, hidden, cache = real(model, layer, x2d, batch, seq)
-            ln1_cache, attn_cache, ln2_cache, _ = cache
+            ln1_cache, ln2_cache, attn_cache, _ = cache
             # attention probs, then each layernorm's xhat
-            cached[layer] = [weakref.ref(attn_cache[4]), weakref.ref(ln1_cache[0]),
+            cached[layer] = [weakref.ref(attn_cache[3]), weakref.ref(ln1_cache[0]),
                              weakref.ref(ln2_cache[0])]
             del ln1_cache, attn_cache, ln2_cache
             return y, hidden, cache

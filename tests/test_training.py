@@ -222,6 +222,22 @@ class TestDeterminism:
                   resume_from=replace(ckpt, **{missing: None}))
         assert str(e.value) == f"checkpoint has no {missing} state, so it cannot be resumed"
 
+    def test_resume_from_a_params_only_load_says_how_to_load(self, toy_corpus, tmp_path):
+        # the file holds the moments, which load_checkpoint skips by default
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        _, records = train(cfg, toy_corpus, DenseTrain(), OPT, seed=1,
+                           run=short_run(40, out_dir=str(tmp_path)))
+        path = tmp_path / "ckpt_00000030.bin"
+        with pytest.raises(ValueError) as e:
+            train(cfg, toy_corpus, DenseTrain(), OPT, seed=1, run=short_run(40),
+                  resume_from=load_checkpoint(path))
+        assert str(e.value) == ("checkpoint was loaded without its adam state, so it "
+                                "cannot be resumed (load it with "
+                                "load_checkpoint(path, adam=True))")
+        _, resumed = train(cfg, toy_corpus, DenseTrain(), OPT, seed=1, run=short_run(40),
+                           resume_from=load_checkpoint(path, adam=True))
+        assert resumed == records[30:]
+
     def test_resume_rejects_other_mode_or_config(self, toy_corpus, tmp_path):
         cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
         out = tmp_path / "r"
