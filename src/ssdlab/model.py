@@ -5,6 +5,9 @@ ReLU feed-forward sublayers, learned positional embeddings, untied output head.
 forward runs and returns the counts, not the hidden states, from which
 `activation_sparsity` measures sparsity for both training and `analyze`;
 it keeps caches for the manual backward pass only when asked for gradients.
+A forward-only pass holds one sublayer's working set: each block drops its
+layernorm and attention caches before its FFN runs, and the loss is taken
+without its logit gradient.
 Feed-forward sublayers compute densely,
 
     ffn(x) = w_out @ relu(w_in @ x + b_in) + b_out,
@@ -32,6 +35,7 @@ from ssdlab.numerics import (
     bmm_nn,
     bmm_nt,
     bmm_tn,
+    cross_entropy,
     layernorm,
     layernorm_backward,
     layernorm_output,
@@ -234,8 +238,11 @@ def attention_forward(p: dict, prefix: str, x2d, batch, seq, n_heads):
     k = matmul_nt(x2d, p[prefix + "attn_wk"])
     v = matmul_nt(x2d, p[prefix + "attn_wv"])
     q4 = _heads(q, batch, seq, n_heads, head_dim)
+    del q
     k4 = _heads(k, batch, seq, n_heads, head_dim)
+    del k
     v4 = _heads(v, batch, seq, n_heads, head_dim)
+    del v
     probs = bmm_nt(q4, k4)
     probs *= scale
     np.copyto(probs, -np.inf, where=_future_mask(seq))
@@ -244,6 +251,7 @@ def attention_forward(p: dict, prefix: str, x2d, batch, seq, n_heads):
     probs /= probs.sum(axis=3, keepdims=True)
     ctx4 = bmm_nn(probs, v4)
     ctx = _unheads(ctx4, batch, seq, d_model)
+    del ctx4
     out = matmul_nt(ctx, p[prefix + "attn_wo"])
     cache = (x2d, q4, k4, v4, probs, ctx, scale)
     return out, cache
@@ -294,24 +302,38 @@ def attention_backward(p: dict, prefix: str, cache, d_out, batch, seq, n_heads):
 # -----------------------------------------------------------------------------
 
 
-def _block_forward(model: GPT, layer: int, x2d, batch, seq):
+def _block_forward(model: GPT, layer: int, x2d, batch, seq, keep_cache=True):
     """Returns (y, hidden, cache). cache is (ln1_cache, ln2_cache,
     attention cache, FFN cache), each sublayer's cache without the
-    layernorm output it read, which _block_backward rebuilds."""
+    layernorm output it read, which _block_backward rebuilds.
+
+    With keep_cache False, for a pass no backward follows, cache is None
+    and the block holds one sublayer's working set: each layernorm's cache
+    goes as soon as the layernorm returns, and attention's cache before
+    the FFN runs.
+    """
     p = model.params
     pre = f"block{layer}."
     h1, ln1_cache = layernorm(x2d, p[pre + "ln1_gain"], p[pre + "ln1_bias"])
+    if not keep_cache:
+        ln1_cache = None
     attn_out, attn_cache = attention_forward(p, pre, h1, batch, seq, model.config.n_heads)
+    del h1
+    attn_cache = attn_cache[1:] if keep_cache else None  # drops h1
     attn_out += x2d  # residual
     x2d = attn_out
     h2, ln2_cache = layernorm(x2d, p[pre + "ln2_gain"], p[pre + "ln2_bias"])
+    if not keep_cache:
+        ln2_cache = None
     layout = model.moe[layer]
     if layout is not None:
         ffn_out, hidden, ffn_cache = layout.forward(h2)
     else:
         ffn_out, hidden, ffn_cache = ffn_forward(model.ffn_weights(layer), h2)
     ffn_out += x2d  # residual
-    return ffn_out, hidden, (ln1_cache, ln2_cache, attn_cache[1:], ffn_cache[1:])
+    if not keep_cache:
+        return ffn_out, hidden, None
+    return ffn_out, hidden, (ln1_cache, ln2_cache, attn_cache, ffn_cache[1:])
 
 
 def _sublayer_cache(ln_cache, bias, caches: list):
@@ -355,6 +377,22 @@ def _block_backward(model: GPT, layer: int, cache, d_y, batch, seq):
     return d_x0, grads
 
 
+def count_zeros(a: np.ndarray) -> int:
+    """The entries of a equal to 0.0, -0.0 included and NaN not, as
+    np.count_nonzero(a == 0.0) counts them but without its bool array."""
+    return a.size - int(np.count_nonzero(a))
+
+
+def scatter_rows(ids: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """A fresh (n_rows, width) array whose row i sums rows[j] over every j
+    with ids[j] == i: np.add.at into zeros, as one np.bincount, which sums
+    each entry from 0.0 in the order of j, as np.add.at does."""
+    width = rows.shape[1]
+    flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=rows.ravel(),
+                       minlength=n_rows * width).reshape(n_rows, width)
+
+
 def _forward(model: GPT, token_ids: np.ndarray, caches):
     """Runs the full model on (batch, seq) int token ids.
 
@@ -362,8 +400,8 @@ def _forward(model: GPT, token_ids: np.ndarray, caches):
     layer, the exactly-zero entries of its post-ReLU feed-forward state
     and that state's size, batch*seq*d_ff. A `caches` list receives
     each block's backward cache, then the head's (lnf_cache, h_f); with
-    None, each block's cache, hidden state included, is dropped before the
-    next block runs.
+    None, the blocks keep no cache and each hidden state is dropped once
+    counted, before the next block runs.
     """
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
@@ -382,8 +420,9 @@ def _forward(model: GPT, token_ids: np.ndarray, caches):
     x = x.reshape(batch * seq, cfg.d_model)
     counts = []
     for layer in range(cfg.n_layers):
-        x, hidden, cache = _block_forward(model, layer, x, batch, seq)
-        counts.append((int(np.count_nonzero(hidden == 0.0)), hidden.size))
+        x, hidden, cache = _block_forward(model, layer, x, batch, seq,
+                                          keep_cache=caches is not None)
+        counts.append((count_zeros(hidden), hidden.size))
         if caches is not None:
             caches.append(cache)
         del hidden, cache
@@ -401,8 +440,10 @@ def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
     predicted positions. Returns (loss, grads, counts); counts holds each
     layer's (zeros, size) of its post-ReLU hidden state, which
     activation_sparsity reads. grads is None, and no backward cache is
-    kept, when want_grads is False: each block's activations, hidden state
-    included, are gone before the next block runs.
+    kept, when want_grads is False: the pass holds one sublayer's working
+    set, each block's layernorm and attention caches gone before its FFN
+    runs and its hidden state before the next block runs, and the loss
+    comes from cross_entropy, which forms no logit gradient.
 
     The backward frees the forward's activations as it consumes them: the
     logits and the head's cache go before the first block's backward, and
@@ -418,10 +459,10 @@ def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
     targets = token_ids[:, 1:].reshape(-1)
     block_caches = [] if want_grads else None
     logits, counts = _forward(model, inputs, block_caches)
+    if not want_grads:
+        return cross_entropy(logits, targets), None, counts
     loss, d_logits = softmax_cross_entropy(logits, targets)
     del logits
-    if not want_grads:
-        return loss, None, counts
     batch, seq = inputs.shape
     lnf_cache, h_f = block_caches.pop()
     p = model.params
@@ -434,9 +475,7 @@ def lm_loss(model: GPT, token_ids: np.ndarray, want_grads: bool = True):
         d_x, block_grads = _block_backward(model, layer, block_caches.pop(),
                                            d_x, batch, seq)
         grads.update(block_grads)
-    d_tok = np.zeros_like(p["tok_emb"])
-    np.add.at(d_tok, inputs.reshape(-1), d_x)
-    grads["tok_emb"] = d_tok
+    grads["tok_emb"] = scatter_rows(inputs.reshape(-1), d_x, p["tok_emb"].shape[0])
     d_pos = np.zeros_like(p["pos_emb"])
     d_pos[:seq] = d_x.reshape(batch, seq, -1).sum(axis=0)
     grads["pos_emb"] = d_pos

@@ -189,13 +189,10 @@ def layernorm_backward(d_out, cache):
     return d_x, d_gain, d_bias
 
 
-def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Mean next-token NLL and its logit gradient.
-
-    targets are class indices, one per row. Returns (loss, d_logits) with
-    d_logits = (softmax - onehot) / rows. Max-subtraction keeps the
-    exponentials finite for saturated logits.
-    """
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """The loss steps both cross-entropies share. Returns (loss, exps,
+    sums, target): exps = exp(logits - rowmax) in a fresh array, sums its
+    row sums, and target the (row, target) index pair."""
     targets = np.asarray(targets)
     rows, cols = logits.shape
     if targets.shape != (rows,):
@@ -206,12 +203,32 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     m = logits.max(axis=1, keepdims=True)
     shifted = logits - m
     target_shifted = shifted[target]
-    d_logits = np.exp(shifted, out=shifted)
-    sums = d_logits.sum(axis=1, keepdims=True)
+    exps = np.exp(shifted, out=shifted)
+    sums = exps.sum(axis=1, keepdims=True)
     loss = -(target_shifted - np.log(sums[:, 0])).mean()
+    return loss, exps, sums, target
+
+
+def cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean next-token NLL without its gradient, for a pass no backward
+    follows. It runs softmax_cross_entropy's own loss steps, so the loss is
+    that function's bit for bit, and skips the three passes over the
+    logits that form the gradient.
+    """
+    return _cross_entropy(logits, targets)[0]
+
+
+def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean next-token NLL and its logit gradient.
+
+    targets are class indices, one per row. Returns (loss, d_logits) with
+    d_logits = (softmax - onehot) / rows. Max-subtraction keeps the
+    exponentials finite for saturated logits.
+    """
+    loss, d_logits, sums, target = _cross_entropy(logits, targets)
     d_logits /= sums
     d_logits[target] -= 1.0
-    d_logits /= rows
+    d_logits /= logits.shape[0]
     return loss, d_logits
 
 

@@ -17,9 +17,11 @@ from ssdlab.model import (
     _unheads,
     attention_backward,
     attention_forward,
+    count_zeros,
     ffn_backward,
     ffn_forward,
     lm_loss,
+    scatter_rows,
 )
 from ssdlab.moe import attach_experts
 from ssdlab.numerics import (
@@ -108,6 +110,47 @@ class TestFFN:
             ffn_forward(w, np.zeros((1, 3)))
 
 
+class TestCountZeros:
+    def test_counts_what_an_equality_test_counts(self):
+        h = np.array([[0.0, -0.0, np.nan, 1.0], [2.0, 0.0, -np.inf, -0.0]])
+        assert count_zeros(h) == np.count_nonzero(h == 0.0) == 4
+        assert type(count_zeros(h)) is int
+
+
+class TestScatterRows:
+    """scatter_rows against np.add.at into zeros, bit for bit."""
+
+    @staticmethod
+    def add_at(ids, rows, n_rows):
+        out = np.zeros((n_rows, rows.shape[1]))
+        np.add.at(out, ids, rows)
+        return out
+
+    @pytest.mark.parametrize("tokens, width, vocab", [(512, 128, 257), (128, 32, 30),
+                                                      (7, 9, 3)],
+                             ids=["desk", "toy", "odd"])
+    def test_matches_add_at(self, tokens, width, vocab):
+        rng = make_rng(tokens)
+        ids = rng.integers(0, vocab, tokens)
+        # magnitudes 1e-8 to 1e8, so the order of each sum shows in its bits
+        rows = rng.standard_normal((tokens, width)) * 10.0 ** rng.integers(-8, 9, (tokens, width))
+        out = scatter_rows(ids, rows, vocab)
+        assert snapshot(out) == snapshot(self.add_at(ids, rows, vocab))
+
+    def test_one_token_at_every_position(self):
+        rng = make_rng(4)
+        ids = np.full(64, 5)
+        rows = rng.standard_normal((64, 16)) * 10.0 ** rng.integers(-8, 9, (64, 16))
+        assert snapshot(scatter_rows(ids, rows, 11)) == snapshot(self.add_at(ids, rows, 11))
+
+    def test_signed_zeros(self):
+        ids = np.array([0, 0, 1, 2, 2])
+        rows = np.array([[-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0], [1.0, -0.0], [-1.0, -0.0]])
+        out = scatter_rows(ids, rows, 4)
+        assert snapshot(out) == snapshot(self.add_at(ids, rows, 4))
+        assert not np.signbit(out).any()  # each sum starts from +0.0
+
+
 class TestBlock:
     def test_residual_passthrough_with_zero_weights(self):
         model, _ = small_model()
@@ -187,6 +230,22 @@ class TestLmLoss:
         ids = rng.integers(0, cfg.vocab_size, size=(8, 65))
         _, peak = traced_peak(lambda: lm_loss(model, ids, want_grads=False))
         assert peak < 10 * (1 << 20), peak
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_desk_eval_forward_holds_one_sublayer_at_a_time(self, sparse):
+        # desk shape, batch 8x64, sparse N 32, K 6: keeping each block's
+        # layernorm and attention caches while its FFN ran peaked at 8.6 MiB
+        # dense and 8.8 MiB sparse
+        cfg = ModelConfig(max_seq_len=64)
+        rng = make_rng(0)
+        model = GPT.init(cfg, rng)
+        ids = rng.integers(0, cfg.vocab_size, size=(8, 65))
+        if sparse:
+            parts = [Partition(rng.permutation(np.arange(cfg.d_ff) % 32), 32)
+                     for _ in range(cfg.n_layers)]
+            attach_experts(model, parts, 6)
+        _, peak = traced_peak(lambda: lm_loss(model, ids, want_grads=False))
+        assert peak < 6 * (1 << 20), peak
 
     def test_desk_training_pass_frees_each_activation_at_its_last_read(self):
         # desk shape, batch 8x64: caching both layernorm outputs per block,
@@ -502,9 +561,9 @@ class TestLmLossAliasing:
         real = model_module._block_forward
         alive_at_start = []
 
-        def spy(model, layer, x2d, batch, seq):
+        def spy(model, layer, x2d, batch, seq, keep_cache=True):
             alive_at_start.append([r() is not None for _, refs in calls for r in refs])
-            return real(model, layer, x2d, batch, seq)
+            return real(model, layer, x2d, batch, seq, keep_cache)
 
         monkeypatch.setattr(model_module, "_block_forward", spy)
         lm_loss(model, ids, want_grads=False)
@@ -568,22 +627,55 @@ class TestLmLossAliasing:
         lm_loss(model, ids)
         assert dead_at_start == {1: [], 0: [True, True, True]}
 
+    def spy_block_caches(self, monkeypatch) -> list:
+        """Per layernorm and attention_forward call, in order: ("xhat", a
+        weak reference to the layernorm's xhat) or ("probs", one to the
+        attention probs), the largest array each caches."""
+        made = []
+        for name, kind, pick in (("layernorm", "xhat", lambda c: c[0]),
+                                 ("attention_forward", "probs", lambda c: c[4])):
+            def spy(*args, _real=getattr(model_module, name), _kind=kind, _pick=pick):
+                out = _real(*args)
+                made.append((_kind, weakref.ref(_pick(out[1]))))
+                return out
+
+            monkeypatch.setattr(model_module, name, spy)
+        return made
+
     def test_forward_only_keeps_no_block_cache(self, sparse, monkeypatch):
         model, ids = self.model_and_batch(sparse)
+        made = self.spy_block_caches(monkeypatch)
         real = model_module._block_forward
         cached, dead_at_start = {}, {}
 
-        def spy(model, layer, x2d, batch, seq):
+        def spy(model, layer, x2d, batch, seq, keep_cache=True):
             earlier = cached.get(layer - 1, [])
             dead_at_start[layer] = [ref() is None for ref in earlier]
-            y, hidden, cache = real(model, layer, x2d, batch, seq)
-            ln1_cache, ln2_cache, attn_cache, _ = cache
-            # attention probs, then each layernorm's xhat
-            cached[layer] = [weakref.ref(attn_cache[3]), weakref.ref(ln1_cache[0]),
-                             weakref.ref(ln2_cache[0])]
-            del ln1_cache, attn_cache, ln2_cache
-            return y, hidden, cache
+            start = len(made)
+            out = real(model, layer, x2d, batch, seq, keep_cache)
+            # LN1's xhat, the attention probs, LN2's xhat
+            cached[layer] = [ref for _, ref in made[start:]]
+            return out
 
         monkeypatch.setattr(model_module, "_block_forward", spy)
         lm_loss(model, ids, want_grads=False)
         assert dead_at_start == {0: [], 1: [True, True, True]}
+
+    @pytest.mark.parametrize("want_grads", [False, True], ids=["eval", "train"])
+    def test_attention_cache_is_gone_before_its_ffn_runs(self, sparse, want_grads,
+                                                         monkeypatch):
+        model, ids = self.model_and_batch(sparse)
+        made = self.spy_block_caches(monkeypatch)
+        module, name = (moe_module, "smoe_forward") if sparse else (model_module, "ffn_forward")
+        real, alive_at_ffn = getattr(module, name), []
+
+        def spy(*args):
+            # this block's LN1 xhat, attention probs and LN2 xhat
+            alive_at_ffn.append([(kind, ref() is not None) for kind, ref in made[-3:]])
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+        lm_loss(model, ids, want_grads)
+        # a training pass caches all three for its backward
+        block = [("xhat", want_grads), ("probs", want_grads), ("xhat", want_grads)]
+        assert alive_at_ffn == [block, block]

@@ -203,6 +203,16 @@ class TestSoftmaxCrossEntropy:
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             nx.softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
+        with pytest.raises(ValueError, match="out of range"):
+            nx.cross_entropy(np.zeros((1, 3)), np.array([3]))
+
+    def test_loss_only_on_saturated_logits(self):
+        logits = np.array([[1e4, 0.0], [0.0, 1e4], [-1e4, 1e4]])
+        targets = np.array([0, 0, 1])
+        with np.errstate(over="raise"):
+            loss = nx.cross_entropy(logits, targets)
+            assert snapshot(loss) == snapshot(nx.softmax_cross_entropy(logits, targets)[0])
+        assert loss == 1e4 / 3
 
 
 class TestAdam:
@@ -372,6 +382,17 @@ class TestInPlaceMatchesReference:
         inputs = snapshot((logits, targets))
         out = nx.softmax_cross_entropy(logits, targets)
         assert snapshot(out) == snapshot(softmax_cross_entropy_reference(logits, targets))
+        assert snapshot((logits, targets)) == inputs
+
+    @pytest.mark.parametrize("shape", LOGITS.values(), ids=LOGITS.keys())
+    def test_cross_entropy_is_softmax_cross_entropys_loss(self, shape):
+        rng = np.random.default_rng(shape[1])
+        logits = 4.0 * normal_valued(rng, shape)
+        logits[0, 0] = 800.0  # a saturated row
+        targets = rng.integers(0, shape[1], shape[0])
+        inputs = snapshot((logits, targets))
+        loss = nx.cross_entropy(logits, targets)
+        assert snapshot(loss) == snapshot(nx.softmax_cross_entropy(logits, targets)[0])
         assert snapshot((logits, targets)) == inputs
 
     def test_adam_step_over_several_steps(self):
