@@ -153,12 +153,10 @@ def validation_batches(tokens: np.ndarray, seq_len: int, n_sequences: int,
                        batch_size: int) -> list:
     """Fixed held-out batch set (constant seed), identical across runs for the
     same corpus and shape, so curves across checkpoints are comparable."""
-    rng = derived_rng(0, SEED_TAG_VALIDATION, n_sequences, seq_len)
-    window = seq_len + 1
-    if tokens.size < window:
+    if tokens.size < seq_len + 1:
         raise ValueError(f"validation stream too short for seq_len {seq_len}")
-    offsets = rng.integers(0, tokens.size - window + 1, size=n_sequences)
-    seqs = np.stack([tokens[o:o + window] for o in offsets])
+    seqs = sample_batch(tokens, n_sequences, seq_len,
+                        derived_rng(0, SEED_TAG_VALIDATION, n_sequences, seq_len))
     return [seqs[i:i + batch_size] for i in range(0, n_sequences, batch_size)]
 
 

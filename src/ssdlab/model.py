@@ -12,8 +12,9 @@ Feed-forward sublayers compute densely,
 
     ffn(x) = w_out @ relu(w_in @ x + b_in) + b_out,
 
-unless a sparse expert layout is attached to the model (see ssdlab.moe),
-which runs this module's ffn_hidden and ffn_backward under its routing mask.
+unless a sparse expert layout is attached to the model. Both forms live in
+ssdlab.moe, and the block calls them directly: ffn_forward and ffn_backward
+on a dense layer, moe.smoe_forward and moe.smoe_backward on a sparse one.
 
 Bias adds, ReLU, the attention mask and softmax, and the residual adds run in
 place on arrays the same function has just created, with the same operations
@@ -31,6 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ssdlab import moe
+from ssdlab.moe import FFNWeights, ffn_backward, ffn_forward
 from ssdlab.numerics import (
     bmm_nn,
     bmm_nt,
@@ -72,22 +75,6 @@ class ModelConfig:
 
     def to_dict(self):
         return asdict(self)
-
-
-@dataclass
-class FFNWeights:
-    """One feed-forward block; arrays are references, not copies."""
-
-    w_in: np.ndarray   # (d_ff, d_model)
-    b_in: np.ndarray   # (d_ff,)
-    w_out: np.ndarray  # (d_model, d_ff)
-    b_out: np.ndarray  # (d_model,)
-
-    def validate(self):
-        d_ff, d_model = self.w_in.shape
-        if self.b_in.shape != (d_ff,) or self.w_out.shape != (d_model, d_ff) \
-                or self.b_out.shape != (d_model,):
-            raise ValueError("inconsistent FFN weight shapes")
 
 
 def param_names(config: ModelConfig) -> list[str]:
@@ -161,51 +148,6 @@ class GPT:
             w_in=p[f"block{layer}.ffn_w_in"], b_in=p[f"block{layer}.ffn_b_in"],
             w_out=p[f"block{layer}.ffn_w_out"], b_out=p[f"block{layer}.ffn_b_out"],
         )
-
-# -----------------------------------------------------------------------------
-# Feed-forward sublayer
-# -----------------------------------------------------------------------------
-
-
-def ffn_hidden(w: FFNWeights, x: np.ndarray) -> np.ndarray:
-    """relu(w_in @ x + b_in) rowwise over tokens, in a fresh array."""
-    w.validate()
-    if x.shape[1] != w.w_in.shape[1]:
-        raise ValueError(f"input width {x.shape[1]} != d_model {w.w_in.shape[1]}")
-    hidden = matmul_nt(x, w.w_in)
-    hidden += w.b_in
-    np.maximum(hidden, 0.0, out=hidden)  # relu
-    return hidden
-
-
-def ffn_forward(w: FFNWeights, x: np.ndarray):
-    """y = w_out @ relu(w_in @ x + b_in) + b_out, rowwise over tokens.
-
-    Returns (y, hidden, cache); hidden is the post-ReLU state whose zeros
-    lm_loss counts.
-    """
-    hidden = ffn_hidden(w, x)
-    y = matmul_nt(hidden, w.w_out)
-    y += w.b_out
-    return y, hidden, (x, hidden)
-
-
-def ffn_backward(w: FFNWeights, cache, d_y: np.ndarray):
-    """Returns (d_x, grads, d_pre): grads keyed w_in/b_in/w_out/b_out, and
-    the pre-activation gradient, which the sparse layer's gate also reads."""
-    x, hidden = cache
-    del cache
-    d_w_out = matmul_tn(d_y, hidden)
-    d_b_out = d_y.sum(axis=0)
-    d_pre = matmul(d_y, w.w_out)
-    d_pre *= hidden > 0.0  # relu backward: hidden > 0 exactly where pre > 0
-    del hidden
-    d_w_in = matmul_tn(d_pre, x)
-    del x
-    d_b_in = d_pre.sum(axis=0)
-    d_x = matmul(d_pre, w.w_in)
-    return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}, d_pre
-
 
 # -----------------------------------------------------------------------------
 # Causal multi-head attention
@@ -327,7 +269,7 @@ def _block_forward(model: GPT, layer: int, x2d, batch, seq, keep_cache=True):
         ln2_cache = None
     layout = model.moe[layer]
     if layout is not None:
-        ffn_out, hidden, ffn_cache = layout.forward(h2)
+        ffn_out, _, hidden, ffn_cache = moe.smoe_forward(layout, h2)
     else:
         ffn_out, hidden, ffn_cache = ffn_forward(model.ffn_weights(layer), h2)
     ffn_out += x2d  # residual
@@ -354,8 +296,8 @@ def _block_backward(model: GPT, layer: int, cache, d_y, batch, seq):
     pre = f"block{layer}."
     layout = model.moe[layer]
     if layout is not None:
-        d_h2, ffn_grads = layout.backward(
-            _sublayer_cache(ln2_cache, p[pre + "ln2_bias"], sublayer_caches), d_y)
+        d_h2, ffn_grads = moe.smoe_backward(
+            layout, _sublayer_cache(ln2_cache, p[pre + "ln2_bias"], sublayer_caches), d_y)
     else:
         d_h2, ffn_grads = ffn_backward(
             model.ffn_weights(layer),

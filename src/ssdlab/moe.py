@@ -1,15 +1,17 @@
-"""Dense-to-sparse feed-forward conversion, centroid gating with
-straight-through score post-processing, the sparse forward/backward pass, and
-batch-level dynamic top-k truncation.
+"""The feed-forward sublayer in its two forms: the dense ReLU FFN, and the
+same neurons viewed as experts, with centroid gating, straight-through score
+post-processing, the sparse forward/backward pass, and batch-level dynamic
+top-k truncation.
 
 A layer becomes sparse in one way only: attach_experts puts a MoEFFN view over
 the model's own feed-forward arrays, which stay in their original neuron order
 with the neuron-to-expert map recorded beside them; setting the layer back to
-None makes it dense again. The sparse layer runs the dense layer's own code
-(ssdlab.model's ffn_hidden and ffn_backward) on the same memory and adds only
-the routing mask and the gate, so the K=N forward is bit-identical to the
-dense forward and a dense->sparse->dense round trip leaves every parameter as
-it was.
+None makes it dense again. ssdlab.model's block calls ffn_forward and
+ffn_backward on a dense layer and smoe_forward and smoe_backward on a sparse
+one. The sparse pair runs the dense pair's own code (ffn_hidden and
+ffn_backward) on the same memory and adds only the routing mask and the gate,
+so the K=N forward is bit-identical to the dense forward and a
+dense->sparse->dense round trip leaves every parameter as it was.
 
 The routing mask multiplies the post-ReLU hidden state in place: selected
 experts keep coefficient exactly 1, unselected ones get exactly 0. It is the
@@ -25,13 +27,68 @@ last read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MethodType
 
 import numpy as np
 
 from ssdlab.clustering import Partition
-from ssdlab.model import GPT, FFNWeights, ffn_backward, ffn_hidden
 from ssdlab.numerics import matmul, matmul_nt, matmul_tn
+
+
+@dataclass
+class FFNWeights:
+    """One feed-forward block; arrays are references, not copies."""
+
+    w_in: np.ndarray   # (d_ff, d_model)
+    b_in: np.ndarray   # (d_ff,)
+    w_out: np.ndarray  # (d_model, d_ff)
+    b_out: np.ndarray  # (d_model,)
+
+    def validate(self):
+        d_ff, d_model = self.w_in.shape
+        if self.b_in.shape != (d_ff,) or self.w_out.shape != (d_model, d_ff) \
+                or self.b_out.shape != (d_model,):
+            raise ValueError("inconsistent FFN weight shapes")
+
+
+def ffn_hidden(w: FFNWeights, x: np.ndarray) -> np.ndarray:
+    """relu(w_in @ x + b_in) rowwise over tokens, in a fresh array."""
+    w.validate()
+    if x.shape[1] != w.w_in.shape[1]:
+        raise ValueError(f"input width {x.shape[1]} != d_model {w.w_in.shape[1]}")
+    hidden = matmul_nt(x, w.w_in)
+    hidden += w.b_in
+    np.maximum(hidden, 0.0, out=hidden)  # relu
+    return hidden
+
+
+def ffn_forward(w: FFNWeights, x: np.ndarray):
+    """y = w_out @ relu(w_in @ x + b_in) + b_out, rowwise over tokens.
+
+    Returns (y, hidden, cache); hidden is the post-ReLU state whose zeros
+    lm_loss counts.
+    """
+    hidden = ffn_hidden(w, x)
+    y = matmul_nt(hidden, w.w_out)
+    y += w.b_out
+    return y, hidden, (x, hidden)
+
+
+def ffn_backward(w: FFNWeights, cache, d_y: np.ndarray):
+    """Returns (d_x, grads, d_pre): grads keyed w_in/b_in/w_out/b_out, and
+    the pre-activation gradient. The dense block calls it directly and
+    smoe_backward calls it for the hidden path, whose gate then reads d_pre."""
+    x, hidden = cache
+    del cache
+    d_w_out = matmul_tn(d_y, hidden)
+    d_b_out = d_y.sum(axis=0)
+    d_pre = matmul(d_y, w.w_out)
+    d_pre *= hidden > 0.0  # relu backward: hidden > 0 exactly where pre > 0
+    del hidden
+    d_w_in = matmul_tn(d_pre, x)
+    del x
+    d_b_in = d_pre.sum(axis=0)
+    d_x = matmul(d_pre, w.w_in)
+    return d_x, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out, "b_out": d_b_out}, d_pre
 
 
 @dataclass
@@ -71,24 +128,17 @@ class MoEFFN:
         self.indicator[np.arange(d_ff), partition.assignment] = 1.0
         self.indicator.setflags(write=False)
 
-    def forward(self, x):
-        """Sublayer interface used by the model: (y, hidden, cache)."""
-        y, _, hidden, cache = smoe_forward(self, x)
-        return y, hidden, cache
 
-    @property
-    def backward(self):
-        """smoe_backward bound to this layer: (cache, d_y) -> (d_x, grads).
-        A bound method calls it with no frame of its own in between, so
-        the cache handed over is smoe_backward's alone to drop."""
-        return MethodType(smoe_backward, self)
-
-
-def attach_experts(model: GPT, partitions: list, active_experts: int) -> None:
-    """Make every layer sparse: layer i views model.ffn_weights(i), grouped by
-    partitions[i], with active_experts selected per token."""
-    for layer, p in enumerate(partitions):
-        model.moe[layer] = MoEFFN(model.ffn_weights(layer), p, active_experts)
+def attach_experts(model, partitions: list, active_experts: int) -> None:
+    """Make every layer of model (an ssdlab.model.GPT) sparse: layer i views
+    model.ffn_weights(i), grouped by partitions[i], with active_experts
+    selected per token. A partition count other than the layer count, or a
+    partition MoEFFN rejects, raises before any layer changes."""
+    n_layers = model.config.n_layers
+    if len(partitions) != n_layers:
+        raise ValueError(f"{len(partitions)} partitions for {n_layers} layers")
+    model.moe[:] = [MoEFFN(model.ffn_weights(layer), p, active_experts)
+                    for layer, p in enumerate(partitions)]
 
 
 def compute_centroids(m: MoEFFN) -> np.ndarray:

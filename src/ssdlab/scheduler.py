@@ -179,7 +179,7 @@ def monitor_similarity(model: GPT, state: SchedulerState, num_experts: int,
     Updates the chain in place.
     """
     check_expert_count(model.config.d_ff, num_experts)
-    outcomes = [cluster_with_warmstart(model.params[f"block{i}.ffn_w_in"], num_experts,
+    outcomes = [cluster_with_warmstart(model.ffn_weights(i).w_in, num_experts,
                                        state.partitions[i],
                                        derived_rng(seed, SEED_TAG_CLUSTER, step, i))
                 for i in range(model.config.n_layers)]

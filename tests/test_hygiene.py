@@ -3,10 +3,12 @@ top-level import in the package's modules, no top-level function or class
 that nothing references, a README Layout block that lists exactly the
 package's modules, README command-line examples that the parser accepts,
 and a README that names every command-line flag, each example's comment
-naming only flags of its own command."""
+naming only flags of its own command. The package's modules import each
+other only at their top, before any definition, and without a cycle."""
 
 import argparse
 import ast
+import graphlib
 import re
 import shlex
 from collections import Counter
@@ -117,6 +119,81 @@ def test_a_definition_only_its_own_body_references_is_reported(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("import m\nfrom m import Kept\n")
     assert unreferenced_definitions([module], [module, user]) == ["m.py:leftover"]
+
+
+def package_modules_named(node: ast.AST, package: str, modules: set) -> set:
+    """The modules of `package` (names in `modules`) that an absolute
+    import names."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names
+                if a.name.startswith(package + ".")} & modules
+    if isinstance(node, ast.ImportFrom):
+        if node.module == package:
+            return {a.name for a in node.names} & modules
+        if (node.module or "").startswith(package + "."):
+            return {node.module.split(".")[1]} & modules
+    return set()
+
+
+def import_graph(paths, package: str) -> dict:
+    """Each module -> the package modules its top-level imports name."""
+    modules = {p.stem for p in paths}
+    return {p.stem: set().union(*(package_modules_named(n, package, modules)
+                                  for n in ast.parse(p.read_text()).body))
+            for p in paths}
+
+
+def import_cycle(graph: dict) -> list:
+    """A cycle of graph, as the modules along it with the first repeated at
+    the end, or [] when there is none."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as e:
+        return e.args[1]
+    return []
+
+
+def late_package_imports(paths, package: str) -> list:
+    """file:line of each import of a package module that is not at the top
+    of its module: inside a function or any other block, or after the
+    module's first function or class."""
+    modules = {p.stem for p in paths}
+    late = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        top, seen_definition = set(), False
+        for node in tree.body:
+            seen_definition |= isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if not seen_definition:
+                top.add(node)
+        late += [f"{path.name}:{n.lineno}"
+                 for n in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0))
+                 if n not in top and package_modules_named(n, package, modules)]
+    return late
+
+
+def test_package_imports_form_no_cycle():
+    assert import_cycle(import_graph(MODULES, "ssdlab")) == []
+
+
+def test_package_modules_import_each_other_only_at_the_top():
+    assert late_package_imports(sorted(PACKAGE.glob("*.py")), "ssdlab") == []
+
+
+def test_import_checks_report_a_cycle_and_a_late_import(tmp_path):
+    files = {"a.py": "from pkg import b\nimport numpy\n",
+             "b.py": "from pkg.c import f\n",
+             "c.py": "def f():\n    import pkg.a\n\n\nfrom pkg.b import g\n",
+             "d.py": "from pkg import a, numpy\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = sorted(tmp_path.glob("*.py"))
+    graph = import_graph(paths, "pkg")
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"b"}, "d": {"a"}}
+    assert sorted(import_cycle(graph)) == ["b", "b", "c"]
+    assert import_cycle({**graph, "c": set()}) == []
+    assert late_package_imports(paths, "pkg") == ["c.py:2", "c.py:5"]
 
 
 def test_readme_layout_lists_exactly_the_package_modules():

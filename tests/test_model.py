@@ -459,16 +459,16 @@ class TestInPlaceMatchesReference:
         assert snapshot((x, d_y, model.params)) == inputs
 
 
-def spy_kernels(monkeypatch, refs: dict, names) -> list:
-    """Per call of model's kernels in `names`, in order: the kernel's name
+def spy_kernels(monkeypatch, refs: dict, names, module=model_module) -> list:
+    """Per call of module's kernels in `names`, in order: the kernel's name
     and the names of the arrays in refs (name -> weakref) still alive."""
     calls = []
     for name in names:
-        def spy(*args, _real=getattr(model_module, name), _name=name):
+        def spy(*args, _real=getattr(module, name), _name=name):
             calls.append((_name, {k for k, r in refs.items() if r() is not None}))
             return _real(*args)
 
-        monkeypatch.setattr(model_module, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -481,7 +481,7 @@ class TestBackwardDropsItsCache:
         x = rng.standard_normal((12, 16))
         caches = [ffn_forward(model.ffn_weights(0), x.copy())[2]]
         refs = dict(zip(("x", "hidden"), map(weakref.ref, caches[0])))
-        calls = spy_kernels(monkeypatch, refs, ("matmul", "matmul_tn"))
+        calls = spy_kernels(monkeypatch, refs, ("matmul", "matmul_tn"), moe_module)
         ffn_backward(model.ffn_weights(0), caches.pop(), rng.standard_normal(x.shape))
         both = {"x", "hidden"}
         # d_w_out, d_pre, d_w_in, d_x

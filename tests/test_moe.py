@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdlab.clustering import Partition
-from ssdlab.model import FFNWeights, ffn_backward, ffn_forward
+from ssdlab.model import GPT, FFNWeights, ModelConfig, ffn_backward, ffn_forward
 from ssdlab.moe import (
     GateDecision,
     MoEFFN,
+    attach_experts,
     compute_centroids,
     dynamic_topk,
     smoe_backward,
@@ -82,6 +83,37 @@ class TestSplitMerge:
         bad = Partition(np.zeros(D_FF, dtype=np.int64), 2)
         with pytest.raises(ValueError, match="balanced"):
             MoEFFN(w, bad, 1)
+
+
+class TestAttachExperts:
+    def two_layer_model(self):
+        cfg = ModelConfig(n_layers=2, d_model=D_MODEL, n_heads=2, d_ff=D_FF,
+                          vocab_size=11, max_seq_len=8)
+        return GPT.init(cfg, make_rng(0)), make_rng(1)
+
+    def test_one_partition_per_layer(self):
+        model, rng = self.two_layer_model()
+        attach_experts(model, [random_partition(rng) for _ in range(2)], 2)
+        assert [m.weights.w_in is model.ffn_weights(i).w_in
+                for i, m in enumerate(model.moe)] == [True, True]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_partition_count_must_match_the_layers(self, count):
+        # fewer once left the last layers dense; more raised a KeyError
+        # after attaching every layer
+        model, rng = self.two_layer_model()
+        attach_experts(model, [random_partition(rng) for _ in range(2)], 2)
+        before = list(model.moe)
+        with pytest.raises(ValueError, match=f"{count} partitions for 2 layers"):
+            attach_experts(model, [random_partition(rng) for _ in range(count)], 1)
+        assert all(a is b for a, b in zip(model.moe, before, strict=True))
+
+    def test_a_rejected_partition_changes_no_layer(self):
+        model, rng = self.two_layer_model()
+        short = Partition(np.zeros(D_FF - N, dtype=np.int64), 1)
+        with pytest.raises(ValueError, match="partition length"):
+            attach_experts(model, [random_partition(rng), short], 2)
+        assert model.moe == [None, None]
 
 
 class TestCentroids:
