@@ -8,7 +8,7 @@ parsing it back yields the original records.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -23,7 +23,8 @@ class MetricsRecord:
     lr: float
 
     def to_dict(self):
-        return asdict(self)
+        """The fields by name, sparsity's list shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):

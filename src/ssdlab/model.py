@@ -35,6 +35,7 @@ import numpy as np
 from ssdlab import moe
 from ssdlab.moe import FFNWeights, ffn_backward, ffn_forward
 from ssdlab.numerics import (
+    FlatDict,
     bmm_nn,
     bmm_nt,
     bmm_tn,
@@ -111,27 +112,37 @@ def param_shape(name: str, config: ModelConfig) -> tuple:
     return shapes[base]
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
-    """Gaussian(0, 0.02) weights, unit LN gains, zero biases.
+def init_params(config: ModelConfig, rng: np.random.Generator) -> FlatDict:
+    """Gaussian(0, 0.02) weights, unit LN gains, zero biases, drawn straight
+    into the views of one buffer in param_names order.
 
+    Each weight holds rng.normal(0.0, INIT_STD, size=shape) bit for bit:
+    normal is 0.0 + INIT_STD * (the next standard normal draw), so it is the
+    same draws, scaled and added to 0.0 in place, with no temporary.
     Zero FFN biases keep pre-activations sign-symmetric at init, which is what
     puts initial activation sparsity at ~0.5.
     """
-    params = {}
-    for name in param_names(config):
-        shape = param_shape(name, config)
+    params = FlatDict((name, param_shape(name, config)) for name in param_names(config))
+    for name, p in params.items():
         if name.endswith(("gain",)):
-            params[name] = np.ones(shape)
+            p.fill(1.0)
         elif name.endswith(("bias", "b_in", "b_out")):
-            params[name] = np.zeros(shape)
+            p.fill(0.0)
         else:
-            params[name] = rng.normal(0.0, INIT_STD, size=shape)
+            rng.standard_normal(out=p)
+            p *= INIT_STD
+            p += 0.0  # normal's loc: a -0.0 draw ends as 0.0
     return params
 
 
 class GPT:
     """Model bundle: config + flat parameter dict + optional per-layer expert
-    layouts (`moe[i]` is None while layer i computes densely)."""
+    layouts (`moe[i]` is None while layer i computes densely).
+
+    A trained model's params are a FlatDict, views by name into one buffer
+    in param_names order, which adam_step updates as one; the layouts hold
+    the same views. A model built to read a loaded checkpoint may wrap its
+    per-tensor dict as it is."""
 
     def __init__(self, config: ModelConfig, params: dict):
         self.config = config

@@ -18,6 +18,13 @@ values in the same order as the out-of-place formula, so results are
 bit-identical to it. Ownership rule: a function never overwrites an array
 it was passed, nor one it has returned or stored in a cache.
 
+A training run keeps its parameters, and each of Adam's two moment sets, in
+one contiguous float64 buffer: a FlatDict, whose arrays by name are views
+into it in param_names order. adam_step then updates each buffer in runs
+of about 32k entries instead of once per tensor, which cuts a toy step's 29
+per-tensor updates to one; the run size keeps a run's arrays in cache
+(see ADAM_RUN). Gradients stay one fresh array per tensor.
+
 Importing the package calls `_keep_freed_heap` once, which makes glibc's
 malloc keep freed heap in the process instead of handing it back after each
 step. A training step frees tens of MiB of activations, and with glibc's
@@ -33,6 +40,7 @@ import ctypes
 import math
 import os
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,10 +154,15 @@ def layernorm(x, gain, bias, eps=1e-5):
         raise ValueError("gain/bias length must equal x.cols")
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    mu = x.mean(axis=1, keepdims=True)
+    # sum, then divide: x.mean's own add.reduce and true divide, without
+    # its Python wrapper, so bit for bit the mean
+    n = x.shape[1]
+    mu = x.sum(axis=1, keepdims=True)
+    mu /= n
     xhat = x - mu
     y = xhat * xhat  # scratch until the affine step
-    var = y.mean(axis=1, keepdims=True)
+    var = y.sum(axis=1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     return _affine(xhat, gain, bias, y), (xhat, inv, gain)
@@ -266,9 +279,67 @@ class OptimizerConfig:
         return asdict(self)
 
 
+class FlatDict(dict):
+    """Arrays by name that share one buffer: each value is a C-ordered view
+    of `buffer`, a fresh contiguous 1-D float64 array, and the views follow
+    each other in key order, as `layout`'s (name, shape) pairs list them.
+
+    The names are fixed once built: the arrays change in place only, since
+    other objects hold the views (a sparse layer's FFNWeights), and a
+    rebound name would leave the buffer. copy.deepcopy, which rebinds each
+    name, raises for the same reason: flat_copy copies.
+    """
+
+    def __init__(self, layout, alloc=np.empty):
+        self.layout = tuple((name, tuple(shape)) for name, shape in layout)
+        sizes = [math.prod(shape) for _, shape in self.layout]
+        self.buffer = alloc(sum(sizes))
+        views, start = [], 0
+        for (name, shape), size in zip(self.layout, sizes):
+            views.append((name, self.buffer[start:start + size].reshape(shape)))
+            start += size
+        dict.__init__(self, views)
+
+    def _fixed(self, *args, **kwargs):
+        raise TypeError("a FlatDict's names are fixed: write into its arrays in place")
+
+    __setitem__ = __delitem__ = __ior__ = _fixed
+    update = setdefault = pop = popitem = clear = _fixed
+
+
+def _layout(arrays: dict) -> tuple:
+    if isinstance(arrays, FlatDict):
+        return arrays.layout
+    return tuple((name, a.shape) for name, a in arrays.items())
+
+
+def flat_copy(arrays: dict) -> FlatDict:
+    """A FlatDict holding copies of arrays, in their key order, in one fresh
+    buffer: the one way to copy a parameter set or a moment set, since a
+    copy of each view would no longer share a buffer."""
+    out = FlatDict(_layout(arrays))
+    for name, a in arrays.items():
+        out[name][...] = a
+    return out
+
+
+def _buffer(arrays: dict, layout: tuple) -> np.ndarray:
+    """The one buffer arrays' views share, in layout's order. A dict of one
+    C-ordered float64 array is its own buffer."""
+    if isinstance(arrays, FlatDict) and arrays.layout == layout:
+        return arrays.buffer
+    if len(arrays) == 1 and _layout(arrays) == layout:
+        (a,) = arrays.values()
+        if a.dtype == np.float64 and a.flags.c_contiguous:
+            return a.reshape(-1)
+    raise ValueError("adam_step needs params and moments that are each views of one "
+                     "buffer, in the same order (a FlatDict; see flat_copy)")
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
+    """First/second moment accumulators keyed like the parameter dict, each
+    set a FlatDict in the parameters' order."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -276,30 +347,77 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params):
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+        layout = _layout(params)
+        return cls(m=FlatDict(layout, np.zeros), v=FlatDict(layout, np.zeros))
 
     def reset(self) -> None:
         """Zero both moments in place and restart the bias correction."""
-        for moment in (*self.m.values(), *self.v.values()):
-            moment.fill(0.0)
+        for moments in (self.m, self.v):
+            _buffer(moments, _layout(moments)).fill(0.0)
         self.step_count = 0
+
+
+# adam_step updates the buffers in runs of about this many entries (256 KiB
+# of float64 per array), so that a run's arrays stay in cache through its
+# fourteen elementwise passes. At desk shape (865,280 entries) one Adam step
+# took 7.8-8.9 ms in runs of 16k to 64k entries, about what the per-tensor
+# loop took, and 11.4-12.9 ms in one run over the whole buffer; a toy model
+# (19,840 entries) is one run (2 shared cores, numpy 2.4.6, medians of 40).
+ADAM_RUN = 1 << 15
+
+
+@lru_cache(maxsize=16)  # a process trains a few model shapes
+def _adam_runs(layout: tuple) -> tuple:
+    """(start, stop, pieces) runs, in order, over a buffer laid out as
+    layout: each is a near-equal part of one tensor larger than ADAM_RUN,
+    or consecutive smaller tensors that fit in ADAM_RUN together. pieces
+    are the (name, lo, hi) ranges of the flattened tensors a run covers."""
+    runs, room, start = [], 0, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        if size > ADAM_RUN:
+            parts = -(-size // ADAM_RUN)
+            cuts = [size * i // parts for i in range(parts + 1)]
+            runs += [(start + lo, start + hi, ((name, lo, hi),))
+                     for lo, hi in zip(cuts, cuts[1:])]
+            room = 0
+        elif runs and size <= room:
+            first, _, pieces = runs[-1]
+            runs[-1] = (first, start + size, (*pieces, (name, 0, size)))
+            room -= size
+        else:
+            runs.append((start, start + size, ((name, 0, size),)))
+            room = ADAM_RUN - size
+        start += size
+    return tuple(runs)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, opt: OptimizerConfig,
               lr: float) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    params, state.m and state.v are each one buffer (FlatDicts of one
+    layout), and the update runs once per ADAM_RUN-sized run of them, not
+    once per tensor. grads stays per tensor: a run's gradient is a slice of
+    one tensor's, or its small tensors' joined by one np.concatenate. Adam
+    is elementwise and each run does the per-tensor update's IEEE
+    operations in its order, so the result is bit for bit that update's.
+    """
+    layout = _layout(params)
+    bufs = [_buffer(arrays, layout) for arrays in (params, state.m, state.v)]
+    for name, shape in layout:
+        if grads[name].shape != shape:
+            raise ValueError(f"grad shape {grads[name].shape} != param shape "
+                             f"{shape} for {name}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = opt.beta1, opt.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.shape} for {k}")
-        m = state.m[k]
-        v = state.v[k]
+    for start, stop, pieces in _adam_runs(layout):
+        parts = [grads[name].reshape(-1)[lo:hi] for name, lo, hi in pieces]
+        g = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        p, m, v = [buf[start:stop] for buf in bufs]
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), through two buffers
         scratch = np.multiply(g, 1.0 - b1)
         m *= b1

@@ -10,7 +10,6 @@ for one machine, numpy/BLAS build and BLAS thread count (see numerics).
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -38,6 +37,7 @@ from ssdlab.numerics import (
     OptimizerConfig,
     adam_step,
     derived_rng,
+    flat_copy,
     make_rng,
     noam_lr,
     restore_rng,
@@ -270,9 +270,10 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         for name in ("adam", "rng") + (("scheduler",) if is_ssd else ()):
             if getattr(ckpt, name) is None:
                 raise ValueError(f"checkpoint has no {name} state, so it cannot be resumed")
-        # copies, so the checkpoint stays resumable
-        model = GPT(model_cfg, {k: v.copy() for k, v in ckpt.params.items()})
-        adam = copy.deepcopy(ckpt.adam)
+        # copies, each set in one buffer, so the checkpoint stays resumable
+        model = GPT(model_cfg, flat_copy(ckpt.params))
+        adam = AdamState(m=flat_copy(ckpt.adam.m), v=flat_copy(ckpt.adam.v),
+                         step_count=ckpt.adam.step_count)
         rng = restore_rng(ckpt.rng)
         start_step = ckpt.step
         cumulative_flops = ckpt.run_info["cumulative_flops"]

@@ -8,6 +8,7 @@ from ssdlab import moe as moe_module
 from ssdlab.clustering import Partition
 from ssdlab.model import (
     GPT,
+    INIT_STD,
     FFNWeights,
     ModelConfig,
     _block_backward,
@@ -20,7 +21,10 @@ from ssdlab.model import (
     count_zeros,
     ffn_backward,
     ffn_forward,
+    init_params,
     lm_loss,
+    param_names,
+    param_shape,
     scatter_rows,
 )
 from ssdlab.moe import attach_experts
@@ -39,6 +43,7 @@ from ssdlab.numerics import (
 )
 
 from conftest import max_grad_error, min_relu_margin, snapshot, traced_peak
+from test_numerics import one_buffer
 
 GRAD_CFG = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=24,
                        vocab_size=11, max_seq_len=8)
@@ -60,6 +65,29 @@ class TestModelConfig:
     def test_base_scale_preset(self):
         cfg = ModelConfig.base_scale()
         assert (cfg.n_layers, cfg.d_model, cfg.d_ff) == (12, 768, 6144)
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(vocab_size=257, max_seq_len=64),
+        ModelConfig(n_layers=2, d_model=32, n_heads=2, d_ff=64, vocab_size=30,
+                    max_seq_len=32)], ids=["desk", "toy"])
+    def test_draws_rng_normal_into_one_buffer(self, cfg):
+        # each weight is rng.normal's array bit for bit, drawn in order
+        init_rng, rng = make_rng(3), make_rng(3)
+        params = init_params(cfg, init_rng)
+        for name in param_names(cfg):
+            shape = param_shape(name, cfg)
+            if name.endswith("gain"):
+                want = np.ones(shape)
+            elif name.endswith(("bias", "b_in", "b_out")):
+                want = np.zeros(shape)
+            else:
+                want = rng.normal(0.0, INIT_STD, size=shape)
+            assert snapshot(params[name]) == snapshot(want), name
+        # and the generator moved on as far
+        assert snapshot(init_rng.standard_normal(4)) == snapshot(rng.standard_normal(4))
+        assert one_buffer(params, param_names(cfg))
 
 
 class TestFFN:

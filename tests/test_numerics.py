@@ -250,7 +250,7 @@ class TestAdam:
     def test_reset_zeroes_the_moments_in_place(self):
         # the reset ablation at a dense-to-sparse conversion: the moments
         # restart from zero in the arrays checkpoints and adam_step hold
-        params = {"w": np.zeros((2, 2)), "head": np.zeros(3)}
+        params = nx.flat_copy({"w": np.zeros((2, 2)), "head": np.zeros(3)})
         state = nx.AdamState.for_params(params)
         for _ in range(5):
             nx.adam_step(params, {"w": np.ones((2, 2)), "head": np.ones(3)}, state,
@@ -373,6 +373,23 @@ class TestInPlaceMatchesReference:
         assert snapshot(cache) == returned
         assert snapshot((x, gain, bias, d_out)) == inputs
 
+    @pytest.mark.parametrize("shape", ROWS_COLS.values(), ids=ROWS_COLS.keys())
+    def test_layernorm_row_statistics_are_the_mean_bit_for_bit(self, shape):
+        # layernorm sums and divides; x.mean runs the same add.reduce and
+        # true divide, here on rows of -0.0, of mixed signed zeros, of one
+        # sign, and of magnitudes far apart
+        rng = np.random.default_rng(shape[1])
+        x = normal_valued(rng, shape)
+        x[0] = -0.0
+        x[1, ::2] = 0.0
+        x[1, 1::2] = -0.0
+        x[2] = np.abs(x[2]) * 1e150
+        x[3] = -np.abs(x[3]) * 1e-150
+        x[4] += 1e12
+        gain, bias = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+        assert snapshot(nx.layernorm(x, gain, bias)) == snapshot(
+            layernorm_reference(x, gain, bias))
+
     @pytest.mark.parametrize("shape", LOGITS.values(), ids=LOGITS.keys())
     def test_softmax_cross_entropy(self, shape):
         rng = np.random.default_rng(shape[1])
@@ -398,7 +415,7 @@ class TestInPlaceMatchesReference:
     def test_adam_step_over_several_steps(self):
         rng = np.random.default_rng(3)
         shapes = {"desk": (512, 128), "vector": (128,), "odd": (7, 8)}
-        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = nx.flat_copy({k: rng.standard_normal(s) for k, s in shapes.items()})
         ref_params = {k: p.copy() for k, p in params.items()}
         state = nx.AdamState.for_params(params)
         ref_state = nx.AdamState.for_params(ref_params)
@@ -410,6 +427,90 @@ class TestInPlaceMatchesReference:
             adam_step_reference(ref_params, grads, ref_state, opt, lr=0.01 * step)
             assert snapshot(grads) == given
             assert snapshot((params, state)) == snapshot((ref_params, ref_state))
+
+
+def one_buffer(arrays, names):
+    """arrays is a FlatDict whose views tile its buffer in names' order."""
+    if not isinstance(arrays, nx.FlatDict) or list(arrays) != list(names):
+        return False
+    base, start = arrays.buffer.__array_interface__["data"][0], 0
+    for a in arrays.values():
+        if a.base is not arrays.buffer or a.__array_interface__["data"][0] != base + 8 * start:
+            return False
+        start += a.size
+    return start == arrays.buffer.size
+
+
+class TestFlatStore:
+    def desk_model(self):
+        from ssdlab.model import GPT, ModelConfig
+
+        return GPT.init(ModelConfig(vocab_size=257, max_seq_len=64), nx.make_rng(0))
+
+    def test_adam_over_a_desk_model_matches_the_reference(self):
+        model = self.desk_model()
+        sizes = [p.size for p in model.params.values()]
+        assert max(sizes) > nx.ADAM_RUN > min(sizes)  # sliced and joined runs both
+        params = model.params
+        state = nx.AdamState.for_params(params)
+        ref_params = {k: p.copy() for k, p in params.items()}
+        ref_state = nx.AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
+                                 v={k: np.zeros_like(p) for k, p in params.items()})
+        opt = nx.OptimizerConfig()
+        rng = np.random.default_rng(4)
+        for step in range(1, 7):
+            if step == 4:  # the reset ablation, then more steps
+                state.reset()
+                for a in (*ref_state.m.values(), *ref_state.v.values()):
+                    a.fill(0.0)
+                ref_state.step_count = 0
+            grads = {k: normal_valued(rng, p.shape) for k, p in params.items()}
+            given = snapshot(grads)
+            nx.adam_step(params, grads, state, opt, lr=1e-3 * step)
+            adam_step_reference(ref_params, grads, ref_state, opt, lr=1e-3 * step)
+            assert snapshot(grads) == given
+            assert snapshot((params, state)) == snapshot((ref_params, ref_state))
+        for arrays in (params, state.m, state.v):
+            assert one_buffer(arrays, ref_params)
+
+    def test_plain_multi_tensor_dicts_rejected(self):
+        shapes = {"w": (2, 2), "head": (3,)}
+        plain = {k: np.ones(s) for k, s in shapes.items()}
+        flat = nx.flat_copy(plain)
+        reordered = nx.flat_copy({"head": plain["head"], "w": plain["w"]})
+        grads = {k: np.ones(s) for k, s in shapes.items()}
+        cases = [(plain, nx.AdamState.for_params(plain)),
+                 (flat, nx.AdamState(m={k: np.zeros(s) for k, s in shapes.items()},
+                                     v=nx.flat_copy(flat))),
+                 (flat, nx.AdamState.for_params(reordered))]
+        for params, state in cases:
+            held = snapshot((params, state))
+            with pytest.raises(ValueError, match="views of one buffer"):
+                nx.adam_step(params, grads, state, nx.OptimizerConfig(), 0.1)
+            assert snapshot((params, state)) == held  # nothing moved
+
+    def test_flat_copy_is_one_fresh_buffer(self):
+        rng = np.random.default_rng(5)
+        arrays = {"a": normal_valued(rng, (3, 4)), "b": normal_valued(rng, (5,))}
+        copied = nx.flat_copy(arrays)
+        assert snapshot(copied) == snapshot(arrays)
+        assert one_buffer(copied, arrays)
+        assert not any(np.shares_memory(copied.buffer, a) for a in arrays.values())
+        again = nx.flat_copy(copied)
+        assert snapshot(again) == snapshot(arrays)
+        assert not np.shares_memory(again.buffer, copied.buffer)
+
+    def test_names_are_fixed(self):
+        params = nx.flat_copy({"w": np.zeros(3), "b": np.zeros(2)})
+        held = list(params.values())
+        for change in (lambda: params.__setitem__("w", np.ones(3)),
+                       lambda: params.update(w=np.ones(3)),
+                       lambda: params.pop("w"),
+                       lambda: params.__delitem__("b")):
+            with pytest.raises(TypeError, match="names are fixed"):
+                change()
+        assert params["w"] is held[0] and params["b"] is held[1]
+        assert one_buffer(params, ["w", "b"])
 
 
 def _on_glibc():

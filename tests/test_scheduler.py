@@ -12,6 +12,7 @@ from ssdlab.numerics import (
     OptimizerConfig,
     adam_step,
     derived_rng,
+    flat_copy,
     make_rng,
 )
 from ssdlab.scheduler import (
@@ -216,9 +217,8 @@ class TestModelConversions:
             _, grads, _ = lm_loss(model, ids)
             adam_step(model.params, grads, adam, OptimizerConfig(), lr=0.01)
 
-        twin = GPT(model.config, {k: v.copy() for k, v in model.params.items()})
-        twin_adam = AdamState(m={k: v.copy() for k, v in adam.m.items()},
-                              v={k: v.copy() for k, v in adam.v.items()},
+        twin = GPT(model.config, flat_copy(model.params))
+        twin_adam = AdamState(m=flat_copy(adam.m), v=flat_copy(adam.v),
                               step_count=adam.step_count)
 
         state = seeded_state(model, step=3)

@@ -1,6 +1,7 @@
+import json
 import os
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ssdlab.checkpoint import (
 from ssdlab.data import TokenizedCorpus, unigram_perplexity
 from ssdlab.flops import ssd_total_train_flops
 from ssdlab.metrics import MetricsRecord, csv_header, export_metrics, load_metrics_jsonl
-from ssdlab.model import ModelConfig, init_params
+from ssdlab.model import ModelConfig, init_params, param_names
 from ssdlab.numerics import make_rng
 from ssdlab.scheduler import PHASE_DENSE, PHASE_SPARSE, SSDConfig
 from ssdlab.training import (
@@ -35,6 +36,7 @@ from ssdlab.training import (
 
 from conftest import toy_model_config
 from test_checkpoint import with_header
+from test_numerics import one_buffer
 
 
 def short_ssd_mode():
@@ -302,6 +304,57 @@ class TestDeterminism:
         assert str(e.value) == ("checkpoint's ssd schedule was planned for "
                                 "total_steps 20, not 30")
         assert not out.exists()
+
+
+class TestFlatStore:
+    """A run keeps its params and each Adam moment set in one buffer, and
+    every sparse layer computes on views of the parameters' buffer."""
+
+    @staticmethod
+    def spy_sparse_steps(monkeypatch):
+        """(model, its layers' layouts) at each sparse training pass."""
+        real, models = training.lm_loss, []
+
+        def spy(model, batch, want_grads=True):
+            if want_grads and any(lay is not None for lay in model.moe):
+                models.append((model, list(model.moe)))
+            return real(model, batch, want_grads)
+
+        monkeypatch.setattr(training, "lm_loss", spy)
+        return models
+
+    @staticmethod
+    def assert_one_store(final, models):
+        names = param_names(final.config)
+        for arrays in (final.params, final.adam.m, final.adam.v):
+            assert one_buffer(arrays, names)
+        assert models
+        for model, layouts in models:
+            assert model.params is final.params
+            for i, lay in enumerate(layouts):
+                assert lay.weights.w_in is final.params[f"block{i}.ffn_w_in"]
+                assert np.shares_memory(lay.weights.w_in, final.params.buffer)
+
+    def test_smoe_layers_view_the_store(self, toy_corpus, monkeypatch):
+        models = self.spy_sparse_steps(monkeypatch)
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        final, _ = train(cfg, toy_corpus, SmoeTrain(8, 2), OPT, seed=2, run=short_run(6))
+        self.assert_one_store(final, models)
+
+    def test_a_resume_into_a_sparse_phase_views_the_store(self, toy_corpus, tmp_path,
+                                                         monkeypatch):
+        cfg = toy_model_config(toy_corpus.manifest["vocab_size"])
+        mode = SsdTrain(ssd=SSDConfig(similarity_threshold=0.05, monitor_interval=10),
+                        num_experts=8, active_experts=2)
+        rc = short_run(20, checkpoint_interval=16, out_dir=str(tmp_path))
+        train(cfg, toy_corpus, mode, OPT, seed=7, run=rc)
+        mid = load_checkpoint(tmp_path / "ckpt_00000016.bin", adam=True)
+        assert mid.scheduler["phase"] == PHASE_SPARSE
+        models = self.spy_sparse_steps(monkeypatch)
+        final, _ = train(cfg, toy_corpus, mode, OPT, seed=7,
+                         run=replace(rc, out_dir=None), resume_from=mid)
+        self.assert_one_store(final, models)
+        assert not any(np.shares_memory(final.params.buffer, a) for a in mid.params.values())
 
 
 class TestAblations:
@@ -677,6 +730,18 @@ class TestMetricsExport:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_metrics([], tmp_path / "x", "yaml", n_layers=1)
+
+    def test_records_write_the_bytes_asdict_gives(self, toy_ssd_run):
+        # to_dict reads the dataclass fields without asdict's deep copy
+        records = toy_ssd_run["records"]
+        with open(os.path.join(toy_ssd_run["out_dir"], "metrics.jsonl"), "rb") as f:
+            written = f.read()
+        assert written == "".join(json.dumps(asdict(r), sort_keys=True) + "\n"
+                                  for r in records).encode()
+        for r in records:
+            assert r.to_dict() == asdict(r)
+            assert list(r.to_dict()) == [f.name for f in fields(r)]
+            assert MetricsRecord.from_dict(r.to_dict()) == r
 
     def test_run_dir_metrics_parse_back(self, toy_ssd_run):
         records = load_metrics_jsonl(os.path.join(toy_ssd_run["out_dir"],
