@@ -22,13 +22,17 @@ Loading a truncated file, a wrong magic, or a different version is rejected;
 a non-finite tensor is rejected on save and on any load that reads it.
 Saves are atomic.
 
-One writer and one reader stream the format over a binary file object,
-tensor by tensor: a save holds no copy of the file, and a load holds only
-the arrays it returns. `load_checkpoint` reads the Adam moments only when
+The payload is the params set's buffer, then the adam_m and adam_v sets'
+if the header's adam is set: each a FlatDict in model.param_layout order,
+whose buffer is the host's float64, `<f8` on the little-endian hosts the
+tests and the benchmark run on (no byte order is converted). One writer and
+one reader stream the format over a binary file object with one write or
+readinto per set: a save holds no copy of the file, and a load holds only
+the FlatDicts it returns. `load_checkpoint` reads the Adam moments only when
 asked (`adam=True`, for a resume or a rewrite); otherwise it seeks past
 them, so an evaluation holds and checks only the parameters.
 `checkpoint_to_bytes` and `checkpoint_from_bytes` run the same two
-functions over an in-memory file, reading every tensor.
+functions over an in-memory file, reading every set.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ssdlab.clustering import Partition
-from ssdlab.model import ModelConfig, param_names, param_shape
-from ssdlab.numerics import AdamState, restore_rng
+from ssdlab.model import ModelConfig, param_layout
+from ssdlab.numerics import AdamState, FlatDict, restore_rng
 from ssdlab.scheduler import PHASES, SchedulerState
 
 MAGIC = b"SSD1"
@@ -55,6 +59,7 @@ _OPTIONAL = (dict, type(None))
 _HEADER_TYPES = {"config": (dict,), "step": (int,), "rng": _OPTIONAL, "adam": _OPTIONAL,
                 "moe_layout": _OPTIONAL, "scheduler": _OPTIONAL,
                 "run_info": (dict,), "tensors": (list,)}
+_SETS = ("param", "adam_m", "adam_v")
 
 
 class CheckpointError(ValueError):
@@ -64,7 +69,7 @@ class CheckpointError(ValueError):
 @dataclass
 class Checkpoint:
     config: ModelConfig
-    params: dict
+    params: FlatDict
     step: int = 0
     rng: "dict | None" = None
     adam: "AdamState | None" = None
@@ -140,12 +145,8 @@ def deserialize_scheduler(data: dict) -> SchedulerState:
 
 
 def _tensor_manifest(config: ModelConfig, with_adam: bool) -> list:
-    names = param_names(config)
-    manifest = [["param", n] for n in names]
-    if with_adam:
-        manifest += [["adam_m", n] for n in names]
-        manifest += [["adam_v", n] for n in names]
-    return manifest
+    kinds = _SETS if with_adam else _SETS[:1]
+    return [[kind, name] for kind in kinds for name, _ in param_layout(config)]
 
 
 def _check_finite(arr: np.ndarray, kind: str, name: str) -> None:
@@ -154,22 +155,20 @@ def _check_finite(arr: np.ndarray, kind: str, name: str) -> None:
 
 
 def _write(ckpt: Checkpoint, f) -> None:
-    """Write ckpt to the binary file object f. Every tensor's shape and
-    finiteness is checked before the first byte is written; each tensor is
-    then written from its own memory, without a bytes copy."""
-    tensors = {"param": ckpt.params}
+    """Write ckpt to the binary file object f. Each set is checked to be a
+    FlatDict in the config's layout and every tensor to be finite before
+    the first byte is written; each set's buffer is then written from its
+    own memory with one write, without a bytes copy."""
+    sets = {"param": ckpt.params}
     if ckpt.adam is not None:
-        tensors.update(adam_m=ckpt.adam.m, adam_v=ckpt.adam.v)
-    manifest = _tensor_manifest(ckpt.config, ckpt.adam is not None)
-    arrays = []
-    for kind, name in manifest:
-        arr = tensors[kind][name]
-        expected = param_shape(name, ckpt.config)
-        if arr.shape != expected:
-            raise CheckpointError(f"tensor {kind}:{name} has shape {arr.shape}, "
-                                  f"expected {expected}")
-        _check_finite(arr, kind, name)
-        arrays.append(arr)
+        sets.update(adam_m=ckpt.adam.m, adam_v=ckpt.adam.v)
+    layout = param_layout(ckpt.config)
+    for kind, arrays in sets.items():
+        if not isinstance(arrays, FlatDict) or arrays.layout != layout:
+            raise CheckpointError(f"tensor set {kind} is not a FlatDict in the "
+                                  f"config's layout (see flat_copy)")
+        for name, arr in arrays.items():
+            _check_finite(arr, kind, name)
     header = {
         "config": ckpt.config.to_dict(),
         "step": ckpt.step,
@@ -178,14 +177,13 @@ def _write(ckpt: Checkpoint, f) -> None:
         "moe_layout": ckpt.moe_layout,
         "scheduler": ckpt.scheduler,
         "run_info": ckpt.run_info,
-        "tensors": manifest,
+        "tensors": _tensor_manifest(ckpt.config, ckpt.adam is not None),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     f.write(MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)))
     f.write(header_bytes)
-    for arr in arrays:
-        # a C-contiguous float64 array passes through ascontiguousarray as is
-        f.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+    for arrays in sets.values():
+        f.write(memoryview(arrays.buffer).cast("B"))
 
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
@@ -250,11 +248,12 @@ def _read(f, size: int, adam: bool) -> Checkpoint:
 
     The header length and the payload the header's tensor list implies are
     checked against size before any tensor is allocated, so a corrupt
-    length cannot ask for more memory than the file holds. Each tensor is
-    then read straight into its own array, except that without `adam` the
-    Adam moments are skipped with f.seek, unread and unchecked, the
-    result's adam is None and, if the file holds moments, its adam_skipped
-    is True. The whole header and the payload's size are checked either way.
+    length cannot ask for more memory than the file holds. Each set is then
+    read with one readinto into its own FlatDict's buffer and each of its
+    tensors checked finite, except that without `adam` the Adam moments are
+    skipped with f.seek, unread and unchecked, the result's adam is None
+    and, if the file holds moments, its adam_skipped is True. The whole
+    header and the payload's size are checked either way.
     """
     preamble = f.read(16)
     if len(preamble) < 16:
@@ -270,34 +269,34 @@ def _read(f, size: int, adam: bool) -> Checkpoint:
     if len(raw) < header_len:
         raise CheckpointError("truncated checkpoint: incomplete header")
     header, config = _parse_header(raw)
-    shapes = [(kind, name, param_shape(name, config)) for kind, name in header["tensors"]]
+    layout = param_layout(config)
+    kinds = _SETS if header["adam"] is not None else _SETS[:1]
     offset = 16 + header_len
-    for kind, name, shape in shapes:
-        offset += 8 * math.prod(shape)
-        if offset > size:
-            raise CheckpointError(f"truncated checkpoint: tensor {kind}:{name}")
+    for kind in kinds:
+        for name, shape in layout:
+            offset += 8 * math.prod(shape)
+            if offset > size:
+                raise CheckpointError(f"truncated checkpoint: tensor {kind}:{name}")
     if offset != size:
         raise CheckpointError("trailing bytes after tensor payload")
-    tensors = {}
-    for kind, name, shape in shapes:
+    sets = []
+    for kind in kinds:
         if kind != "param" and not adam:
-            f.seek(8 * math.prod(shape), io.SEEK_CUR)
+            f.seek(8 * sum(math.prod(shape) for _, shape in layout), io.SEEK_CUR)
             continue
-        arr = np.empty(shape, dtype="<f8")
-        if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-            raise CheckpointError(f"truncated checkpoint: tensor {kind}:{name}")
-        _check_finite(arr, kind, name)
-        tensors[(kind, name)] = arr
-    params = {n: tensors[("param", n)] for n in param_names(config)}
-    moments = None
-    if adam and header["adam"] is not None:
-        moments = AdamState(
-            m={n: tensors[("adam_m", n)] for n in param_names(config)},
-            v={n: tensors[("adam_v", n)] for n in param_names(config)},
-            step_count=header["adam"]["step_count"],
-        )
+        arrays = FlatDict(layout)
+        got = f.readinto(memoryview(arrays.buffer).cast("B"))
+        end = 0
+        for name, arr in arrays.items():
+            end += arr.nbytes
+            if end > got:
+                raise CheckpointError(f"truncated checkpoint: tensor {kind}:{name}")
+            _check_finite(arr, kind, name)
+        sets.append(arrays)
+    moments = (AdamState(*sets[1:], step_count=header["adam"]["step_count"])
+               if len(sets) == 3 else None)
     return Checkpoint(
-        config=config, params=params, step=header["step"], rng=header["rng"],
+        config=config, params=sets[0], step=header["step"], rng=header["rng"],
         adam=moments, moe_layout=header["moe_layout"], scheduler=header["scheduler"],
         run_info=header["run_info"], adam_skipped=not adam and header["adam"] is not None,
     )

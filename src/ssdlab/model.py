@@ -112,9 +112,15 @@ def param_shape(name: str, config: ModelConfig) -> tuple:
     return shapes[base]
 
 
+def param_layout(config: ModelConfig) -> tuple:
+    """(name, shape) in param_names order: the layout of every parameter or
+    moment set, in memory (a FlatDict) and in a checkpoint's payload."""
+    return tuple((name, param_shape(name, config)) for name in param_names(config))
+
+
 def init_params(config: ModelConfig, rng: np.random.Generator) -> FlatDict:
     """Gaussian(0, 0.02) weights, unit LN gains, zero biases, drawn straight
-    into the views of one buffer in param_names order.
+    into the views of one buffer in param_layout order.
 
     Each weight holds rng.normal(0.0, INIT_STD, size=shape) bit for bit:
     normal is 0.0 + INIT_STD * (the next standard normal draw), so it is the
@@ -122,7 +128,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> FlatDict:
     Zero FFN biases keep pre-activations sign-symmetric at init, which is what
     puts initial activation sparsity at ~0.5.
     """
-    params = FlatDict((name, param_shape(name, config)) for name in param_names(config))
+    params = FlatDict(param_layout(config))
     for name, p in params.items():
         if name.endswith(("gain",)):
             p.fill(1.0)
@@ -139,12 +145,12 @@ class GPT:
     """Model bundle: config + flat parameter dict + optional per-layer expert
     layouts (`moe[i]` is None while layer i computes densely).
 
-    A trained model's params are a FlatDict, views by name into one buffer
-    in param_names order, which adam_step updates as one; the layouts hold
-    the same views. A model built to read a loaded checkpoint may wrap its
-    per-tensor dict as it is."""
+    Its params are a FlatDict, views by name into one buffer in param_layout
+    order, whether initialised, copied for training or loaded from a
+    checkpoint; adam_step updates the buffer as one, and the layouts hold
+    the same views."""
 
-    def __init__(self, config: ModelConfig, params: dict):
+    def __init__(self, config: ModelConfig, params: FlatDict):
         self.config = config
         self.params = params
         self.moe = [None] * config.n_layers

@@ -18,12 +18,13 @@ values in the same order as the out-of-place formula, so results are
 bit-identical to it. Ownership rule: a function never overwrites an array
 it was passed, nor one it has returned or stored in a cache.
 
-A training run keeps its parameters, and each of Adam's two moment sets, in
-one contiguous float64 buffer: a FlatDict, whose arrays by name are views
-into it in param_names order. adam_step then updates each buffer in runs
-of about 32k entries instead of once per tensor, which cuts a toy step's 29
-per-tensor updates to one; the run size keeps a run's arrays in cache
-(see ADAM_RUN). Gradients stay one fresh array per tensor.
+A parameter set, and each of Adam's two moment sets, has one form: one
+contiguous float64 buffer, a FlatDict, whose arrays by name are views into
+it in the model's param_layout order. Training, checkpoint loads and saves
+all hold that form and no per-tensor one. adam_step updates each buffer in
+runs of about 32k entries instead of once per tensor, which cuts a toy
+step's 29 per-tensor updates to one; the run size keeps a run's arrays in
+cache (see ADAM_RUN). Gradients stay one fresh array per tensor.
 
 Importing the package calls `_keep_freed_heap` once, which makes glibc's
 malloc keep freed heap in the process instead of handing it back after each
@@ -39,7 +40,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -286,8 +287,10 @@ class FlatDict(dict):
 
     The names are fixed once built: the arrays change in place only, since
     other objects hold the views (a sparse layer's FFNWeights), and a
-    rebound name would leave the buffer. copy.deepcopy, which rebinds each
-    name, raises for the same reason: flat_copy copies.
+    rebound name would leave the buffer. Setting a name to the array it
+    already holds is allowed, since that is how `d[name] *= x` ends after
+    writing into the view; every other rebind raises, copy.copy's and
+    copy.deepcopy's included: flat_copy copies.
     """
 
     def __init__(self, layout, alloc=np.empty):
@@ -303,57 +306,43 @@ class FlatDict(dict):
     def _fixed(self, *args, **kwargs):
         raise TypeError("a FlatDict's names are fixed: write into its arrays in place")
 
-    __setitem__ = __delitem__ = __ior__ = _fixed
+    def __setitem__(self, name, value):
+        if name not in self or dict.__getitem__(self, name) is not value:
+            self._fixed()
+
+    __delitem__ = __ior__ = _fixed
     update = setdefault = pop = popitem = clear = _fixed
-
-
-def _layout(arrays: dict) -> tuple:
-    if isinstance(arrays, FlatDict):
-        return arrays.layout
-    return tuple((name, a.shape) for name, a in arrays.items())
 
 
 def flat_copy(arrays: dict) -> FlatDict:
     """A FlatDict holding copies of arrays, in their key order, in one fresh
-    buffer: the one way to copy a parameter set or a moment set, since a
-    copy of each view would no longer share a buffer."""
-    out = FlatDict(_layout(arrays))
+    buffer: the one way to copy a parameter set or a moment set, and to
+    build one from separate arrays, since a copy of each view would no
+    longer share a buffer."""
+    out = FlatDict((name, a.shape) for name, a in arrays.items())
     for name, a in arrays.items():
         out[name][...] = a
     return out
 
 
-def _buffer(arrays: dict, layout: tuple) -> np.ndarray:
-    """The one buffer arrays' views share, in layout's order. A dict of one
-    C-ordered float64 array is its own buffer."""
-    if isinstance(arrays, FlatDict) and arrays.layout == layout:
-        return arrays.buffer
-    if len(arrays) == 1 and _layout(arrays) == layout:
-        (a,) = arrays.values()
-        if a.dtype == np.float64 and a.flags.c_contiguous:
-            return a.reshape(-1)
-    raise ValueError("adam_step needs params and moments that are each views of one "
-                     "buffer, in the same order (a FlatDict; see flat_copy)")
-
-
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict, each
-    set a FlatDict in the parameters' order."""
+    """First/second moment accumulators: m and v are each a FlatDict in the
+    parameters' layout, so adam_step, reset and a checkpoint each treat a
+    set as its one buffer."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: FlatDict
+    v: FlatDict
     step_count: int = 0
 
     @classmethod
-    def for_params(cls, params):
-        layout = _layout(params)
-        return cls(m=FlatDict(layout, np.zeros), v=FlatDict(layout, np.zeros))
+    def for_params(cls, params: FlatDict):
+        return cls(m=FlatDict(params.layout, np.zeros), v=FlatDict(params.layout, np.zeros))
 
     def reset(self) -> None:
         """Zero both moments in place and restart the bias correction."""
-        for moments in (self.m, self.v):
-            _buffer(moments, _layout(moments)).fill(0.0)
+        self.m.buffer.fill(0.0)
+        self.v.buffer.fill(0.0)
         self.step_count = 0
 
 
@@ -392,19 +381,24 @@ def _adam_runs(layout: tuple) -> tuple:
     return tuple(runs)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, opt: OptimizerConfig,
+def adam_step(params: FlatDict, grads: dict, state: AdamState, opt: OptimizerConfig,
               lr: float) -> None:
     """One bias-corrected Adam update, in place.
 
-    params, state.m and state.v are each one buffer (FlatDicts of one
-    layout), and the update runs once per ADAM_RUN-sized run of them, not
-    once per tensor. grads stays per tensor: a run's gradient is a slice of
-    one tensor's, or its small tensors' joined by one np.concatenate. Adam
-    is elementwise and each run does the per-tensor update's IEEE
-    operations in its order, so the result is bit for bit that update's.
+    params, state.m and state.v must be FlatDicts of one layout, and the
+    update runs once per ADAM_RUN-sized run of their buffers, not once per
+    tensor. grads stays per tensor: a run's gradient is a slice of one
+    tensor's, or its small tensors' joined by one np.concatenate. Adam is
+    elementwise and each run does the per-tensor update's IEEE operations
+    in its order, so the result is bit for bit that update's.
     """
-    layout = _layout(params)
-    bufs = [_buffer(arrays, layout) for arrays in (params, state.m, state.v)]
+    sets = (params, state.m, state.v)
+    if not (all(isinstance(s, FlatDict) for s in sets)
+            and params.layout == state.m.layout == state.v.layout):
+        raise ValueError("adam_step needs params and moments that are each views of one "
+                         "buffer, in the same order (a FlatDict; see flat_copy)")
+    layout = params.layout
+    bufs = [s.buffer for s in sets]
     for name, shape in layout:
         if grads[name].shape != shape:
             raise ValueError(f"grad shape {grads[name].shape} != param shape "

@@ -299,6 +299,11 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
     val_set = validation_batches(corpus.val_tokens, corpus.seq_len,
                                  run.val_sequences, run.val_batch_size)
     probe_batch = val_set[0]
+    # a step's price depends only on whether it computes sparsely
+    dense_flops = train_step_flops(model_cfg, DenseMode(), corpus.seq_len, run.batch_size)
+    sparse_flops = None if mode.kind == "dense" else train_step_flops(
+        model_cfg, SmoeMode(mode.num_experts, mode.active_experts),
+        corpus.seq_len, run.batch_size)
     records = []
     for step in range(start_step, run.total_steps):
         similarity = None
@@ -327,12 +332,7 @@ def train(model_cfg: ModelConfig, corpus: TokenizedCorpus, mode,
         adam_step(model.params, grads, adam, opt, lr)
         del grads
 
-        if phase == PHASE_SPARSE:
-            step_mode = SmoeMode(mode.num_experts, mode.active_experts)
-        else:
-            step_mode = DenseMode()
-        cumulative_flops += train_step_flops(model_cfg, step_mode,
-                                             corpus.seq_len, run.batch_size)
+        cumulative_flops += sparse_flops if phase == PHASE_SPARSE else dense_flops
 
         sparsity = None
         if run.sparsity_interval and step % run.sparsity_interval == 0:

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import io
 import json
 import struct
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from ssdlab.checkpoint import (
     Checkpoint,
     CheckpointError,
+    _write,
     checkpoint_from_bytes,
     checkpoint_to_bytes,
     decode_partitions,
@@ -20,8 +23,16 @@ from ssdlab.checkpoint import (
     serialize_scheduler,
 )
 from ssdlab.clustering import Partition
-from ssdlab.model import ModelConfig, init_params, param_names
-from ssdlab.numerics import AdamState, make_rng, rng_state
+from ssdlab.model import ModelConfig, init_params, param_layout, param_names
+from ssdlab.numerics import (
+    AdamState,
+    FlatDict,
+    OptimizerConfig,
+    adam_step,
+    flat_copy,
+    make_rng,
+    rng_state,
+)
 from ssdlab.scheduler import SchedulerState
 
 from conftest import traced_peak
@@ -421,3 +432,102 @@ class TestStreaming:
         assert loaded.adam is None
         assert all(loaded.params[n].tobytes() == ckpt.params[n].tobytes()
                    for n in ckpt.params)
+
+
+class TestOneForm:
+    # every params or moment set a load returns or a save accepts is one
+    # FlatDict in param_layout order, whose buffer is that set's payload
+    @pytest.mark.parametrize("adam", [False, True], ids=["params-only", "with-moments"])
+    def test_load_returns_one_buffer_per_set(self, tmp_path, adam):
+        path = tmp_path / "c.bin"
+        save_checkpoint(make_checkpoint(), path)
+        blob = path.read_bytes()
+        loaded = load_checkpoint(path, adam=adam)
+        sets = [loaded.params] + ([loaded.adam.m, loaded.adam.v] if adam else [])
+        start = payload_start(blob)
+        for arrays in sets:
+            assert isinstance(arrays, FlatDict) and arrays.layout == param_layout(CFG)
+            assert list(arrays) == [name for name, _ in param_layout(CFG)]
+            assert all(a.base is arrays.buffer for a in arrays.values())
+            assert arrays.buffer.tobytes() == blob[start:start + arrays.buffer.nbytes]
+            start += arrays.buffer.nbytes
+        skipped = 0 if adam else 2 * loaded.params.buffer.nbytes
+        assert start == len(blob) - skipped
+        assert not any(np.shares_memory(a.buffer, b.buffer)
+                       for i, a in enumerate(sets) for b in sets[i + 1:])
+
+    def test_adam_steps_on_a_loaded_checkpoint(self, tmp_path):
+        ckpt, path = make_checkpoint(), tmp_path / "c.bin"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path, adam=True)
+        grads = {name: np.full(shape, 0.5) for name, shape in param_layout(CFG)}
+        for target in (ckpt, loaded):
+            adam_step(target.params, grads, target.adam, OptimizerConfig(), 1e-3)
+        assert checkpoint_to_bytes(loaded) == checkpoint_to_bytes(ckpt)
+        assert loaded.adam.step_count == 18
+
+    @pytest.mark.parametrize("edit, kind", [
+        (lambda c: dataclasses.replace(c, params=dict(c.params)), "param"),
+        (lambda c: dataclasses.replace(c, params=flat_copy(
+            {n: c.params[n] for n in reversed(list(c.params))})), "param"),
+        (lambda c: dataclasses.replace(c, adam=AdamState(
+            m={n: a.copy() for n, a in c.adam.m.items()}, v=c.adam.v)), "adam_m"),
+        (lambda c: dataclasses.replace(c, adam=AdamState.for_params(init_params(
+            dataclasses.replace(CFG, d_ff=16), make_rng(0)))), "adam_m"),
+        (lambda c: dataclasses.replace(c, adam=AdamState(m=c.adam.m, v=FlatDict(
+            param_layout(CFG)[:-1], np.zeros))), "adam_v"),
+    ], ids=["plain-params", "reordered-params", "plain-moments",
+            "other-config-moments", "short-moments"])
+    def test_write_refuses_a_set_in_another_form(self, tmp_path, edit, kind):
+        path = tmp_path / "c.bin"
+        save_checkpoint(make_checkpoint(), path)
+        before = path.read_bytes()
+        bad = edit(make_checkpoint())
+        message = f"tensor set {kind} is not a FlatDict in the config's layout"
+        for target in (path, tmp_path / "new.bin"):
+            with pytest.raises(CheckpointError, match=message):
+                save_checkpoint(bad, target)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]
+        buf = io.BytesIO()
+        with pytest.raises(CheckpointError, match=message):
+            _write(bad, buf)
+        assert buf.getvalue() == b""
+
+
+def golden_checkpoint(with_adam: bool) -> Checkpoint:
+    """CFG with integer-valued params and moments and fixed extras, so its
+    bytes depend on the format alone, not on an RNG stream or on BLAS."""
+    params = init_params(CFG, make_rng(0))
+    for i, a in enumerate(params.values()):
+        a[...] = (np.arange(a.size) % 7 - 3 + i).reshape(a.shape)
+    adam = None
+    if with_adam:
+        adam = AdamState.for_params(params)
+        for m, v in zip(adam.m.values(), adam.v.values()):
+            m[...] = (np.arange(m.size) % 5 - 2).reshape(m.shape)
+            v[...] = (np.arange(v.size) % 3).reshape(v.shape)
+        adam.step_count = 9
+    return Checkpoint(
+        config=CFG, params=params, step=9, rng=rng_state(make_rng(7)), adam=adam,
+        moe_layout={"num_experts": 2, "active_experts": 1,
+                    "partitions": [[0, 1] * 16, [1, 0] * 16]},
+        run_info={"mode": {"mode": "smoe"}, "cumulative_flops": 42},
+    )
+
+
+class TestGoldenFormat:
+    # SHA-256 of the bytes the format fixes; a writer change that moves any
+    # byte of a file fails here
+    DIGESTS = {
+        False: "a8516e4d9e7df851434f278accba1ab00f54a5cde3ce03e17df0b916f6881267",
+        True: "5616b0599df2503f3c90d1cc4ef7650d4f91e37a85773ea82ae6efaa507340db",
+    }
+
+    @pytest.mark.parametrize("with_adam", [False, True], ids=["params-only", "with-moments"])
+    def test_bytes_are_pinned(self, tmp_path, with_adam):
+        ckpt = golden_checkpoint(with_adam)
+        path = tmp_path / "golden.bin"
+        save_checkpoint(ckpt, path)
+        assert hashlib.sha256(checkpoint_to_bytes(ckpt)).hexdigest() == self.DIGESTS[with_adam]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[with_adam]

@@ -1,3 +1,4 @@
+import copy
 import os
 import resource
 
@@ -217,14 +218,14 @@ class TestSoftmaxCrossEntropy:
 
 class TestAdam:
     def test_zero_grad_fresh_state_leaves_params(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
+        params = nx.flat_copy({"w": np.array([1.0, -2.0, 3.0])})
         state = nx.AdamState.for_params(params)
         nx.adam_step(params, {"w": np.zeros(3)}, state, nx.OptimizerConfig(), lr=0.1)
         assert params["w"].tolist() == [1.0, -2.0, 3.0]
 
     def test_first_step_closed_form(self):
         lr = 0.01
-        params = {"w": np.array([0.0])}
+        params = nx.flat_copy({"w": np.array([0.0])})
         state = nx.AdamState.for_params(params)
         nx.adam_step(params, {"w": np.array([1.0])}, state, nx.OptimizerConfig(), lr=lr)
         assert abs(params["w"][0] + lr) < 1e-6 * lr
@@ -232,7 +233,7 @@ class TestAdam:
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(8)
-            params = {"w": rng.standard_normal((3, 3))}
+            params = nx.flat_copy({"w": rng.standard_normal((3, 3))})
             state = nx.AdamState.for_params(params)
             for _ in range(10):
                 nx.adam_step(params, {"w": rng.standard_normal((3, 3))}, state,
@@ -242,7 +243,7 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch_rejected(self):
-        params = {"w": np.zeros((2, 2))}
+        params = nx.flat_copy({"w": np.zeros((2, 2))})
         state = nx.AdamState.for_params(params)
         with pytest.raises(ValueError, match="shape"):
             nx.adam_step(params, {"w": np.zeros(3)}, state, nx.OptimizerConfig(), 0.1)
@@ -418,7 +419,8 @@ class TestInPlaceMatchesReference:
         params = nx.flat_copy({k: rng.standard_normal(s) for k, s in shapes.items()})
         ref_params = {k: p.copy() for k, p in params.items()}
         state = nx.AdamState.for_params(params)
-        ref_state = nx.AdamState.for_params(ref_params)
+        ref_state = nx.AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
+                                 v={k: np.zeros_like(p) for k, p in params.items()})
         opt = nx.OptimizerConfig()
         for step in range(1, 6):
             grads = {k: normal_valued(rng, s) for k, s in shapes.items()}
@@ -479,7 +481,9 @@ class TestFlatStore:
         flat = nx.flat_copy(plain)
         reordered = nx.flat_copy({"head": plain["head"], "w": plain["w"]})
         grads = {k: np.ones(s) for k, s in shapes.items()}
-        cases = [(plain, nx.AdamState.for_params(plain)),
+        one = {"w": np.ones((2, 2))}  # one C-ordered tensor is still not a FlatDict
+        cases = [(plain, nx.AdamState.for_params(flat)),
+                 (one, nx.AdamState.for_params(nx.flat_copy(one))),
                  (flat, nx.AdamState(m={k: np.zeros(s) for k, s in shapes.items()},
                                      v=nx.flat_copy(flat))),
                  (flat, nx.AdamState.for_params(reordered))]
@@ -511,6 +515,26 @@ class TestFlatStore:
                 change()
         assert params["w"] is held[0] and params["b"] is held[1]
         assert one_buffer(params, ["w", "b"])
+
+    def test_augmented_assignment_writes_in_place(self):
+        # d[name] *= x writes into the view, then sets the name to that same
+        # view, which is allowed; copies still rebind names and raise
+        params = nx.flat_copy({"w": np.arange(3.0), "b": np.ones(2)})
+        held = params["w"]
+        params["w"] *= 2.0
+        params["b"] += params["w"][:2]
+        assert params["w"] is held and params["w"].tolist() == [0.0, 2.0, 4.0]
+        assert params["b"].tolist() == [1.0, 3.0]
+        assert params.buffer.tolist() == [0.0, 2.0, 4.0, 1.0, 3.0]
+        assert one_buffer(params, ["w", "b"])
+        for copier in (copy.copy, copy.deepcopy):
+            with pytest.raises(TypeError, match="names are fixed"):
+                copier(params)
+        for rebind in (lambda: params.__setitem__("w", held.copy()),
+                       lambda: params.__setitem__("new", None)):
+            with pytest.raises(TypeError, match="names are fixed"):
+                rebind()
+        assert params["w"] is held and list(params) == ["w", "b"]
 
 
 def _on_glibc():
